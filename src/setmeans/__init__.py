@@ -25,6 +25,7 @@ from .geometry import (
     support,
     support_face,
     translate,
+    weighted_sum,
 )
 from .randomsets import (
     CommutationError,
@@ -45,7 +46,6 @@ from .simulate import (
     ExperimentReport,
     IncompatibleSelection,
     InsideBody,
-    MeanProcessState,
     NoFacet,
     clt_exposed_experiment,
     clt_facet_experiment,
@@ -54,6 +54,4 @@ from .simulate import (
     convexification_check,
     facet_frequency_experiment,
     lln_experiment,
-    mean_process_extend,
-    mean_process_mean,
 )

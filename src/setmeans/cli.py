@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, simulate
 from .geometry import (
     ConvexBody,
     GeometryError,
@@ -36,16 +36,19 @@ from .simulate import (
     IncompatibleSelection,
     InsideBody,
     NoFacet,
-    clt_exposed_experiment,
-    clt_facet_experiment,
-    clt_hausdorff_experiment,
-    clt_tangent_experiment,
-    facet_frequency_experiment,
-    lln_experiment,
 )
 
 SCENE_VERSION = 1
-SIMULATE_KINDS = ("lln", "clt-hausdorff", "clt-exposed", "clt-tangent", "clt-facet", "facet-freq")
+# simulate kind -> (experiment function in setmeans.simulate, required vector flag)
+_EXPERIMENTS = {
+    "lln": ("lln_experiment", None),
+    "clt-hausdorff": ("clt_hausdorff_experiment", None),
+    "clt-exposed": ("clt_exposed_experiment", "dir"),
+    "clt-tangent": ("clt_tangent_experiment", "dir"),
+    "clt-facet": ("clt_facet_experiment", "point"),
+    "facet-freq": ("facet_frequency_experiment", "dir"),
+}
+SIMULATE_KINDS = tuple(_EXPERIMENTS)
 
 _USAGE_ERRORS = (
     GeometryError,
@@ -290,31 +293,19 @@ def _run_simulate(kind: str, scene_path: str, seed: int, reps: int,
                   sizes: tuple[int, ...], direction, point, out_dir: str) -> int:
     y = load_scene(scene_path)
     config = ExperimentConfig(master_seed=seed, sample_sizes=sizes, replications=reps)
-    if kind in ("clt-exposed", "clt-tangent", "facet-freq"):
-        if direction is None:
-            raise UsageError(f"simulate {kind} requires --dir")
-        vec = np.asarray(direction, dtype=float)
-        if vec.shape[0] != y.dim:
-            raise UsageError(f"--dir must have {y.dim} components")
-    if kind == "clt-facet":
-        if point is None:
-            raise UsageError("simulate clt-facet requires --point")
-        pt = np.asarray(point, dtype=float)
-        if pt.shape[0] != y.dim:
-            raise UsageError(f"--point must have {y.dim} components")
-
-    if kind == "lln":
-        report = lln_experiment(y, config)
-    elif kind == "clt-hausdorff":
-        report = clt_hausdorff_experiment(y, config)
-    elif kind == "clt-exposed":
-        report = clt_exposed_experiment(y, vec, config)
-    elif kind == "clt-tangent":
-        report = clt_tangent_experiment(y, vec, config)
-    elif kind == "clt-facet":
-        report = clt_facet_experiment(y, pt, config)
+    fn_name, flag = _EXPERIMENTS[kind]
+    # looked up per call, so a wrapper installed on setmeans.simulate is seen
+    experiment = getattr(simulate, fn_name)
+    if flag is None:
+        report = experiment(y, config)
     else:
-        report = facet_frequency_experiment(y, vec, config)
+        vec = {"dir": direction, "point": point}[flag]
+        if vec is None:
+            raise UsageError(f"simulate {kind} requires --{flag}")
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape[0] != y.dim:
+            raise UsageError(f"--{flag} must have {y.dim} components")
+        report = experiment(y, vec, config)
 
     manifest = {
         "command": "simulate",
@@ -408,7 +399,7 @@ def run_command(argv) -> int:
         if args.command == "replay":
             with open(args.manifest, "r", encoding="utf-8") as fh:
                 manifest = json.load(fh)
-            if manifest.get("command") != "simulate":
+            if manifest.get("command") != "simulate" or manifest.get("kind") not in _EXPERIMENTS:
                 raise UsageError("manifest does not describe a simulate run")
             cfg = manifest["config"]
             return _run_simulate(manifest["kind"], cfg["scene"], int(cfg["seed"]),

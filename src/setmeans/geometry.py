@@ -15,6 +15,8 @@ from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull as _Qhull
 from scipy.spatial import QhullError, Voronoi, cKDTree
 
@@ -152,30 +154,17 @@ def _dedup(P: np.ndarray) -> np.ndarray:
     if n <= 512:
         d2 = ((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=2)
         ii, jj = np.nonzero(np.triu(d2 <= tol * tol, k=1))
-        pairs = np.stack([ii, jj], axis=1) if len(ii) else np.empty((0, 2), dtype=int)
+        pairs = np.stack([ii, jj], axis=1)
     else:
         pairs = cKDTree(P).query_pairs(tol, output_type="ndarray")
     if len(pairs) == 0:
         return P
 
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in pairs:
-        ra, rb = find(int(a)), find(int(b))
-        if ra != rb:
-            parent[rb] = ra
-
-    clusters: dict[int, list[int]] = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
-    reps = [min(members, key=lambda i: tuple(P[i])) for members in clusters.values()]
-    return P[np.sort(np.array(reps))]
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    order = np.lexsort(P.T[::-1])
+    _, first = np.unique(labels[order], return_index=True)
+    return P[np.sort(order[first])]
 
 
 def _chain(points2: np.ndarray) -> np.ndarray:
@@ -291,6 +280,23 @@ def scale(a: ConvexBody, lam: float) -> ConvexBody:
     if lam < 1.0:
         V = _dedup(V)  # strong shrinking can push vertices inside the merge tolerance
     return ConvexBody(_canonical(V))
+
+
+def weighted_sum(bodies: Sequence[ConvexBody], coefs) -> ConvexBody:
+    """Minkowski combination sum_j coefs[j] * bodies[j] with coefs >= 0.
+
+    Folds ``scale`` and ``minkowski_sum`` in input order and skips zero
+    coefficients; an all-zero combination is the origin.
+    """
+    if len(bodies) == 0 or len(bodies) != len(coefs):
+        raise GeometryError("need one coefficient per body and at least one body")
+    acc = None
+    for body, c in zip(bodies, coefs):
+        if c == 0:
+            continue
+        piece = scale(body, c)
+        acc = piece if acc is None else minkowski_sum(acc, piece)
+    return ConvexBody(np.zeros((1, bodies[0].dim))) if acc is None else acc
 
 
 def translate(a: ConvexBody, t) -> ConvexBody:
@@ -520,7 +526,7 @@ def _relative_boundary_distance(face: ConvexBody, k: np.ndarray) -> float:
             p, q = ring[i], ring[(i + 1) % len(ring)]
             dists.append(_point_segment_distance(k2, p, q))
         return float(min(dists))
-    raise NotImplementedError("relative boundary only implemented for faces of affine dimension <= 2")
+    raise GeometryError(f"facet test needs a face of affine rank <= 2, got rank {rank}")
 
 
 def _point_segment_distance(p, a, b) -> float:
@@ -603,7 +609,9 @@ def _covering_radius(sites: np.ndarray, hull_body: ConvexBody) -> float:
         ring2 = (hull_body.vertices - centroid) @ basis.T
         ring2 = ring2[_chain(ring2)]
         return _covering_radius_2d(sites2, ring2)
-    raise NotImplementedError("covering radius only implemented for point sets of affine dimension <= 2")
+    raise GeometryError(
+        f"convexification gap is exact only for point sets of affine rank <= 2, got rank {rank}"
+    )
 
 
 def _covering_radius_2d(sites: np.ndarray, ring: np.ndarray) -> float:
@@ -684,13 +692,3 @@ def _inside_ring(points: np.ndarray, ring: np.ndarray) -> np.ndarray:
         cross = edge[0] * rel[:, 1] - edge[1] * rel[:, 0]
         inside &= cross >= -tol
     return inside
-
-
-# ---------------------------------------------------------------------------
-# comparison helper used throughout the tests
-
-def same_body(a: ConvexBody, b: ConvexBody, tol: float = 1e-9) -> bool:
-    """Equality of minimal representations up to a tolerance."""
-    if a.dim != b.dim or a.vertex_count != b.vertex_count:
-        return False
-    return hausdorff(a, b) <= tol

@@ -18,11 +18,10 @@ from .geometry import (
     ConvexBody,
     DimensionMismatch,
     hausdorff,
-    minkowski_sum,
     nearest_point,
-    scale,
     support,
     support_face,
+    weighted_sum,
 )
 
 WEIGHT_SUM_TOL = 1e-6          # acceptable deviation of raw weights from 1
@@ -124,11 +123,7 @@ class Selection:
 
 def expectation(y: DiscreteRandomSet) -> ConvexBody:
     """Expected body: the weighted Minkowski sum of the atoms."""
-    acc = None
-    for w, body in zip(y.weights, y.bodies):
-        piece = scale(body, float(w))
-        acc = piece if acc is None else minkowski_sum(acc, piece)
-    return acc
+    return weighted_sum(y.bodies, y.weights)
 
 
 def expectation_face(y: DiscreteRandomSet, f) -> tuple[ConvexBody, list[ConvexBody]]:
@@ -141,11 +136,7 @@ def expectation_face(y: DiscreteRandomSet, f) -> tuple[ConvexBody, list[ConvexBo
     ey = expectation(y)
     face = support_face(ey, f).face
     atom_faces = [support_face(body, f).face for body in y.bodies]
-    mixed = None
-    for w, af in zip(y.weights, atom_faces):
-        piece = scale(af, float(w))
-        mixed = piece if mixed is None else minkowski_sum(mixed, piece)
-    residual = hausdorff(face, mixed)
+    residual = hausdorff(face, weighted_sum(atom_faces, y.weights))
     if residual > COMMUTATION_TOL:
         raise CommutationError(
             f"face of expectation deviates from mean of atom faces by {residual:.3e}"

@@ -8,34 +8,34 @@ empirical distributions against the analytic limits.
 Draw ``i`` of replication ``r`` is keyed by ``(master_seed, r, i)``, so
 reports are reproducible bit-for-bit and replications are order
 independent.  Since the atoms are convex, the Minkowski sum of ``c``
-copies of an atom equals the atom scaled by ``c``; sample means are
-therefore assembled from per-atom draw counts, which keeps the cost per
-checkpoint independent of the sample size.
+copies of an atom equals the atom scaled by ``c``, so the mean of ``N``
+draws is ``weighted_sum(atoms, counts / N)``: every statistic depends on
+a replication only through its per-atom draw counts.  ``_checkpoints``
+yields those counts; each experiment maps them to its statistic, at a
+cost per checkpoint independent of the sample size.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import stats
 from .geometry import (
     ConvexBody,
-    DimensionMismatch,
     GeometryError,
     hausdorff,
     is_facet_at,
-    minkowski_sum,
     nearest_point,
     norm_gradient,
     point_distance,
-    scale,
     shapley_folkman_gap,
     support,
     support_face,
+    weighted_sum,
 )
 from .randomsets import (
     COMMUTATION_TOL,
@@ -69,33 +69,6 @@ class InsideBody(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# sample-mean process
-
-@dataclass(frozen=True)
-class MeanProcessState:
-    """Running Minkowski sum of draws; the mean is the sum scaled by 1/count."""
-
-    count: int = 0
-    running_sum: Optional[ConvexBody] = None
-
-
-def mean_process_extend(state: MeanProcessState, body: ConvexBody) -> MeanProcessState:
-    """Add one draw to the running sum, hull-pruned."""
-    if state.running_sum is None:
-        return MeanProcessState(count=1, running_sum=body)
-    if body.dim != state.running_sum.dim:
-        raise DimensionMismatch("draw dimension does not match the running sum")
-    return MeanProcessState(count=state.count + 1,
-                            running_sum=minkowski_sum(state.running_sum, body))
-
-
-def mean_process_mean(state: MeanProcessState) -> ConvexBody:
-    if state.count < 1 or state.running_sum is None:
-        raise ValueError("mean of an empty process is undefined")
-    return scale(state.running_sum, 1.0 / state.count)
-
-
-# ---------------------------------------------------------------------------
 # configuration and reports
 
 @dataclass(frozen=True)
@@ -112,8 +85,11 @@ class ExperimentConfig:
             raise ValueError("sample sizes must be strictly increasing")
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        seed = int(self.master_seed)
+        if not 0 <= seed < 2 ** 64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
         object.__setattr__(self, "sample_sizes", sizes)
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        object.__setattr__(self, "master_seed", seed)
 
 
 @dataclass
@@ -163,35 +139,14 @@ def _group_by_size(records, component: int = 0) -> dict[int, np.ndarray]:
 # ---------------------------------------------------------------------------
 # draw machinery
 
-def _draw_indices(y: DiscreteRandomSet, seed: int, replication: int, n: int) -> np.ndarray:
-    return sample_many(y, uniforms(seed, replication, n))
-
-
-def _counts_at_sizes(indices: np.ndarray, sizes: Sequence[int], atoms: int) -> list[np.ndarray]:
-    return [np.bincount(indices[:n], minlength=atoms) for n in sizes]
-
-
-def _mean_body(y: DiscreteRandomSet, counts: np.ndarray, n: int) -> ConvexBody:
-    """Sample mean from draw counts: sum of atoms scaled by count/n."""
-    acc = None
-    for j in range(y.atom_count):
-        c = int(counts[j])
-        if c == 0:
-            continue
-        piece = scale(y.bodies[j], c / n)
-        acc = piece if acc is None else minkowski_sum(acc, piece)
-    return acc
-
-
-def _mean_of_faces(y: DiscreteRandomSet, counts: np.ndarray, n: int, atom_faces) -> ConvexBody:
-    acc = None
-    for j in range(y.atom_count):
-        c = int(counts[j])
-        if c == 0:
-            continue
-        piece = scale(atom_faces[j], c / n)
-        acc = piece if acc is None else minkowski_sum(acc, piece)
-    return acc
+def _checkpoints(y: DiscreteRandomSet,
+                 config: ExperimentConfig) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Per-atom draw counts ``(rep, n, counts)`` of every checkpoint, in record order."""
+    sizes = config.sample_sizes
+    for rep in range(config.replications):
+        indices = sample_many(y, uniforms(config.master_seed, rep, sizes[-1]))
+        for n in sizes:
+            yield rep, n, np.bincount(indices[:n], minlength=y.atom_count)
 
 
 def _check_face_of_mean(mean_face: ConvexBody, face_mix: ConvexBody):
@@ -219,14 +174,11 @@ def lln_experiment(y: DiscreteRandomSet, config: ExperimentConfig, *,
     ey = expectation(y)
     max_atom_dist = max(hausdorff(body, ey) for body in y.bodies)
     records = []
-    for rep in range(config.replications):
-        indices = _draw_indices(y, config.master_seed, rep, config.sample_sizes[-1])
-        for n, counts in zip(config.sample_sizes,
-                             _counts_at_sizes(indices, config.sample_sizes, y.atom_count)):
-            dist = hausdorff(_mean_body(y, counts, n), ey)
-            if dist > max_atom_dist + 1e-9:
-                raise GeometryError("sample mean left the hull of the atoms")
-            records.append((rep, n, (float(dist),)))
+    for rep, n, counts in _checkpoints(y, config):
+        dist = hausdorff(weighted_sum(y.bodies, counts / n), ey)
+        if dist > max_atom_dist + 1e-9:
+            raise GeometryError("sample mean left the hull of the atoms")
+        records.append((rep, n, (float(dist),)))
 
     groups = _group_by_size(records)
     medians = {n: float(np.median(vals)) for n, vals in groups.items()}
@@ -272,12 +224,9 @@ def clt_hausdorff_experiment(y: DiscreteRandomSet, config: ExperimentConfig, *,
     t0 = time.perf_counter()
     ey = expectation(y)
     records = []
-    for rep in range(config.replications):
-        indices = _draw_indices(y, config.master_seed, rep, config.sample_sizes[-1])
-        for n, counts in zip(config.sample_sizes,
-                             _counts_at_sizes(indices, config.sample_sizes, y.atom_count)):
-            dist = hausdorff(_mean_body(y, counts, n), ey)
-            records.append((rep, n, (float(np.sqrt(n) * dist),)))
+    for rep, n, counts in _checkpoints(y, config):
+        dist = hausdorff(weighted_sum(y.bodies, counts / n), ey)
+        records.append((rep, n, (float(np.sqrt(n) * dist),)))
 
     groups = _group_by_size(records)
     pairs = []
@@ -326,26 +275,20 @@ def clt_exposed_experiment(y: DiscreteRandomSet, direction, config: ExperimentCo
     d = y.dim
 
     records = []
-    discarded = 0
-    for rep in range(config.replications):
-        indices = _draw_indices(y, config.master_seed, rep, config.sample_sizes[-1])
-        rep_records = []
-        degenerate = False
-        for n, counts in zip(config.sample_sizes,
-                             _counts_at_sizes(indices, config.sample_sizes, y.atom_count)):
-            mean_body = _mean_body(y, counts, n)
-            cert = support_face(mean_body, f)
-            if cert.face.vertex_count != 1:
-                degenerate = True
-                break
-            if rep < 3:
-                _check_face_of_mean(cert.face, _mean_of_faces(y, counts, n, atom_faces))
-            stat = np.sqrt(n) * (cert.face.vertices[0] - target)
-            rep_records.append((rep, n, tuple(float(v) for v in stat)))
-        if degenerate:
-            discarded += 1
-        else:
-            records.extend(rep_records)
+    tied = set()   # replications with a non-singleton face at some checkpoint
+    for rep, n, counts in _checkpoints(y, config):
+        if rep in tied:
+            continue
+        cert = support_face(weighted_sum(y.bodies, counts / n), f)
+        if cert.face.vertex_count != 1:
+            tied.add(rep)
+            continue
+        if rep < 3:
+            _check_face_of_mean(cert.face, weighted_sum(atom_faces, counts / n))
+        stat = np.sqrt(n) * (cert.face.vertices[0] - target)
+        records.append((rep, n, tuple(float(v) for v in stat)))
+    records = [r for r in records if r[0] not in tied]
+    discarded = len(tied)
     if discarded > DEGENERATE_FACE_LIMIT * config.replications:
         raise DegenerateFace(
             f"{discarded} of {config.replications} replications had tied faces"
@@ -421,14 +364,11 @@ def clt_tangent_experiment(y: DiscreteRandomSet, direction, config: ExperimentCo
 
     records = []
     face_gaps: dict[int, list[float]] = {n: [] for n in config.sample_sizes}
-    for rep in range(config.replications):
-        indices = _draw_indices(y, config.master_seed, rep, config.sample_sizes[-1])
-        for n, counts in zip(config.sample_sizes,
-                             _counts_at_sizes(indices, config.sample_sizes, y.atom_count)):
-            total = float(counts @ atom_supports)
-            stat = (total - n * s_expected) / np.sqrt(n)
-            records.append((rep, n, (float(stat),)))
-            face_gaps[n].append(hausdorff(_mean_of_faces(y, counts, n, atom_faces), ey_face))
+    for rep, n, counts in _checkpoints(y, config):
+        total = float(counts @ atom_supports)
+        stat = (total - n * s_expected) / np.sqrt(n)
+        records.append((rep, n, (float(stat),)))
+        face_gaps[n].append(hausdorff(weighted_sum(atom_faces, counts / n), ey_face))
 
     final_n = config.sample_sizes[-1]
     final = np.array([stat[0] for _, n, stat in records if n == final_n])
@@ -508,16 +448,13 @@ def clt_facet_experiment(y: DiscreteRandomSet, point, config: ExperimentConfig, 
 
     records = []
     excursions = 0
-    for rep in range(config.replications):
-        indices = _draw_indices(y, config.master_seed, rep, config.sample_sizes[-1])
-        for n, counts in zip(config.sample_sizes,
-                             _counts_at_sizes(indices, config.sample_sizes, y.atom_count)):
-            mean_body = _mean_body(y, counts, n)
-            dist = point_distance(mean_body, x)
-            records.append((rep, n, (float(np.sqrt(n) * (dist - base_distance)),)))
-            k_n = nearest_point(mean_body, x)
-            if dist <= 1e-12 or not is_facet_at(mean_body, k_n, facet_functional):
-                excursions += 1
+    for rep, n, counts in _checkpoints(y, config):
+        mean_body = weighted_sum(y.bodies, counts / n)
+        dist = point_distance(mean_body, x)
+        records.append((rep, n, (float(np.sqrt(n) * (dist - base_distance)),)))
+        k_n = nearest_point(mean_body, x)
+        if dist <= 1e-12 or not is_facet_at(mean_body, k_n, facet_functional):
+            excursions += 1
 
     final_n = config.sample_sizes[-1]
     final = np.array([stat[0] for _, n, stat in records if n == final_n])
@@ -572,16 +509,11 @@ def facet_frequency_experiment(y: DiscreteRandomSet, direction,
     atom_faces = [support_face(body, f).face for body in y.bodies]
 
     records = []
-    for rep in range(config.replications):
-        indices = _draw_indices(y, config.master_seed, rep, config.sample_sizes[-1])
-        for n, counts in zip(config.sample_sizes,
-                             _counts_at_sizes(indices, config.sample_sizes, y.atom_count)):
-            mean_body = _mean_body(y, counts, n)
-            cert = support_face(mean_body, f)
-            if rep < 3:
-                _check_face_of_mean(cert.face, _mean_of_faces(y, counts, n, atom_faces))
-            has_facet = cert.face.vertex_count >= 2
-            records.append((rep, n, (1.0 if has_facet else 0.0,)))
+    for rep, n, counts in _checkpoints(y, config):
+        cert = support_face(weighted_sum(y.bodies, counts / n), f)
+        if rep < 3:
+            _check_face_of_mean(cert.face, weighted_sum(atom_faces, counts / n))
+        records.append((rep, n, (1.0 if cert.face.vertex_count >= 2 else 0.0,)))
 
     groups = _group_by_size(records)
     per_size = []

@@ -184,6 +184,26 @@ def test_simulate_zero_replications_is_usage_error(tmp_path, capsys):
     assert rc == 1
 
 
+def test_simulate_rejects_seeds_outside_64_bits(tmp_path, capsys):
+    scene = write_scene(tmp_path, TWO_SEGMENTS)
+
+    def run(seed, name):
+        return run_command(["simulate", "lln", "--scene", scene, "--seed", str(seed),
+                            "--reps", "3", "--sizes", "4096", "--out", str(tmp_path / name)])
+
+    assert run(2 ** 64, "over") == 1
+    assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+    assert run(-1, "negative") == 1
+    assert not (tmp_path / "over").exists() and not (tmp_path / "negative").exists()
+    assert run(2 ** 64 - 1, "top") == 0
+    # a manifest edited to an out-of-range seed is refused by replay as well
+    manifest = json.loads((tmp_path / "top" / "manifest.json").read_text())
+    manifest["config"]["seed"] = 2 ** 64
+    (tmp_path / "edited.json").write_text(json.dumps(manifest))
+    assert run_command(["replay", str(tmp_path / "edited.json"),
+                        "--out", str(tmp_path / "replayed")]) == 1
+
+
 def test_replay_reproduces_records_byte_for_byte(tmp_path, capsys):
     scene = write_scene(tmp_path, TWO_SEGMENTS)
     out1 = tmp_path / "r1"
@@ -193,6 +213,17 @@ def test_replay_reproduces_records_byte_for_byte(tmp_path, capsys):
     assert run_command(argv) == 0
     assert run_command(["replay", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
     assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
+
+
+def test_replay_rejects_an_unknown_kind(tmp_path, capsys):
+    scene = write_scene(tmp_path, TWO_SEGMENTS)
+    manifest = {"command": "simulate", "kind": "bogus",
+                "config": {"scene": scene, "seed": 1, "reps": 3, "sizes": [4],
+                           "dir": [0.0, -1.0], "point": None}}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert run_command(["replay", str(tmp_path / "manifest.json"),
+                        "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_rerun_same_command_is_byte_stable(tmp_path, capsys):
@@ -214,6 +245,21 @@ def test_sfs_bound_command(tmp_path, capsys):
     assert run_command(["sfs-bound", "--scene", scene, "--repeat", "2"]) == 0
     out = capsys.readouterr().out
     assert "within_bound true" in out
+
+
+def test_sfs_bound_on_a_3d_scene_exits_one(tmp_path, capsys):
+    scene = write_scene(tmp_path, json.dumps({
+        "version": 1,
+        "dim": 3,
+        "atoms": [
+            {"weight": 0.5, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+            {"weight": 0.5, "vertices": [[0, 0, 0], [1, 1, 1]]},
+        ],
+    }))
+    assert run_command(["sfs-bound", "--scene", scene]) == 1
+    err = capsys.readouterr().err
+    assert "GeometryError" in err
+    assert "affine rank <= 2" in err
 
 
 def test_face_and_nearest_commands(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import same_body
 from setmeans.geometry import (
     ConvexBody,
     DimensionMismatch,
@@ -14,7 +15,6 @@ from setmeans.geometry import (
     nearest_point,
     norm_gradient,
     point_distance,
-    same_body,
     scale,
     shapley_folkman_gap,
     sphere_grid,

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from setmeans.geometry import hausdorff, hull, same_body, support_face, translate
+from oracles import MeanProcessState, mean_process_extend, mean_process_mean, same_body
+from setmeans.geometry import hausdorff, hull, support_face, translate
 from setmeans.randomsets import DiscreteRandomSet, NotExposed, expectation, sample_many
 from setmeans.rng import uniform, uniforms
 from setmeans.simulate import (
     ExperimentConfig,
     IncompatibleSelection,
     InsideBody,
-    MeanProcessState,
     NoFacet,
     clt_exposed_experiment,
     clt_facet_experiment,
@@ -17,8 +17,6 @@ from setmeans.simulate import (
     convexification_check,
     facet_frequency_experiment,
     lln_experiment,
-    mean_process_extend,
-    mean_process_mean,
 )
 
 SQ2 = np.sqrt(2.0)
