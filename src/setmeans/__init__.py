@@ -51,7 +51,6 @@ from .simulate import (
     clt_facet_experiment,
     clt_hausdorff_experiment,
     clt_tangent_experiment,
-    convexification_check,
     facet_frequency_experiment,
     lln_experiment,
 )

@@ -1,13 +1,16 @@
 """Command-line interface: JSON scenes in, reports/CSV/manifests out.
 
 Exit codes: 0 on success, 1 on usage or input errors (including blocked
-experiment preconditions), 2 when the experiment ran but an acceptance
-verdict inside the report failed.
+experiment preconditions and a replayed scene that no longer matches its
+manifest), 2 when the experiment ran but an acceptance verdict inside the
+report failed, 3 when an internal invariant broke (a solver did not
+converge, or a face failed the commutation check).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -18,6 +21,7 @@ import numpy as np
 
 from . import __version__, simulate
 from .geometry import (
+    ConvergenceError,
     ConvexBody,
     GeometryError,
     hausdorff,
@@ -28,7 +32,7 @@ from .geometry import (
     shapley_folkman_gap,
     support_face,
 )
-from .randomsets import DiscreteRandomSet, NotExposed, expectation
+from .randomsets import CommutationError, DiscreteRandomSet, NotExposed, expectation
 from .simulate import (
     DegenerateFace,
     ExperimentConfig,
@@ -60,6 +64,7 @@ _USAGE_ERRORS = (
     ValueError,
     OSError,
 )
+_INTERNAL_ERRORS = (ConvergenceError, CommutationError)
 
 
 class SceneError(ValueError):
@@ -86,8 +91,8 @@ def _reject_constant(token: str):
     raise SceneError("$", f"non-finite literal {token!r} is not allowed")
 
 
-def parse_scene(text: str) -> DiscreteRandomSet:
-    """Parse a JSON scene into a random set; vertex lists are hulled."""
+def _scene_doc(text: str) -> dict:
+    """Decode a JSON scene and check it against the schema."""
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
@@ -103,8 +108,7 @@ def parse_scene(text: str) -> DiscreteRandomSet:
     if not isinstance(atoms, list) or not atoms:
         raise SceneError("atoms", "must be a nonempty list")
 
-    weights = []
-    bodies = []
+    total = 0.0
     for i, atom in enumerate(atoms):
         where = f"atoms[{i}]"
         if not isinstance(atom, dict):
@@ -121,13 +125,20 @@ def parse_scene(text: str) -> DiscreteRandomSet:
             for c in v:
                 if not isinstance(c, (int, float)) or isinstance(c, bool) or not np.isfinite(c):
                     raise SceneError(f"{where}.vertices[{j}]", "coordinates must be finite numbers")
-        weights.append(float(w))
-        bodies.append(hull(np.asarray(vertices, dtype=float)))
+        total += float(w)
 
-    total = sum(weights)
     if abs(total - 1.0) > 1e-6:
         raise SceneError("atoms", f"weights sum to {total!r}, outside 1 +/- 1e-06")
-    return DiscreteRandomSet(weights=np.array(weights), bodies=tuple(bodies))
+    return doc
+
+
+def parse_scene(text: str) -> DiscreteRandomSet:
+    """Parse a JSON scene into a random set; vertex lists are hulled."""
+    atoms = _scene_doc(text)["atoms"]
+    return DiscreteRandomSet(
+        weights=np.array([float(atom["weight"]) for atom in atoms]),
+        bodies=tuple(hull(np.asarray(atom["vertices"], dtype=float)) for atom in atoms),
+    )
 
 
 def serialize_scene(y: DiscreteRandomSet) -> dict:
@@ -149,10 +160,13 @@ def load_scene(path: str) -> DiscreteRandomSet:
 def load_scene_point_sets(path: str) -> list[np.ndarray]:
     """Raw per-atom vertex lists, unhulled (interior points preserved)."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    parse_scene(text)  # full validation
-    doc = json.loads(text)
+        doc = _scene_doc(fh.read())
     return [np.asarray(atom["vertices"], dtype=float) for atom in doc["atoms"]]
+
+
+def _file_sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +304,12 @@ def _print_body(body: ConvexBody, file=None):
 
 
 def _run_simulate(kind: str, scene_path: str, seed: int, reps: int,
-                  sizes: tuple[int, ...], direction, point, out_dir: str) -> int:
+                  sizes: tuple[int, ...], direction, point, out_dir: str,
+                  expected_sha256: Optional[str] = None) -> int:
+    scene_sha256 = _file_sha256(scene_path)
+    if expected_sha256 is not None and scene_sha256 != expected_sha256:
+        raise UsageError(f"scene {scene_path} has changed since the recorded run "
+                         f"(sha256 {scene_sha256}, manifest {expected_sha256})")
     y = load_scene(scene_path)
     config = ExperimentConfig(master_seed=seed, sample_sizes=sizes, replications=reps)
     fn_name, flag = _EXPERIMENTS[kind]
@@ -318,6 +337,7 @@ def _run_simulate(kind: str, scene_path: str, seed: int, reps: int,
             "dir": list(direction) if direction is not None else None,
             "point": list(point) if point is not None else None,
         },
+        "scene_sha256": scene_sha256,
         "master_seed": seed,
         "created_unix": int(time.time()),
     }
@@ -401,10 +421,13 @@ def run_command(argv) -> int:
                 manifest = json.load(fh)
             if manifest.get("command") != "simulate" or manifest.get("kind") not in _EXPERIMENTS:
                 raise UsageError("manifest does not describe a simulate run")
+            if not isinstance(manifest.get("scene_sha256"), str):
+                raise UsageError("manifest records no scene_sha256 digest")
             cfg = manifest["config"]
             return _run_simulate(manifest["kind"], cfg["scene"], int(cfg["seed"]),
                                  int(cfg["reps"]), tuple(int(n) for n in cfg["sizes"]),
-                                 cfg.get("dir"), cfg.get("point"), args.out)
+                                 cfg.get("dir"), cfg.get("point"), args.out,
+                                 expected_sha256=manifest["scene_sha256"])
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -414,6 +437,9 @@ def run_command(argv) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except _INTERNAL_ERRORS as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     raise AssertionError("unreachable")
 
 

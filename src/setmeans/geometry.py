@@ -151,12 +151,7 @@ def _dedup(P: np.ndarray) -> np.ndarray:
     if n == 1:
         return P
     tol = VERTEX_DEDUP_REL * (1.0 + float(np.abs(P).max()))
-    if n <= 512:
-        d2 = ((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=2)
-        ii, jj = np.nonzero(np.triu(d2 <= tol * tol, k=1))
-        pairs = np.stack([ii, jj], axis=1)
-    else:
-        pairs = cKDTree(P).query_pairs(tol, output_type="ndarray")
+    pairs = cKDTree(P).query_pairs(tol, output_type="ndarray")
     if len(pairs) == 0:
         return P
 
@@ -167,82 +162,39 @@ def _dedup(P: np.ndarray) -> np.ndarray:
     return P[np.sort(order[first])]
 
 
-def _chain(points2: np.ndarray) -> np.ndarray:
-    """Monotone-chain hull of distinct 2-D points.
+def _affine_frame(P: np.ndarray):
+    """SVD of the centred rows of P, truncated to their affine rank.
 
-    Returns indices of the minimal hull vertices in counterclockwise
-    ring order; collinear points are pruned by the strict-turn predicate.
+    Returns ``(centroid, U, s, Vt)`` with ``P - centroid ~= U @ diag(s) @ Vt``
+    and ``len(s)`` the affine rank.  ``U * s`` are Euclidean coordinates in
+    the affine hull; ``U`` itself is an affine image of them with unit
+    spread along every axis, which keeps thin slivers well conditioned.
     """
-    n = len(points2)
-    order = np.lexsort((points2[:, 1], points2[:, 0]))
-    pts = points2[order]
+    centroid = P.mean(axis=0)
+    U, s, Vt = np.linalg.svd(P - centroid, full_matrices=False)
+    rank = int((s > s[0] * max(P.shape) * np.finfo(float).eps * 8.0).sum())
+    return centroid, U[:, :rank], s[:rank], Vt[:rank]
 
-    def build(seq):
-        out: list[int] = []
-        for i in seq:
-            while len(out) >= 2:
-                o, a, b = pts[out[-2]], pts[out[-1]], pts[i]
-                if (a[0] - o[0]) * (b[1] - o[1]) - (b[0] - o[0]) * (a[1] - o[1]) <= 0.0:
-                    out.pop()
-                else:
-                    break
-            out.append(i)
-        return out
 
-    lower = build(range(n))
-    upper = build(range(n - 1, -1, -1))
-    ring = lower[:-1] + upper[:-1]
-    if not ring:
-        ring = [0]
-    return order[np.array(ring)]
+def _qhull(coords: np.ndarray) -> _Qhull:
+    """Qhull of full-rank coordinates (2-D vertices come counterclockwise)."""
+    try:
+        return _Qhull(coords)
+    except QhullError as exc:  # pragma: no cover - rank reduction should prevent this
+        raise GeometryError(f"hull construction failed: {exc}") from exc
 
 
 def _extreme_indices(P: np.ndarray) -> np.ndarray:
     """Indices of the extreme points of P (deduplicated input)."""
-    n, d = P.shape
-    if n <= 2:
-        return np.arange(n)
-
-    centroid = P.mean(axis=0)
-    M = P - centroid
-    svals = np.linalg.svd(M, compute_uv=False)
-    if svals[0] <= 0.0:
+    if len(P) <= 2:
+        return np.arange(len(P))
+    _, U, _, _ = _affine_frame(P)  # extreme points are invariant under affine maps
+    if U.shape[1] == 0:
         return np.array([0])
-    rank_tol = svals[0] * max(n, d) * np.finfo(float).eps * 8.0
-    rank = int((svals > rank_tol).sum())
-    if rank == 0:
-        return np.array([0])
-
-    if rank == 1:
-        _, _, Vt = np.linalg.svd(M, full_matrices=False)
-        t = M @ Vt[0]
-        lo, hi = int(np.argmin(t)), int(np.argmax(t))
+    if U.shape[1] == 1:
+        lo, hi = int(np.argmin(U[:, 0])), int(np.argmax(U[:, 0]))
         return np.array([lo]) if lo == hi else np.array([lo, hi])
-
-    if rank == 2:
-        if d == 2:
-            coords = M
-        else:
-            _, _, Vt = np.linalg.svd(M, full_matrices=False)
-            coords = M @ Vt[:2].T
-        if n > 400:
-            # qhull prefilter keeps the chain pass cheap on big inputs
-            try:
-                keep = np.unique(_Qhull(coords).vertices)
-            except QhullError:
-                keep = np.arange(n)
-            return keep[_chain(coords[keep])]
-        return _chain(coords)
-
-    if rank == d:
-        coords = M
-    else:
-        _, _, Vt = np.linalg.svd(M, full_matrices=False)
-        coords = M @ Vt[:rank].T
-    try:
-        return np.unique(_Qhull(coords).vertices)
-    except QhullError as exc:  # pragma: no cover - rank reduction should prevent this
-        raise GeometryError(f"hull construction failed: {exc}") from exc
+    return _qhull(U).vertices
 
 
 # ---------------------------------------------------------------------------
@@ -285,18 +237,25 @@ def scale(a: ConvexBody, lam: float) -> ConvexBody:
 def weighted_sum(bodies: Sequence[ConvexBody], coefs) -> ConvexBody:
     """Minkowski combination sum_j coefs[j] * bodies[j] with coefs >= 0.
 
-    Folds ``scale`` and ``minkowski_sum`` in input order and skips zero
-    coefficients; an all-zero combination is the origin.
+    Folds ``minkowski_sum`` over the scaled vertex lists in input order
+    and skips zero coefficients; an all-zero combination is the origin.
+    The pieces are not pruned on their own, since the hull of each sum
+    prunes them; a lone nonzero term is ``scale(body, c)``.
     """
     if len(bodies) == 0 or len(bodies) != len(coefs):
         raise GeometryError("need one coefficient per body and at least one body")
-    acc = None
-    for body, c in zip(bodies, coefs):
-        if c == 0:
-            continue
-        piece = scale(body, c)
-        acc = piece if acc is None else minkowski_sum(acc, piece)
-    return ConvexBody(np.zeros((1, bodies[0].dim))) if acc is None else acc
+    if any(c < 0 for c in coefs):
+        raise GeometryError("negative scale factors (reflections) are not supported")
+    terms = [(body, c) for body, c in zip(bodies, coefs) if c != 0]
+    if not terms:
+        return ConvexBody(np.zeros((1, bodies[0].dim)))
+    (body, c), *rest = terms
+    if not rest:
+        return scale(body, c)
+    acc = ConvexBody(c * body.vertices)
+    for body, c in rest:
+        acc = minkowski_sum(acc, ConvexBody(c * body.vertices))
+    return acc
 
 
 def translate(a: ConvexBody, t) -> ConvexBody:
@@ -493,47 +452,21 @@ def hausdorff_via_support(a: ConvexBody, b: ConvexBody, m: int) -> float:
 # ---------------------------------------------------------------------------
 # facet classification
 
-def _affine_rank(V: np.ndarray) -> int:
-    if len(V) <= 1:
-        return 0
-    M = V - V[0]
-    svals = np.linalg.svd(M, compute_uv=False)
-    if svals[0] <= 0.0:
-        return 0
-    tol = svals[0] * max(M.shape) * np.finfo(float).eps * 8.0
-    return int((svals > tol).sum())
-
-
 def _relative_boundary_distance(face: ConvexBody, k: np.ndarray) -> float:
-    """Distance from a point of the face to the face's relative boundary.
+    """Signed distance from k to the face's relative boundary (negative outside).
 
     Supports faces of affine dimension 1 (segments) and 2 (polygons);
     higher-dimensional faces do not occur for bodies of dimension <= 3.
     """
     V = face.vertices
-    rank = _affine_rank(V)
+    centroid, U, s, Vt = _affine_frame(V)
+    rank = len(s)
     if rank == 1:
         return float(min(np.linalg.norm(k - V[0]), np.linalg.norm(k - V[-1])))
     if rank == 2:
-        origin = V[0]
-        _, _, Vt = np.linalg.svd(V - origin, full_matrices=False)
-        basis = Vt[:2]
-        V2 = (V - origin) @ basis.T
-        k2 = (k - origin) @ basis.T
-        ring = V2[_chain(V2)]
-        dists = []
-        for i in range(len(ring)):
-            p, q = ring[i], ring[(i + 1) % len(ring)]
-            dists.append(_point_segment_distance(k2, p, q))
-        return float(min(dists))
+        eq = _qhull(U * s).equations
+        return float(-(eq[:, :2] @ (Vt @ (k - centroid)) + eq[:, 2]).max())
     raise GeometryError(f"facet test needs a face of affine rank <= 2, got rank {rank}")
-
-
-def _point_segment_distance(p, a, b) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    t = 0.0 if denom == 0.0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(a + t * ab - p))
 
 
 def is_facet_at(a: ConvexBody, k, f) -> bool:
@@ -578,44 +511,30 @@ def shapley_folkman_gap(sets: Sequence) -> tuple[float, float]:
         raw = np.unique(raw, axis=0)
     scaled = raw / n_sets
 
-    hull_body = hull(scaled)
-    gap = _covering_radius(scaled, hull_body)
+    gap = _covering_radius(scaled)
     max_set_norm = max(float(np.sqrt((s ** 2).sum(axis=1)).max()) for s in arrays)
     bound = math.sqrt(d) / n_sets * max_set_norm
     return gap, bound
 
 
-def _covering_radius(sites: np.ndarray, hull_body: ConvexBody) -> float:
+def _covering_radius(sites: np.ndarray) -> float:
     """Exact max over conv(sites) of the distance to the nearest site."""
-    n, d = sites.shape
-    if n == 1:
-        return 0.0
-    centroid = sites.mean(axis=0)
-    M = sites - centroid
-    svals = np.linalg.svd(M, compute_uv=False)
-    if svals[0] <= 0.0:
-        return 0.0
-    rank_tol = svals[0] * max(M.shape) * np.finfo(float).eps * 8.0
-    rank = int((svals > rank_tol).sum())
+    _, U, s, _ = _affine_frame(sites)
+    coords = U * s
+    rank = len(s)
     if rank == 0:
         return 0.0
-    _, _, Vt = np.linalg.svd(M, full_matrices=False)
     if rank == 1:
-        t = np.sort(M @ Vt[0])
-        return float(np.diff(t).max() / 2.0)
+        return float(np.diff(np.sort(coords[:, 0])).max() / 2.0)
     if rank == 2:
-        basis = Vt[:2]
-        sites2 = M @ basis.T
-        ring2 = (hull_body.vertices - centroid) @ basis.T
-        ring2 = ring2[_chain(ring2)]
-        return _covering_radius_2d(sites2, ring2)
+        return _covering_radius_2d(coords, _qhull(coords))
     raise GeometryError(
         f"convexification gap is exact only for point sets of affine rank <= 2, got rank {rank}"
     )
 
 
-def _covering_radius_2d(sites: np.ndarray, ring: np.ndarray) -> float:
-    """Largest empty circle centered in the convex ring, sites as obstacles.
+def _covering_radius_2d(sites: np.ndarray, qh: _Qhull) -> float:
+    """Largest empty circle centered in the hull of the sites, sites as obstacles.
 
     Candidate centers are the circumcenters of site triples (interior
     local maxima) and the crossings of site-pair bisectors with the ring
@@ -623,6 +542,7 @@ def _covering_radius_2d(sites: np.ndarray, ring: np.ndarray) -> float:
     at each candidate is exact.
     """
     n = len(sites)
+    ring = sites[qh.vertices]  # counterclockwise
     tree = cKDTree(sites)
     scale_len = 1.0 + float(np.abs(sites).max())
     candidates = []
@@ -641,7 +561,9 @@ def _covering_radius_2d(sites: np.ndarray, ring: np.ndarray) -> float:
         interior = vor.vertices
 
     if len(interior):
-        candidates.append(interior[_inside_ring(interior, ring)])
+        tol = 1e-12 * (1.0 + float(np.abs(ring).max()))
+        inside = (interior @ qh.equations[:, :2].T + qh.equations[:, 2] <= tol).all(axis=1)
+        candidates.append(interior[inside])
 
     # bisector lines of site pairs crossed with each ring edge
     a = sites[pair_idx[:, 0]]
@@ -676,19 +598,3 @@ def _circumcenter(p, q, r, scale_len: float):
         return None
     rhs = np.array([q @ q - p @ p, r @ r - p @ p])
     return np.linalg.solve(A, rhs)
-
-
-def _inside_ring(points: np.ndarray, ring: np.ndarray) -> np.ndarray:
-    """Boolean mask of points inside a counterclockwise convex ring."""
-    if len(ring) == 1:
-        return np.zeros(len(points), dtype=bool)
-    tol = 1e-12 * (1.0 + float(np.abs(ring).max()))
-    inside = np.ones(len(points), dtype=bool)
-    m = len(ring)
-    for i in range(m):
-        v0, v1 = ring[i], ring[(i + 1) % m]
-        edge = v1 - v0
-        rel = points - v0
-        cross = edge[0] * rel[:, 1] - edge[1] * rel[:, 0]
-        inside &= cross >= -tol
-    return inside

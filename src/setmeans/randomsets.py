@@ -126,21 +126,27 @@ def expectation(y: DiscreteRandomSet) -> ConvexBody:
     return weighted_sum(y.bodies, y.weights)
 
 
-def expectation_face(y: DiscreteRandomSet, f) -> tuple[ConvexBody, list[ConvexBody]]:
-    """Support face of the expectation together with the per-atom faces.
+def check_face_commutation(face: ConvexBody, atom_faces: Sequence[ConvexBody], coefs):
+    """Hard check that a face of sum_j coefs[j] * K_j is the same weighted sum
+    of the atom faces, within ``COMMUTATION_TOL``.
 
-    Raises :class:`CommutationError` if the face fails to match the
-    weighted Minkowski sum of the atom faces within ``COMMUTATION_TOL``;
-    that indicates a geometry bug, not a soft condition.
+    A violation indicates a geometry bug, not a soft condition, and raises
+    :class:`CommutationError`.
     """
+    residual = hausdorff(face, weighted_sum(atom_faces, coefs))
+    if residual > COMMUTATION_TOL:
+        raise CommutationError(
+            f"face deviates from the weighted sum of the atom faces by {residual:.3e}"
+        )
+
+
+def expectation_face(y: DiscreteRandomSet, f) -> tuple[ConvexBody, list[ConvexBody]]:
+    """Support face of the expectation together with the per-atom faces,
+    checked by :func:`check_face_commutation`."""
     ey = expectation(y)
     face = support_face(ey, f).face
     atom_faces = [support_face(body, f).face for body in y.bodies]
-    residual = hausdorff(face, weighted_sum(atom_faces, y.weights))
-    if residual > COMMUTATION_TOL:
-        raise CommutationError(
-            f"face of expectation deviates from mean of atom faces by {residual:.3e}"
-        )
+    check_face_commutation(face, atom_faces, y.weights)
     return face, atom_faces
 
 

@@ -19,27 +19,25 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from . import stats
 from .geometry import (
-    ConvexBody,
     GeometryError,
     hausdorff,
     is_facet_at,
     nearest_point,
     norm_gradient,
     point_distance,
-    shapley_folkman_gap,
     support,
     support_face,
     weighted_sum,
 )
 from .randomsets import (
-    COMMUTATION_TOL,
     DiscreteRandomSet,
+    check_face_commutation,
     expectation,
     exposed_selection,
     facet_inheritance,
@@ -147,14 +145,6 @@ def _checkpoints(y: DiscreteRandomSet,
         indices = sample_many(y, uniforms(config.master_seed, rep, sizes[-1]))
         for n in sizes:
             yield rep, n, np.bincount(indices[:n], minlength=y.atom_count)
-
-
-def _check_face_of_mean(mean_face: ConvexBody, face_mix: ConvexBody):
-    residual = hausdorff(mean_face, face_mix)
-    if residual > COMMUTATION_TOL:
-        raise GeometryError(
-            f"face of the sample mean deviates from the mean of draw faces by {residual:.3e}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +274,7 @@ def clt_exposed_experiment(y: DiscreteRandomSet, direction, config: ExperimentCo
             tied.add(rep)
             continue
         if rep < 3:
-            _check_face_of_mean(cert.face, weighted_sum(atom_faces, counts / n))
+            check_face_commutation(cert.face, atom_faces, counts / n)
         stat = np.sqrt(n) * (cert.face.vertices[0] - target)
         records.append((rep, n, tuple(float(v) for v in stat)))
     records = [r for r in records if r[0] not in tied]
@@ -512,7 +502,7 @@ def facet_frequency_experiment(y: DiscreteRandomSet, direction,
     for rep, n, counts in _checkpoints(y, config):
         cert = support_face(weighted_sum(y.bodies, counts / n), f)
         if rep < 3:
-            _check_face_of_mean(cert.face, weighted_sum(atom_faces, counts / n))
+            check_face_commutation(cert.face, atom_faces, counts / n)
         records.append((rep, n, (1.0 if cert.face.vertex_count >= 2 else 0.0,)))
 
     groups = _group_by_size(records)
@@ -535,49 +525,6 @@ def facet_frequency_experiment(y: DiscreteRandomSet, direction,
     return ExperimentReport(
         experiment="facet-freq",
         config=_config_echo(config, direction=list(np.asarray(direction, dtype=float))),
-        records=records,
-        moments=moments,
-        verdicts=verdicts,
-        duration_seconds=time.perf_counter() - t0,
-    )
-
-
-def convexification_check(sets: Sequence, sizes: Sequence[int]) -> ExperimentReport:
-    """Averaged raw Minkowski sums against their convexifications.
-
-    For each requested count N the gap (exact Hausdorff distance between
-    the scaled raw sum of the first N sets and the scaled sum of their
-    hulls) must respect the dimension bound, and the gap at the last
-    count must not exceed the first.
-    """
-    t0 = time.perf_counter()
-    sets = list(sets)
-    if not sets:
-        raise ValueError("need at least one point set")
-    sizes = [int(n) for n in sizes]
-    if any(n < 1 or n > len(sets) for n in sizes):
-        raise ValueError("counts must lie in [1, number of sets]")
-    records = []
-    rows = []
-    for n in sizes:
-        gap, bound = shapley_folkman_gap(sets[:n])
-        records.append((0, n, (float(gap), float(bound))))
-        rows.append({"N": n, "gap": float(gap), "bound": float(bound)})
-    moments = {"gap_by_size": rows}
-    verdicts = {
-        "gap_within_bound": {
-            "pass": all(r["gap"] <= r["bound"] + 1e-12 for r in rows),
-            "per_size": rows,
-        },
-        "gap_shrinks": {
-            "pass": rows[-1]["gap"] <= rows[0]["gap"] + 1e-12,
-            "first": rows[0]["gap"],
-            "last": rows[-1]["gap"],
-        },
-    }
-    return ExperimentReport(
-        experiment="convexification",
-        config={"sizes": sizes, "set_count": len(sets)},
         records=records,
         moments=moments,
         verdicts=verdicts,

@@ -3,14 +3,27 @@
 The mean process adds draws one Minkowski sum at a time; it is the
 draw-by-draw oracle for the count-driven sample means of
 ``setmeans.simulate`` (``weighted_sum`` of the atoms at ``counts / N``).
+``chain_hull`` is the 2-D reference for ``setmeans.geometry.hull``: the
+same merge and rank rules, then Andrew's monotone chain with orientation
+signs evaluated in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
-from setmeans.geometry import ConvexBody, DimensionMismatch, hausdorff, minkowski_sum, scale
+import numpy as np
+
+from setmeans.geometry import (
+    VERTEX_DEDUP_REL,
+    ConvexBody,
+    DimensionMismatch,
+    hausdorff,
+    minkowski_sum,
+    scale,
+)
 
 
 @dataclass(frozen=True)
@@ -42,3 +55,67 @@ def same_body(a: ConvexBody, b: ConvexBody, tol: float = 1e-9) -> bool:
     if a.dim != b.dim or a.vertex_count != b.vertex_count:
         return False
     return hausdorff(a, b) <= tol
+
+
+def dense_dedup(P: np.ndarray) -> np.ndarray:
+    """Merge points closer than the relative dedup tolerance, all pairs compared.
+
+    Each cluster of the proximity graph is represented by its
+    lexicographically smallest member; survivors keep their input order.
+    """
+    n = len(P)
+    tol = VERTEX_DEDUP_REL * (1.0 + float(np.abs(P).max()))
+    close = ((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=2) <= tol * tol
+    label = list(range(n))
+
+    def root(i):
+        while label[i] != i:
+            i = label[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if close[i, j]:
+                label[root(j)] = root(i)
+    best: dict[int, int] = {}
+    for i in sorted(range(n), key=lambda i: tuple(P[i])):
+        best.setdefault(root(i), i)
+    return P[sorted(best.values())]
+
+
+def chain_hull(points) -> np.ndarray:
+    """Minimal hull vertices of 2-D points in lexicographic order.
+
+    Points are merged by ``dense_dedup``; an affine rank of at most 1 by
+    the hull's SVD test keeps the two extreme points along the leading
+    singular vector, any other input goes to the monotone chain, which
+    drops collinear points.
+    """
+    P = dense_dedup(np.asarray(points, dtype=float))
+    if len(P) > 2:
+        M = P - P.mean(axis=0)
+        _, svals, Vt = np.linalg.svd(M, full_matrices=False)
+        rank_tol = svals[0] * max(M.shape) * np.finfo(float).eps * 8.0
+        if svals[0] <= 0.0:
+            P = P[:1]
+        elif svals[1] <= rank_tol:
+            t = M @ Vt[0]
+            P = P[sorted({int(np.argmin(t)), int(np.argmax(t))})]
+        else:
+            pts = sorted({(Fraction(x), Fraction(y)) for x, y in P.tolist()})
+
+            def half(seq):
+                out = []
+                for p in seq:
+                    while len(out) >= 2:
+                        o, a = out[-2], out[-1]
+                        if (a[0] - o[0]) * (p[1] - o[1]) - (p[0] - o[0]) * (a[1] - o[1]) <= 0:
+                            out.pop()
+                        else:
+                            break
+                    out.append(p)
+                return out
+
+            ring = half(pts)[:-1] + half(pts[::-1])[:-1]
+            P = np.array([[float(x), float(y)] for x, y in ring])
+    return P[np.lexsort(P.T[::-1])]

@@ -8,12 +8,14 @@ import pytest
 
 from setmeans.cli import (
     SceneError,
+    entry,
     load_scene_point_sets,
     parse_scene,
     run_command,
     serialize_scene,
     write_report,
 )
+from setmeans.geometry import ConvergenceError
 from setmeans.randomsets import DiscreteRandomSet
 from setmeans.simulate import ExperimentConfig, lln_experiment
 
@@ -94,6 +96,20 @@ def test_load_scene_point_sets_keeps_raw_points(tmp_path):
     path = write_scene(tmp_path, json.dumps(doc))
     sets = load_scene_point_sets(path)
     assert len(sets[0]) == 3  # interior point preserved for raw-sum enumeration
+
+
+def test_load_scene_point_sets_decodes_once_and_validates(tmp_path, monkeypatch):
+    doc = json.loads(TWO_SEGMENTS)
+    doc["atoms"][1]["weight"] = 0.25
+    bad = write_scene(tmp_path, json.dumps(doc), "bad.json")
+    good = write_scene(tmp_path, TWO_SEGMENTS)
+    decodes = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **kw: decodes.append(1) or loads(*a, **kw))
+    assert len(load_scene_point_sets(good)) == 2
+    assert len(decodes) == 1
+    with pytest.raises(SceneError, match="weights sum"):
+        load_scene_point_sets(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +231,21 @@ def test_replay_reproduces_records_byte_for_byte(tmp_path, capsys):
     assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
 
 
+def test_replay_refuses_a_scene_edited_after_the_run(tmp_path, capsys):
+    scene = write_scene(tmp_path, TWO_SEGMENTS)
+    out1 = tmp_path / "r1"
+    assert run_command(["simulate", "lln", "--scene", scene, "--seed", "7",
+                        "--reps", "5", "--sizes", "16,64", "--out", str(out1)]) == 0
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    assert len(manifest["scene_sha256"]) == 64
+    write_scene(tmp_path, TWO_SEGMENTS.replace("[1.0, 0.0]", "[2.0, 0.0]"))
+    capsys.readouterr()
+    assert run_command(["replay", str(out1 / "manifest.json"), "--out", str(tmp_path / "r2")]) == 1
+    err = capsys.readouterr().err
+    assert scene in err and "changed" in err
+    assert not (tmp_path / "r2").exists()
+
+
 def test_replay_rejects_an_unknown_kind(tmp_path, capsys):
     scene = write_scene(tmp_path, TWO_SEGMENTS)
     manifest = {"command": "simulate", "kind": "bogus",
@@ -297,6 +328,31 @@ def test_exit_codes_through_the_binary(tmp_path):
     failed = invoke("simulate", "clt-hausdorff", "--scene", scene, "--seed", "5",
                     "--reps", "500", "--sizes", "2,8", "--out", str(tmp_path / "f"))
     assert failed.returncode == 2
+
+
+def _not_converging(*args):
+    raise ConvergenceError("min-norm solver did not converge")
+
+
+@pytest.mark.parametrize("argv, target, value, error", [
+    (["nearest", "--scene", "{scene}", "--point", "2,2"],
+     "setmeans.geometry._min_norm_point", _not_converging, "ConvergenceError"),
+    (["simulate", "clt-exposed", "--scene", "{scene}", "--dir", "1,1", "--seed", "1",
+      "--reps", "3", "--sizes", "4", "--out", "{out}"],
+     "setmeans.randomsets.COMMUTATION_TOL", -1.0, "CommutationError"),
+])
+def test_broken_internal_invariants_exit_three_without_traceback(
+        tmp_path, capsys, monkeypatch, argv, target, value, error):
+    scene = write_scene(tmp_path, TWO_SEGMENTS)
+    argv = [a.format(scene=scene, out=tmp_path / "out") for a in argv]
+    monkeypatch.setattr(target, value)
+    monkeypatch.setattr(sys, "argv", ["setmeans", *argv])
+    with pytest.raises(SystemExit) as exc:
+        entry()
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}: ")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

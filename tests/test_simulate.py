@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import MeanProcessState, mean_process_extend, mean_process_mean, same_body
-from setmeans.geometry import hausdorff, hull, support_face, translate
+from setmeans.geometry import hausdorff, hull, shapley_folkman_gap, support_face, translate
 from setmeans.randomsets import DiscreteRandomSet, NotExposed, expectation, sample_many
 from setmeans.rng import uniform, uniforms
 from setmeans.simulate import (
@@ -14,7 +14,6 @@ from setmeans.simulate import (
     clt_facet_experiment,
     clt_hausdorff_experiment,
     clt_tangent_experiment,
-    convexification_check,
     facet_frequency_experiment,
     lln_experiment,
 )
@@ -297,20 +296,17 @@ def test_facet_frequency_matches_formula_at_moderate_scale():
 
 def test_convexification_singletons():
     sets = [np.array([[float(i), 0.0]]) for i in range(6)]
-    report = convexification_check(sets, [1, 2, 4, 6])
-    assert all(stat[0] == pytest.approx(0.0, abs=1e-12) for _, _, stat in report.records)
-    assert report.passed()
+    for n in (1, 2, 4, 6):
+        gap, bound = shapley_folkman_gap(sets[:n])
+        assert gap == pytest.approx(0.0, abs=1e-12)
+        assert gap <= bound + 1e-12
 
 
 def test_convexification_doubling_gaps():
     sets = [np.array([[0.0, 0.0], [1.0, 0.0]])] * 8
-    report = convexification_check(sets, [1, 2, 4, 8])
-    gaps = [row["gap"] for row in report.moments["gap_by_size"]]
+    gaps = []
+    for n in (1, 2, 4, 8):
+        gap, bound = shapley_folkman_gap(sets[:n])
+        assert gap <= bound + 1e-12
+        gaps.append(gap)
     assert gaps == pytest.approx([0.5, 0.25, 0.125, 0.0625])
-    assert all(b >= a for a, b in zip(gaps[::-1], gaps[::-1][1:]))  # nonincreasing
-    assert report.passed()
-
-
-def test_convexification_validates_counts():
-    with pytest.raises(ValueError):
-        convexification_check([np.array([[0.0, 0.0]])], [2])

@@ -10,6 +10,7 @@ from setmeans.geometry import (
     GeometryError,
     hausdorff,
     hull,
+    scale,
     sphere_grid,
     support,
     weighted_sum,
@@ -80,6 +81,19 @@ def test_integer_counts_match_the_draw_by_draw_mean(data):
 def test_all_zero_coefficients_give_the_origin():
     combo = weighted_sum([hull([(1, 2), (3, 4)])], [0.0])
     assert combo.vertices.tolist() == [[0.0, 0.0]]
+
+
+def test_a_lone_term_below_one_is_scaled_and_merged():
+    a = hull([(0, 0), (1, 0)])
+    b = hull([(0, 0), (1, 0), (1, 1e-3)])
+    combo = weighted_sum([a, b], [0.0, 1e-7])
+    assert np.array_equal(combo.vertices, scale(b, 1e-7).vertices)
+    assert combo.vertex_count == 2  # (1e-7, 0) and (1e-7, 1e-10) merge
+
+
+def test_negative_coefficients_are_rejected():
+    with pytest.raises(GeometryError):
+        weighted_sum([hull([(0, 0), (1, 0)]), hull([(0, 0), (0, 1)])], [0.5, -0.5])
 
 
 def test_one_coefficient_per_body_is_required():
