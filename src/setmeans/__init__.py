@@ -10,6 +10,7 @@ from .geometry import (
     DimensionMismatch,
     FaceCertificate,
     GeometryError,
+    NormalFan,
     deviation,
     hausdorff,
     hausdorff_via_support,
@@ -18,6 +19,7 @@ from .geometry import (
     minkowski_sum,
     nearest_point,
     norm_gradient,
+    normal_fan,
     point_distance,
     scale,
     shapley_folkman_gap,
@@ -47,6 +49,7 @@ from .simulate import (
     IncompatibleSelection,
     InsideBody,
     NoFacet,
+    OracleMismatch,
     clt_exposed_experiment,
     clt_facet_experiment,
     clt_hausdorff_experiment,

@@ -1,10 +1,12 @@
 """Command-line interface: JSON scenes in, reports/CSV/manifests out.
 
 Exit codes: 0 on success, 1 on usage or input errors (including blocked
-experiment preconditions and a replayed scene that no longer matches its
-manifest), 2 when the experiment ran but an acceptance verdict inside the
-report failed, 3 when an internal invariant broke (a solver did not
-converge, or a face failed the commutation check).
+experiment preconditions, a malformed replay manifest and a replayed
+scene that no longer matches its manifest), 2 when the experiment ran
+but an acceptance verdict inside the report failed, 3 when an internal
+invariant broke (a solver did not converge, a face failed the
+commutation check, the normal-fan distance disagreed with its oracle, or
+a replay wrote records whose digest differs from the manifest's).
 """
 
 from __future__ import annotations
@@ -13,11 +15,13 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 from typing import Optional
 
 import numpy as np
+import scipy
 
 from . import __version__, simulate
 from .geometry import (
@@ -40,6 +44,7 @@ from .simulate import (
     IncompatibleSelection,
     InsideBody,
     NoFacet,
+    OracleMismatch,
 )
 
 SCENE_VERSION = 1
@@ -64,7 +69,6 @@ _USAGE_ERRORS = (
     ValueError,
     OSError,
 )
-_INTERNAL_ERRORS = (ConvergenceError, CommutationError)
 
 
 class SceneError(ValueError):
@@ -77,6 +81,13 @@ class SceneError(ValueError):
 
 class UsageError(ValueError):
     pass
+
+
+class ReplayMismatch(RuntimeError):
+    """A replay wrote records whose digest differs from the manifest's."""
+
+
+_INTERNAL_ERRORS = (ConvergenceError, CommutationError, OracleMismatch, ReplayMismatch)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -194,8 +205,9 @@ def write_report(report: ExperimentReport, out_dir: str,
     lines = [header]
     for rep, n, stat in report.records:
         lines.append(f"{rep},{n}," + ",".join(_format_float(s) for s in stat))
+    text = "\n".join(lines) + "\n"
     with open(paths["records"], "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
     doc = {
         "experiment": report.experiment,
@@ -215,7 +227,9 @@ def write_report(report: ExperimentReport, out_dir: str,
         paths["manifest"] = os.path.join(out_dir, "manifest.json")
         manifest = dict(manifest)
         manifest["artifacts"] = ["report.json", "records.csv"]
-        manifest["tool_version"] = __version__
+        manifest["records_sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        manifest["versions"] = {"python": platform.python_version(), "numpy": np.__version__,
+                                "scipy": scipy.__version__, "setmeans": __version__}
         with open(paths["manifest"], "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True, default=_json_default)
             fh.write("\n")
@@ -305,11 +319,14 @@ def _print_body(body: ConvexBody, file=None):
 
 def _run_simulate(kind: str, scene_path: str, seed: int, reps: int,
                   sizes: tuple[int, ...], direction, point, out_dir: str,
-                  expected_sha256: Optional[str] = None) -> int:
+                  recorded: Optional[dict] = None) -> int:
+    """Run one experiment and write its artifacts.  ``recorded`` is the
+    manifest of a run being replayed: its scene digest must match before
+    the run and its records digest after it."""
     scene_sha256 = _file_sha256(scene_path)
-    if expected_sha256 is not None and scene_sha256 != expected_sha256:
+    if recorded is not None and scene_sha256 != recorded["scene_sha256"]:
         raise UsageError(f"scene {scene_path} has changed since the recorded run "
-                         f"(sha256 {scene_sha256}, manifest {expected_sha256})")
+                         f"(sha256 {scene_sha256}, manifest {recorded['scene_sha256']})")
     y = load_scene(scene_path)
     config = ExperimentConfig(master_seed=seed, sample_sizes=sizes, replications=reps)
     fn_name, flag = _EXPERIMENTS[kind]
@@ -344,12 +361,57 @@ def _run_simulate(kind: str, scene_path: str, seed: int, reps: int,
     paths = write_report(report, out_dir, manifest=manifest)
     print(f"wrote {paths['report']}")
     print(f"wrote {paths['records']}")
+    if recorded is not None:
+        records_sha256 = _file_sha256(paths["records"])
+        if records_sha256 != recorded["records_sha256"]:
+            raise ReplayMismatch(f"replayed records have sha256 {records_sha256}, "
+                                 f"the manifest records {recorded['records_sha256']}")
     for name, verdict in report.verdicts.items():
         print(f"verdict {name}: {'pass' if verdict['pass'] else 'FAIL'}")
     if not report.passed():
         print(f"verdict failure: {', '.join(report.failed_verdicts())}", file=sys.stderr)
         return 2
     return 0
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_vector(value) -> bool:
+    """None (flag not given) or a list of numbers."""
+    return value is None or isinstance(value, list) and all(
+        isinstance(c, (int, float)) and not isinstance(c, bool) for c in value)
+
+
+# manifest config key -> (validator, what a valid value is)
+_REPLAY_FIELDS = {
+    "scene": (lambda v: isinstance(v, str), "a path"),
+    "seed": (_is_int, "an integer"),
+    "reps": (_is_int, "an integer"),
+    "sizes": (lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_int, v)),
+              "a nonempty list of integers"),
+    "dir": (_is_vector, "null or a list of numbers"),
+    "point": (_is_vector, "null or a list of numbers"),
+}
+
+
+def _replay_config(manifest) -> dict:
+    """The ``config`` of a simulate manifest, after checking every field replay reads."""
+    if not isinstance(manifest, dict):
+        raise UsageError("manifest must be a JSON object")
+    if manifest.get("command") != "simulate" or manifest.get("kind") not in _EXPERIMENTS:
+        raise UsageError("manifest does not describe a simulate run")
+    for key in ("scene_sha256", "records_sha256"):
+        if not isinstance(manifest.get(key), str):
+            raise UsageError(f"manifest records no {key} digest")
+    cfg = manifest.get("config")
+    if not isinstance(cfg, dict):
+        raise UsageError("manifest has no config object")
+    for key, (valid, what) in _REPLAY_FIELDS.items():
+        if not valid(cfg.get(key)):
+            raise UsageError(f"manifest config.{key} must be {what}")
+    return cfg
 
 
 def run_command(argv) -> int:
@@ -419,15 +481,10 @@ def run_command(argv) -> int:
         if args.command == "replay":
             with open(args.manifest, "r", encoding="utf-8") as fh:
                 manifest = json.load(fh)
-            if manifest.get("command") != "simulate" or manifest.get("kind") not in _EXPERIMENTS:
-                raise UsageError("manifest does not describe a simulate run")
-            if not isinstance(manifest.get("scene_sha256"), str):
-                raise UsageError("manifest records no scene_sha256 digest")
-            cfg = manifest["config"]
-            return _run_simulate(manifest["kind"], cfg["scene"], int(cfg["seed"]),
-                                 int(cfg["reps"]), tuple(int(n) for n in cfg["sizes"]),
-                                 cfg.get("dir"), cfg.get("point"), args.out,
-                                 expected_sha256=manifest["scene_sha256"])
+            cfg = _replay_config(manifest)
+            return _run_simulate(manifest["kind"], cfg["scene"], cfg["seed"], cfg["reps"],
+                                 tuple(cfg["sizes"]), cfg.get("dir"), cfg.get("point"),
+                                 args.out, recorded=manifest)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

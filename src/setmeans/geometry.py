@@ -15,8 +15,6 @@ from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull as _Qhull
 from scipy.spatial import QhullError, Voronoi, cKDTree
 
@@ -155,8 +153,18 @@ def _dedup(P: np.ndarray) -> np.ndarray:
     if len(pairs) == 0:
         return P
 
-    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    _, labels = connected_components(graph, directed=False)
+    root = list(range(n))  # union-find over the close pairs, with path halving
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for i, j in pairs.tolist():
+        a, b = find(i), find(j)
+        root[max(a, b)] = min(a, b)
+    labels = np.array([find(i) for i in range(n)])
     order = np.lexsort(P.T[::-1])
     _, first = np.unique(labels[order], return_index=True)
     return P[np.sort(order[first])]
@@ -447,6 +455,93 @@ def hausdorff_via_support(a: ConvexBody, b: ConvexBody, m: int) -> float:
     sa = (grid @ a.vertices.T).max(axis=1)
     sb = (grid @ b.vertices.T).max(axis=1)
     return float(np.abs(sa - sb).max())
+
+
+# ---------------------------------------------------------------------------
+# 2-D normal fans: exact Hausdorff distances between Minkowski combinations
+
+@dataclass(frozen=True, eq=False)
+class NormalFan:
+    """Common refinement of the outer normal fans of a family of 2-D bodies.
+
+    Cell ``i`` is the counterclockwise arc from ``directions[i]`` to
+    ``directions[i + 1]`` (the last cell wraps around to the first
+    direction); ``vertices[i, j]`` is the vertex of body ``j`` attaining
+    its support on that arc.  Support functions are linear in the
+    coefficients, so on cell ``i`` the support function of
+    ``sum_j c[j] * K_j`` is ``u -> <u, c @ vertices[i]>``.  Build it with
+    :func:`normal_fan`.
+    """
+
+    directions: np.ndarray   # (m, 2) unit vectors, sorted by angle
+    vertices: np.ndarray     # (m, J, 2)
+
+    def __post_init__(self):
+        angles = np.arctan2(self.directions[:, 1], self.directions[:, 0])
+        object.__setattr__(self, "_angles", angles)
+        object.__setattr__(self, "_spans", np.diff(angles, append=angles[0] + 2.0 * np.pi))
+        object.__setattr__(self, "_ends", np.roll(self.directions, -1, axis=0))
+
+    def hausdorff(self, coefs, ref) -> float:
+        """Exact ``H(sum_j coefs[j] * K_j, sum_j ref[j] * K_j)`` for coefficients >= 0.
+
+        ``H(A, B) = sup_{|u|=1} |h_A(u) - h_B(u)|``.  On a cell that
+        difference is ``<u, D>`` with ``D = (coefs - ref) @ vertices[i]``,
+        whose largest absolute value on the arc is ``|D|`` when ``D`` or
+        ``-D`` points into the arc, and otherwise the larger of the two
+        endpoint values.
+        """
+        coefs = np.asarray(coefs, dtype=float)
+        ref = np.asarray(ref, dtype=float)
+        if coefs.shape != (self.vertices.shape[1],) or ref.shape != coefs.shape:
+            raise GeometryError("need one coefficient per body")
+        if (coefs < 0.0).any() or (ref < 0.0).any():
+            raise GeometryError("negative scale factors (reflections) are not supported")
+        D = np.tensordot(coefs - ref, self.vertices, axes=(0, 1))
+        ends = np.maximum(np.abs((D * self.directions).sum(axis=1)),
+                          np.abs((D * self._ends).sum(axis=1)))
+        # D or -D lies in the arc iff its angle from the start, modulo pi, is within the span
+        inside = (np.arctan2(D[:, 1], D[:, 0]) - self._angles) % np.pi <= self._spans
+        return float(np.where(inside, np.hypot(D[:, 0], D[:, 1]), ends).max())
+
+
+def _normal_angles(V: np.ndarray) -> np.ndarray:
+    """Angles of the outer edge normals of a minimal 2-D vertex list.
+
+    A point has none and a segment has two antipodal ones.  The vertices
+    of a polygon are all extreme, so sorting them by angle about their
+    centroid lists them counterclockwise.
+    """
+    if len(V) == 1:
+        return np.empty(0)
+    if len(V) > 2:
+        C = V - V.mean(axis=0)
+        V = V[np.argsort(np.arctan2(C[:, 1], C[:, 0]))]
+    E = np.roll(V, -1, axis=0) - V
+    return np.arctan2(-E[:, 0], E[:, 1])  # E rotated clockwise: outward for a CCW ring
+
+
+def normal_fan(bodies: Sequence[ConvexBody]) -> NormalFan:
+    """Common refinement of the outer normal fans of 2-D bodies.
+
+    The cell boundaries are the edge normals of all bodies; on each cell
+    every body's support is attained at one vertex, read off at the
+    middle of the arc.  A family of points has no normals and gives a
+    single cell, the whole circle, starting at direction ``(1, 0)``.
+    """
+    if len(bodies) == 0:
+        raise GeometryError("need at least one body")
+    if any(body.dim != 2 for body in bodies):
+        raise GeometryError("normal fans are built for 2-D bodies only")
+    angles = np.unique(np.concatenate([_normal_angles(body.vertices) for body in bodies]))
+    if len(angles) == 0:
+        angles = np.zeros(1)
+    mids = angles + np.diff(angles, append=angles[0] + 2.0 * np.pi) / 2.0
+    mid_dirs = np.stack([np.cos(mids), np.sin(mids)], axis=1)
+    vertices = np.stack([body.vertices[np.argmax(mid_dirs @ body.vertices.T, axis=1)]
+                         for body in bodies], axis=1)
+    directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return NormalFan(directions, vertices)
 
 
 # ---------------------------------------------------------------------------

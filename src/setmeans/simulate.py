@@ -30,6 +30,7 @@ from .geometry import (
     is_facet_at,
     nearest_point,
     norm_gradient,
+    normal_fan,
     point_distance,
     support,
     support_face,
@@ -64,6 +65,10 @@ class NoFacet(ValueError):
 
 class InsideBody(ValueError):
     """The query point lies inside the expectation."""
+
+
+class OracleMismatch(RuntimeError):
+    """The normal-fan Hausdorff kernel disagrees with the body path."""
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +152,40 @@ def _checkpoints(y: DiscreteRandomSet,
             yield rep, n, np.bincount(indices[:n], minlength=y.atom_count)
 
 
+def _distances(y: DiscreteRandomSet,
+               config: ExperimentConfig) -> Iterator[tuple[int, int, float]]:
+    """``H(mean_N, E)`` of every checkpoint ``(rep, n, distance)``, in record order.
+
+    In 2-D the distance comes straight from the draw counts through the
+    atoms' normal fan; replication 0 is recomputed along the body path
+    (fold the mean, then Wolfe) at every size as an oracle, and a
+    disagreement beyond ``1e-9 * (1 + envelope)`` raises
+    :class:`OracleMismatch`.  Other dimensions take the body path.  No
+    distance may exceed the largest atom-to-expectation distance.
+    """
+    ey = expectation(y)
+    fan = normal_fan(y.bodies) if y.dim == 2 else None
+
+    def body_distance(coefs):
+        return hausdorff(weighted_sum(y.bodies, coefs), ey)
+
+    def distance(coefs):
+        return body_distance(coefs) if fan is None else fan.hausdorff(coefs, y.weights)
+
+    tol = 1e-9 * (1.0 + y.envelope)
+    max_atom_dist = max(distance(unit) for unit in np.eye(y.atom_count))
+    for rep, n, counts in _checkpoints(y, config):
+        dist = distance(counts / n)
+        if fan is not None and rep == 0:
+            slow = body_distance(counts / n)
+            if abs(dist - slow) > tol:
+                raise OracleMismatch(f"normal-fan distance {dist!r} differs from the "
+                                     f"body path's {slow!r} at N={n}")
+        if dist > max_atom_dist + 1e-9:
+            raise GeometryError("sample mean left the hull of the atoms")
+        yield rep, n, dist
+
+
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -161,14 +200,7 @@ def lln_experiment(y: DiscreteRandomSet, config: ExperimentConfig, *,
     ``slope_range``.
     """
     t0 = time.perf_counter()
-    ey = expectation(y)
-    max_atom_dist = max(hausdorff(body, ey) for body in y.bodies)
-    records = []
-    for rep, n, counts in _checkpoints(y, config):
-        dist = hausdorff(weighted_sum(y.bodies, counts / n), ey)
-        if dist > max_atom_dist + 1e-9:
-            raise GeometryError("sample mean left the hull of the atoms")
-        records.append((rep, n, (float(dist),)))
+    records = [(rep, n, (dist,)) for rep, n, dist in _distances(y, config)]
 
     groups = _group_by_size(records)
     medians = {n: float(np.median(vals)) for n, vals in groups.items()}
@@ -212,11 +244,7 @@ def clt_hausdorff_experiment(y: DiscreteRandomSet, config: ExperimentConfig, *,
     if len(config.sample_sizes) < 2:
         raise ValueError("stability check needs at least two sample sizes")
     t0 = time.perf_counter()
-    ey = expectation(y)
-    records = []
-    for rep, n, counts in _checkpoints(y, config):
-        dist = hausdorff(weighted_sum(y.bodies, counts / n), ey)
-        records.append((rep, n, (float(np.sqrt(n) * dist),)))
+    records = [(rep, n, (float(np.sqrt(n) * dist),)) for rep, n, dist in _distances(y, config)]
 
     groups = _group_by_size(records)
     pairs = []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from setmeans.cli import (
     serialize_scene,
     write_report,
 )
-from setmeans.geometry import ConvergenceError
+from setmeans.geometry import ConvergenceError, NormalFan
 from setmeans.randomsets import DiscreteRandomSet
 from setmeans.simulate import ExperimentConfig, lln_experiment
 
@@ -246,6 +247,72 @@ def test_replay_refuses_a_scene_edited_after_the_run(tmp_path, capsys):
     assert not (tmp_path / "r2").exists()
 
 
+def _recorded_run(tmp_path):
+    """Manifest of a small lln run on the two-segment scene."""
+    scene = write_scene(tmp_path, TWO_SEGMENTS)
+    out = tmp_path / "recorded"
+    assert run_command(["simulate", "lln", "--scene", scene, "--seed", "7",
+                        "--reps", "5", "--sizes", "16,64", "--out", str(out)]) == 0
+    return json.loads((out / "manifest.json").read_text())
+
+
+def _replay_through_entry(tmp_path, manifest, capsys, monkeypatch):
+    (tmp_path / "edited.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["setmeans", "replay", str(tmp_path / "edited.json"),
+                                      "--out", str(tmp_path / "replayed")])
+    with pytest.raises(SystemExit) as exc:
+        entry()
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_manifest_pins_versions_and_the_records_digest(tmp_path):
+    manifest = _recorded_run(tmp_path)
+    assert set(manifest["versions"]) == {"python", "numpy", "scipy", "setmeans"}
+    records = (tmp_path / "recorded" / "records.csv").read_bytes()
+    assert manifest["records_sha256"] == hashlib.sha256(records).hexdigest()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m.pop("config"),
+    lambda m: m.pop("records_sha256"),
+    lambda m: m["config"].pop("scene"),
+    lambda m: m["config"].update(scene=3),
+    lambda m: m["config"].pop("seed"),
+    lambda m: m["config"].update(seed="7"),
+    lambda m: m["config"].update(reps=5.5),
+    lambda m: m["config"].pop("sizes"),
+    lambda m: m["config"].update(sizes=16),
+    lambda m: m["config"].update(sizes=["16"]),
+    lambda m: m["config"].update(dir=1.0),
+], ids=["no-config", "no-records-digest", "no-scene", "scene-number", "no-seed", "seed-text",
+        "reps-float", "no-sizes", "sizes-number", "sizes-text", "dir-number"])
+def test_replay_refuses_a_malformed_manifest_with_one_error_line(
+        tmp_path, capsys, monkeypatch, edit):
+    manifest = _recorded_run(tmp_path)
+    edit(manifest)
+    code, err = _replay_through_entry(tmp_path, manifest, capsys, monkeypatch)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "replayed").exists()
+
+
+def test_replay_refuses_a_manifest_that_is_not_an_object(tmp_path, capsys, monkeypatch):
+    code, err = _replay_through_entry(tmp_path, [_recorded_run(tmp_path)], capsys, monkeypatch)
+    assert code == 1
+    assert err == "error: manifest must be a JSON object\n"
+
+
+def test_replay_with_an_edited_records_digest_exits_three(tmp_path, capsys, monkeypatch):
+    manifest = _recorded_run(tmp_path)
+    recorded = manifest["records_sha256"]
+    manifest["records_sha256"] = "0" * 64
+    code, err = _replay_through_entry(tmp_path, manifest, capsys, monkeypatch)
+    assert code == 3
+    assert err.startswith("error: ReplayMismatch: ") and err.count("\n") == 1
+    assert recorded in err and "0" * 64 in err
+
+
 def test_replay_rejects_an_unknown_kind(tmp_path, capsys):
     scene = write_scene(tmp_path, TWO_SEGMENTS)
     manifest = {"command": "simulate", "kind": "bogus",
@@ -334,12 +401,22 @@ def _not_converging(*args):
     raise ConvergenceError("min-norm solver did not converge")
 
 
+_fan_hausdorff = NormalFan.hausdorff
+
+
+def _fan_off_by_1e6(fan, coefs, ref):
+    return _fan_hausdorff(fan, coefs, ref) + 1e-6
+
+
 @pytest.mark.parametrize("argv, target, value, error", [
     (["nearest", "--scene", "{scene}", "--point", "2,2"],
      "setmeans.geometry._min_norm_point", _not_converging, "ConvergenceError"),
     (["simulate", "clt-exposed", "--scene", "{scene}", "--dir", "1,1", "--seed", "1",
       "--reps", "3", "--sizes", "4", "--out", "{out}"],
      "setmeans.randomsets.COMMUTATION_TOL", -1.0, "CommutationError"),
+    (["simulate", "lln", "--scene", "{scene}", "--seed", "1", "--reps", "3",
+      "--sizes", "16,64", "--out", "{out}"],
+     "setmeans.geometry.NormalFan.hausdorff", _fan_off_by_1e6, "OracleMismatch"),
 ])
 def test_broken_internal_invariants_exit_three_without_traceback(
         tmp_path, capsys, monkeypatch, argv, target, value, error):

@@ -1,11 +1,12 @@
-"""Property tests for ``hull`` against the exact monotone-chain oracle."""
+"""Property tests for ``hull`` against the exact monotone-chain oracle, and
+for its near-duplicate merge against the all-pairs oracle."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import chain_hull
-from setmeans.geometry import ConvexBody, hull, point_distance
+from oracles import chain_hull, dense_dedup
+from setmeans.geometry import VERTEX_DEDUP_REL, ConvexBody, _dedup, hull, point_distance
 
 # derandomized, so a tier-1 run is reproducible; no example database on disk
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -73,3 +74,21 @@ def test_hull_is_idempotent_and_permutation_invariant_in_3d(case, random):
     order = list(range(n))
     random.shuffle(order)
     assert np.array_equal(hull(P[order]).vertices, body.vertices)
+
+
+@PROPERTY
+@given(st.sampled_from(["clustered", "chained"]), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 60), st.integers(1, 3))
+def test_dedup_matches_the_dense_oracle(kind, seed, n, dim):
+    rng = np.random.default_rng(seed)
+    groups = max(1, n // 8)
+    starts = rng.normal(size=(groups, dim))
+    if kind == "clustered":  # groups of points 1e-11 apart
+        P = starts[rng.integers(0, groups, n)] + 1e-11 * rng.normal(size=(n, dim))
+    else:  # chains with steps of 0.45 merge radii: only transitive merges join their ends
+        steps = rng.normal(size=(groups, dim))
+        radius = VERTEX_DEDUP_REL * (1.0 + float(np.abs(starts).max()))
+        steps *= 0.45 * radius / np.linalg.norm(steps, axis=1, keepdims=True)
+        i = rng.permutation(n)
+        P = starts[i % groups] + (i // groups)[:, None] * steps[i % groups]
+    assert np.array_equal(_dedup(P), dense_dedup(P))
