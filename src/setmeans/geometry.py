@@ -181,6 +181,7 @@ def _affine_frame(P: np.ndarray):
     centroid = P.mean(axis=0)
     U, s, Vt = np.linalg.svd(P - centroid, full_matrices=False)
     rank = int((s > s[0] * max(P.shape) * np.finfo(float).eps * 8.0).sum())
+    rank = min(rank, len(P) - 1)  # n points span at most n - 1 dimensions; the rest is rounding
     return centroid, U[:, :rank], s[:rank], Vt[:rank]
 
 
@@ -340,12 +341,14 @@ def _min_norm_point(P: np.ndarray) -> np.ndarray:
     """Min-norm point of conv(P) via Wolfe's corral algorithm.
 
     Terminates when the duality gap ||x||^2 - min_p <x, p> drops below
-    the (scale-relative) gap tolerance; the iteration cap is
+    ``MIN_NORM_GAP_TOL * max_p |p|^2``, a tolerance relative to the
+    scale of P (so distances are equivariant under scaling); the
+    iteration cap is
     10 * n * d, exceeding it raises :class:`ConvergenceError`.
     """
     n, d = P.shape
     norms2 = (P ** 2).sum(axis=1)
-    gap_tol = MIN_NORM_GAP_TOL * (1.0 + float(norms2.max()))
+    gap_tol = MIN_NORM_GAP_TOL * float(norms2.max())
     start = int(np.argmin(norms2))
     corral = [start]
     lam = np.array([1.0])
@@ -482,27 +485,64 @@ class NormalFan:
         object.__setattr__(self, "_spans", np.diff(angles, append=angles[0] + 2.0 * np.pi))
         object.__setattr__(self, "_ends", np.roll(self.directions, -1, axis=0))
 
-    def hausdorff(self, coefs, ref) -> float:
+    def _coefficients(self, coefs) -> np.ndarray:
+        coefs = np.asarray(coefs, dtype=float)
+        if coefs.shape[-1:] != (self.vertices.shape[1],):
+            raise GeometryError("need one coefficient per body")
+        if (coefs < 0.0).any():
+            raise GeometryError("negative scale factors (reflections) are not supported")
+        return coefs
+
+    def _combine(self, coefs: np.ndarray) -> np.ndarray:
+        """``sum_j coefs[..., j] * vertices[:, j]``, shape ``(..., m, 2)``.
+
+        Folded over the bodies in input order, so the value of one
+        combination does not depend on how many are evaluated at once.
+        """
+        c = coefs[..., None, None]
+        acc = c[..., 0, :, :] * self.vertices[:, 0]
+        for j in range(1, self.vertices.shape[1]):
+            acc = acc + c[..., j, :, :] * self.vertices[:, j]
+        return acc
+
+    def support_points(self, coefs) -> np.ndarray:
+        """Per cell, the vertex of ``sum_j coefs[..., j] * K_j`` attaining its
+        support on that cell: shape ``(..., m, 2)``.  Every vertex of the
+        combination is among them."""
+        return self._combine(self._coefficients(coefs))
+
+    def hausdorff(self, coefs, ref):
         """Exact ``H(sum_j coefs[j] * K_j, sum_j ref[j] * K_j)`` for coefficients >= 0.
 
         ``H(A, B) = sup_{|u|=1} |h_A(u) - h_B(u)|``.  On a cell that
         difference is ``<u, D>`` with ``D = (coefs - ref) @ vertices[i]``,
         whose largest absolute value on the arc is ``|D|`` when ``D`` or
         ``-D`` points into the arc, and otherwise the larger of the two
-        endpoint values.
+        endpoint values.  ``coefs`` and ``ref`` may carry leading batch
+        axes ``(..., J)``; the result then has shape ``(...)``.
         """
-        coefs = np.asarray(coefs, dtype=float)
-        ref = np.asarray(ref, dtype=float)
-        if coefs.shape != (self.vertices.shape[1],) or ref.shape != coefs.shape:
-            raise GeometryError("need one coefficient per body")
-        if (coefs < 0.0).any() or (ref < 0.0).any():
-            raise GeometryError("negative scale factors (reflections) are not supported")
-        D = np.tensordot(coefs - ref, self.vertices, axes=(0, 1))
-        ends = np.maximum(np.abs((D * self.directions).sum(axis=1)),
-                          np.abs((D * self._ends).sum(axis=1)))
+        D = self._combine(self._coefficients(coefs) - self._coefficients(ref))
+        ends = np.maximum(np.abs((D * self.directions).sum(axis=-1)),
+                          np.abs((D * self._ends).sum(axis=-1)))
         # D or -D lies in the arc iff its angle from the start, modulo pi, is within the span
-        inside = (np.arctan2(D[:, 1], D[:, 0]) - self._angles) % np.pi <= self._spans
-        return float(np.where(inside, np.hypot(D[:, 0], D[:, 1]), ends).max())
+        inside = (np.arctan2(D[..., 1], D[..., 0]) - self._angles) % np.pi <= self._spans
+        out = np.where(inside, np.hypot(D[..., 0], D[..., 1]), ends).max(axis=-1)
+        return float(out) if out.ndim == 0 else out
+
+    def point_distance(self, coefs, x):
+        """Exact distance from the point ``x`` to ``sum_j coefs[j] * K_j``.
+
+        ``d(x, K) = max(0, sup_{|u|=1} <u, x> - h_K(u))``.  On a cell
+        that difference is ``<u, D>`` with ``D = x - coefs @ vertices[i]``,
+        whose largest value on the arc is ``|D|`` when ``D`` points into
+        the arc, and otherwise the larger endpoint value.  Batched like
+        :meth:`hausdorff`.
+        """
+        D = np.asarray(x, dtype=float) - self.support_points(coefs)
+        ends = np.maximum((D * self.directions).sum(axis=-1), (D * self._ends).sum(axis=-1))
+        inside = (np.arctan2(D[..., 1], D[..., 0]) - self._angles) % (2.0 * np.pi) <= self._spans
+        out = np.maximum(np.where(inside, np.hypot(D[..., 0], D[..., 1]), ends).max(axis=-1), 0.0)
+        return float(out) if out.ndim == 0 else out
 
 
 def _normal_angles(V: np.ndarray) -> np.ndarray:

@@ -28,6 +28,13 @@ def _finalize(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _finalize_array(z: np.ndarray) -> np.ndarray:
+    """:func:`_finalize` on a uint64 array (numpy wraps modulo 2**64)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_C1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_C2)
+    return z ^ (z >> np.uint64(31))
+
+
 def _stream_base(master_seed: int, replication: int) -> int:
     return _finalize(_finalize(master_seed) ^ (replication & _MASK))
 
@@ -38,12 +45,19 @@ def uniform(master_seed: int, replication: int, index: int) -> float:
     return (_finalize(state) >> 11) * _INV53
 
 
-def uniforms(master_seed: int, replication: int, n: int) -> np.ndarray:
-    """Vectorized stream of draws 0..n-1; bit-identical to :func:`uniform`."""
-    base = np.uint64(_stream_base(master_seed, replication))
+def uniforms(master_seed: int, replication, n: int) -> np.ndarray:
+    """Vectorized stream of draws 0..n-1; bit-identical to :func:`uniform`.
+
+    ``replication`` is one index or a 1-D array of indices in
+    ``[0, 2**64)``; for an array the streams are concatenated
+    replication-major, ``len(replication) * n`` draws in all, exactly as
+    stacking one call per replication.
+    """
+    if np.ndim(replication) == 0:
+        bases = np.uint64(_stream_base(master_seed, replication))
+    else:
+        reps = np.asarray(replication, dtype=np.uint64).reshape(-1, 1)
+        bases = _finalize_array(np.uint64(_finalize(master_seed)) ^ reps)
     steps = np.arange(1, n + 1, dtype=np.uint64)
-    z = base + steps * np.uint64(_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_C1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_C2)
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * _INV53
+    z = _finalize_array(bases + steps * np.uint64(_GAMMA))
+    return ((z >> np.uint64(11)).astype(np.float64) * _INV53).reshape(-1)

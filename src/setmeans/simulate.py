@@ -10,21 +10,28 @@ reports are reproducible bit-for-bit and replications are order
 independent.  Since the atoms are convex, the Minkowski sum of ``c``
 copies of an atom equals the atom scaled by ``c``, so the mean of ``N``
 draws is ``weighted_sum(atoms, counts / N)``: every statistic depends on
-a replication only through its per-atom draw counts.  ``_checkpoints``
-yields those counts; each experiment maps them to its statistic, at a
-cost per checkpoint independent of the sample size.
+a replication only through its per-atom draw counts.  ``_count_blocks``
+draws the counts of a block of replications at once, and each experiment
+maps the block to its statistic with array operations (a count kernel),
+at a cost per checkpoint independent of the sample size.  The body path
+(fold the mean body, then measure it) stays as the oracle: it
+recomputes replications ``0 .. ORACLE_REPS - 1`` at every size, and it
+decides the checkpoints a kernel flags as too close to a threshold.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
 from . import stats
 from .geometry import (
+    FACE_REL_TOL,
+    FACET_REL_MARGIN,
+    MEMBERSHIP_REL,
     GeometryError,
     hausdorff,
     is_facet_at,
@@ -49,6 +56,11 @@ from .randomsets import (
 from .rng import uniforms
 
 DEGENERATE_FACE_LIMIT = 1e-3   # tolerated fraction of degenerate replications
+DRAW_BUDGET = 2 ** 15          # draws per block of replications drawn by `_count_blocks`
+ORACLE_REPS = 3                # replications recomputed along the body path at every size
+ORACLE_REL = 1e-9              # kernel-versus-body-path tolerance, times 1 + envelope
+GUARD_REL = 1e-8               # half-width of the kernels' guard bands, times 1 + envelope
+FACE_EXTENT_REL = 1e-6         # facets shorter than this, times 1 + envelope, take the body path
 
 
 class DegenerateFace(RuntimeError):
@@ -68,7 +80,7 @@ class InsideBody(ValueError):
 
 
 class OracleMismatch(RuntimeError):
-    """The normal-fan Hausdorff kernel disagrees with the body path."""
+    """A count kernel disagrees with the body path (fold the mean, then measure it)."""
 
 
 # ---------------------------------------------------------------------------
@@ -142,19 +154,135 @@ def _group_by_size(records, component: int = 0) -> dict[int, np.ndarray]:
 # ---------------------------------------------------------------------------
 # draw machinery
 
-def _checkpoints(y: DiscreteRandomSet,
-                 config: ExperimentConfig) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Per-atom draw counts ``(rep, n, counts)`` of every checkpoint, in record order."""
+def _count_blocks(y: DiscreteRandomSet,
+                  config: ExperimentConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per-atom draw counts of blocks of replications, in record order.
+
+    Yields ``(reps, counts)``: the replication indices of a block and an
+    ``(len(reps), S, J)`` int array whose entry ``[r, s, j]`` counts the
+    draws of atom ``j`` among the first ``sizes[s]`` draws of replication
+    ``reps[r]``.  A block holds about ``DRAW_BUDGET`` draws, and the
+    kernels about as many values per atom vertex (at least one per atom
+    and fan cell) and size, so memory stays flat whatever the replication
+    count; records never depend on the block size.
+    """
     sizes = config.sample_sizes
-    for rep in range(config.replications):
-        indices = sample_many(y, uniforms(config.master_seed, rep, sizes[-1]))
-        for n in sizes:
-            yield rep, n, np.bincount(indices[:n], minlength=y.atom_count)
+    atoms = y.atom_count
+    vertices = sum(body.vertex_count for body in y.bodies)
+    per_block = max(1, DRAW_BUDGET // max(sizes[-1], len(sizes) * vertices))
+    for start in range(0, config.replications, per_block):
+        reps = np.arange(start, min(start + per_block, config.replications))
+        draws = sample_many(y, uniforms(config.master_seed, reps, sizes[-1]))
+        # one bincount per size over the new draws, keyed by (replication, atom)
+        keys = draws.reshape(len(reps), -1) + atoms * np.arange(len(reps))[:, None]
+        counts = np.empty((len(reps), len(sizes), atoms), dtype=np.int64)
+        total = np.zeros(len(reps) * atoms, dtype=np.int64)
+        lo = 0
+        for s, n in enumerate(sizes):
+            total += np.bincount(keys[:, lo:n].ravel(), minlength=len(total))
+            counts[:, s] = total.reshape(len(reps), atoms)
+            lo = n
+        yield reps, counts
+
+
+def _fold(coefs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``sum_j coefs[..., j] * points[j]`` folded in atom order, whatever the
+    block shape: the rounding of the vertex ``weighted_sum`` builds from
+    one point per atom (``@`` may sum in another order)."""
+    acc = coefs[..., 0, None] * points[0]
+    for j in range(1, len(points)):
+        acc = acc + coefs[..., j, None] * points[j]
+    return acc
+
+
+def _face_gaps(bodies, f, faces) -> tuple[np.ndarray, np.ndarray]:
+    """Per atom: how far below its support in direction ``f`` its best vertex
+    off the support face lies (inf when every vertex is on it), and the
+    spread of ``f`` over the face's own vertices."""
+    gaps, spreads = [], []
+    for body, face in zip(bodies, faces):
+        vals = body.vertices @ f
+        on_face = (body.vertices[:, None, :] == face.vertices[None, :, :]).all(axis=-1).any(axis=-1)
+        top = vals.max()
+        gaps.append(float(top - vals[~on_face].max()) if not on_face.all() else np.inf)
+        spreads.append(float(top - vals[on_face].min()))
+    return np.array(gaps), np.array(spreads)
+
+
+def _tie_band(counts: np.ndarray, coefs: np.ndarray, gaps: np.ndarray, spreads: np.ndarray,
+              envelope: float) -> np.ndarray:
+    """Checkpoints whose mean may have a support face other than the weighted
+    sum of the drawn atoms' faces, as ``support_face`` would find it.
+
+    A mean vertex off that face is below the support by at least
+    ``min_{c_j > 0} (c_j / n) * gap_j``, and a vertex of that face by at
+    most ``sum_j (c_j / n) * spread_j``.  When the bound is within the
+    guard band of ``FACE_REL_TOL * (1 + envelope)``, or the spread is not
+    well inside ``FACE_REL_TOL``, only the body path can tell.
+    """
+    drawn = counts > 0
+    bound = (np.where(drawn, coefs, np.inf) * gaps).min(axis=-1)
+    spread = (coefs * spreads).sum(axis=-1)
+    return ((bound <= (FACE_REL_TOL + GUARD_REL) * (1.0 + envelope))
+            | (spread > FACE_REL_TOL / 2.0))
+
+
+def _segment_band(counts: np.ndarray, faces, f: np.ndarray) -> np.ndarray:
+    """Checkpoints whose facet ``sum_j (c_j / n) F_j`` need not be a segment:
+    a drawn atom face of three or more vertices, or two drawn segment faces
+    that are not exactly parallel.  ``is_facet_at`` takes the relative
+    boundary of such a face in its own affine hull."""
+    tilts = []
+    for face in faces:
+        V = face.vertices
+        if len(V) == 2:
+            tilts.append(float((V[1] - V[0]) @ f / np.linalg.norm(V[1] - V[0])))
+        else:
+            tilts.append(np.nan if len(V) == 1 else np.inf)
+    tilts = np.array(tilts)
+    segments = (counts > 0) & np.isfinite(tilts)
+    low = np.where(segments, tilts, np.inf).min(axis=-1)
+    high = np.where(segments, tilts, -np.inf).max(axis=-1)
+    return (high > low) | ((counts > 0) & np.isposinf(tilts)).any(axis=-1)
+
+
+def _reconcile(reps: np.ndarray, sizes: tuple[int, ...], coefs: np.ndarray,
+               values: np.ndarray, band: np.ndarray, body, envelope: float,
+               oracle_reps: Optional[int] = None) -> np.ndarray:
+    """Body-path values where the kernel is unsure, and the in-run oracle.
+
+    ``values[r, s]`` is the kernel's statistic of checkpoint
+    ``(reps[r], sizes[s])`` and ``band`` marks the checkpoints whose
+    statistic the kernel cannot decide; those take
+    ``body(coefs[r, s], rep)``.  Every checkpoint of the replications
+    below ``oracle_reps`` (default ``ORACLE_REPS``) is recomputed along
+    the body path as well, and a difference beyond
+    ``ORACLE_REL * (1 + envelope)`` raises :class:`OracleMismatch`.
+    """
+    tol = ORACLE_REL * (1.0 + envelope)
+    oracle_reps = ORACLE_REPS if oracle_reps is None else oracle_reps
+    redo = band | (reps < oracle_reps)[:, None]
+    for r, s in zip(*np.nonzero(redo)):
+        slow = body(coefs[r, s], int(reps[r]))
+        if band[r, s]:
+            values[r, s] = slow
+        elif not np.all(np.abs(values[r, s] - slow) <= tol):
+            raise OracleMismatch(f"count kernel gives {values[r, s].tolist()!r} where the body "
+                                 f"path gives {np.asarray(slow).tolist()!r} "
+                                 f"(replication {reps[r]}, N={sizes[s]})")
+    return values
+
+
+def _records(reps: np.ndarray, sizes: tuple[int, ...], stats: np.ndarray) -> list:
+    """Records ``(rep, n, stat)`` of a block of ``(R, S, k)`` statistics, in record order."""
+    return [(rep, n, tuple(stat))
+            for rep, per_size in zip(reps.tolist(), stats.tolist())
+            for n, stat in zip(sizes, per_size)]
 
 
 def _distances(y: DiscreteRandomSet,
-               config: ExperimentConfig) -> Iterator[tuple[int, int, float]]:
-    """``H(mean_N, E)`` of every checkpoint ``(rep, n, distance)``, in record order.
+               config: ExperimentConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``H(mean_N, E)`` of every checkpoint, per block ``(reps, (R, S) distances)``.
 
     In 2-D the distance comes straight from the draw counts through the
     atoms' normal fan; replication 0 is recomputed along the body path
@@ -165,25 +293,189 @@ def _distances(y: DiscreteRandomSet,
     """
     ey = expectation(y)
     fan = normal_fan(y.bodies) if y.dim == 2 else None
+    sizes = config.sample_sizes
 
-    def body_distance(coefs):
+    def body_distance(coefs, rep=0):
         return hausdorff(weighted_sum(y.bodies, coefs), ey)
 
-    def distance(coefs):
-        return body_distance(coefs) if fan is None else fan.hausdorff(coefs, y.weights)
-
-    tol = 1e-9 * (1.0 + y.envelope)
-    max_atom_dist = max(distance(unit) for unit in np.eye(y.atom_count))
-    for rep, n, counts in _checkpoints(y, config):
-        dist = distance(counts / n)
-        if fan is not None and rep == 0:
-            slow = body_distance(counts / n)
-            if abs(dist - slow) > tol:
-                raise OracleMismatch(f"normal-fan distance {dist!r} differs from the "
-                                     f"body path's {slow!r} at N={n}")
-        if dist > max_atom_dist + 1e-9:
+    units = np.eye(y.atom_count)
+    if fan is None:
+        max_atom_dist = max(body_distance(unit) for unit in units)
+    else:
+        max_atom_dist = float(fan.hausdorff(units, y.weights).max())
+    for reps, counts in _count_blocks(y, config):
+        coefs = counts / np.array(sizes)[:, None]
+        if fan is None:
+            dist, band = np.zeros(counts.shape[:2]), np.ones(counts.shape[:2], dtype=bool)
+        else:
+            dist, band = fan.hausdorff(coefs, y.weights), np.zeros(counts.shape[:2], dtype=bool)
+        dist = _reconcile(reps, sizes, coefs, dist, band, body_distance, y.envelope,
+                          oracle_reps=1)
+        if (dist > max_atom_dist + 1e-9).any():
             raise GeometryError("sample mean left the hull of the atoms")
-        yield rep, n, dist
+        yield reps, dist
+
+
+def _exposed_points(y: DiscreteRandomSet, f: np.ndarray,
+                    config: ExperimentConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Exposed point of every checkpoint's mean in direction ``f``, per block
+    ``(reps, (R, S, d) points)``; a tied (non-singleton) face gives NaN.
+
+    By face commutation the point is ``sum_j (c_j / n) * v_j`` with ``v_j``
+    the exposed vertex of atom ``j``, folded as ``weighted_sum`` folds.
+    Ties are decided by the body path only, on the checkpoints that
+    :func:`_tie_band` flags.  The atoms' faces must be singletons.
+    """
+    atom_faces = [support_face(body, f).face for body in y.bodies]
+    tops = np.array([face.vertices[0] for face in atom_faces])
+    gaps, spreads = _face_gaps(y.bodies, f, atom_faces)
+    sizes = config.sample_sizes
+
+    def body(coefs, rep):
+        cert = support_face(weighted_sum(y.bodies, coefs), f)
+        if cert.face.vertex_count != 1:
+            return np.full(y.dim, np.nan)
+        if rep < ORACLE_REPS:
+            check_face_commutation(cert.face, atom_faces, coefs)
+        return cert.face.vertices[0]
+
+    for reps, counts in _count_blocks(y, config):
+        coefs = counts / np.array(sizes)[:, None]
+        band = _tie_band(counts, coefs, gaps, spreads, y.envelope)
+        yield reps, _reconcile(reps, sizes, coefs, _fold(coefs, tops), band, body, y.envelope)
+
+
+def _tangent_values(y: DiscreteRandomSet, u: np.ndarray, config: ExperimentConfig
+                    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per block ``(reps, totals, gaps)``, both ``(R, S)``: the summed support
+    values ``counts @ atom_supports`` of the draws in direction ``u``, and
+    the distance between the mean of the draw faces and the face of the
+    expectation, ``H(sum_j (c_j / n) F_j, sum_j w_j F_j)``, from the normal
+    fan of the atom faces in 2-D and along the body path otherwise."""
+    atom_supports = np.array([support(body, u) for body in y.bodies])
+    atom_faces = [support_face(body, u).face for body in y.bodies]
+    ey_face = weighted_sum(atom_faces, y.weights)
+    fan = normal_fan(atom_faces) if y.dim == 2 else None
+    sizes = config.sample_sizes
+
+    def face_gap(coefs):
+        return hausdorff(weighted_sum(atom_faces, coefs), ey_face)
+
+    def body(coefs, rep):
+        return [support(weighted_sum(y.bodies, coefs), u), face_gap(coefs)]
+
+    for reps, counts in _count_blocks(y, config):
+        coefs = counts / np.array(sizes)[:, None]
+        totals = _fold(counts, atom_supports[:, None])[..., 0]
+        if fan is None:
+            gaps = np.array([[face_gap(c) for c in per_rep] for per_rep in coefs])
+        else:
+            gaps = fan.hausdorff(coefs, y.weights)
+        values = np.stack([totals / np.array(sizes), gaps], axis=-1)
+        _reconcile(reps, sizes, coefs, values, np.zeros(counts.shape[:2], dtype=bool), body,
+                   y.envelope)
+        yield reps, totals, gaps
+
+
+def _facet_values(y: DiscreteRandomSet, x: np.ndarray, f: np.ndarray,
+                  config: ExperimentConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per block ``(reps, (R, S, 2) values)``: the distance from ``x`` to each
+    checkpoint's mean and whether its nearest point makes an excursion
+    (1.0) off the relative interior of the mean's facet in direction
+    ``f``, with the rule of :func:`is_facet_at` (``dist <= 1e-12`` is an
+    excursion too).
+
+    In 2-D both come from the draw counts: the distance from the normal
+    fan, the facet as the segment ``sum_j (c_j / n) [a_j, b_j]`` between
+    the atom f-face endpoints.  When ``x`` is beyond the facet's line and
+    projects into the facet, its nearest point is that projection, inside
+    the facet if it keeps ``FACET_REL_MARGIN * diameter`` from both ends;
+    when it projects outside, the nearest point is off the facet.  The
+    body path decides the rest: a projection inside from the other side
+    of the line (a flat mean has the facet on both sides), margins no
+    wider than ``is_facet_at``'s membership tolerance, checkpoints
+    within ``GUARD_REL * (1 + envelope)`` of a threshold, those flagged
+    by :func:`_tie_band` or :func:`_segment_band`, and every checkpoint
+    of other dimensions.
+    """
+    atom_faces = [support_face(body, f).face for body in y.bodies]
+    gaps, spreads = _face_gaps(y.bodies, f, atom_faces)
+    fan = normal_fan(y.bodies) if y.dim == 2 else None
+    sizes = config.sample_sizes
+    guard = GUARD_REL * (1.0 + y.envelope)
+    if fan is not None:
+        along = np.array([-f[1], f[0]])
+        ends = np.array([[face.vertices[np.argmin(face.vertices @ along)],
+                          face.vertices[np.argmax(face.vertices @ along)]] for face in atom_faces])
+
+    def body(coefs, rep):
+        mean = weighted_sum(y.bodies, coefs)
+        dist = point_distance(mean, x)
+        outside = dist <= 1e-12 or not is_facet_at(mean, nearest_point(mean, x), f)
+        return [dist, float(outside)]
+
+    for reps, counts in _count_blocks(y, config):
+        coefs = counts / np.array(sizes)[:, None]
+        if fan is None:
+            values = np.zeros(counts.shape[:2] + (2,))
+            band = np.ones(counts.shape[:2], dtype=bool)
+        else:
+            dist = fan.point_distance(coefs, x)
+            a, b = _fold(coefs, ends[:, 0]), _fold(coefs, ends[:, 1])
+            length = np.hypot(*np.moveaxis(b - a, -1, 0))
+            offset = ((x - a) * along).sum(axis=-1)      # projection of x along the facet
+            height = ((x - a) * f).sum(axis=-1)          # beyond the facet's line when > 0
+            inner = np.minimum(offset, length - offset)  # distance to the nearer end
+            P = fan.support_points(coefs)   # every vertex of the mean is among them
+            diameter = np.zeros(dist.shape)
+            for i in range(P.shape[-2]):
+                far = np.sqrt(((P - P[..., i, None, :]) ** 2).sum(axis=-1)).max(axis=-1)
+                diameter = np.maximum(diameter, far)
+            margin = FACET_REL_MARGIN * diameter
+            facet = (dist > 1e-12) & (inner > margin)   # height > 0 is settled by the band
+            values = np.stack([dist, (~facet).astype(float)], axis=-1)
+            band = (_tie_band(counts, coefs, gaps, spreads, y.envelope)
+                    | _segment_band(counts, atom_faces, f)
+                    | (np.abs(dist - 1e-12) <= guard)
+                    | ((inner > margin - guard)
+                       & ((height <= guard) | (np.abs(inner - margin) <= guard)))
+                    | (margin <= MEMBERSHIP_REL * (1.0 + y.envelope) + guard))
+        yield reps, _reconcile(reps, sizes, coefs, values, band, body, y.envelope)
+
+
+def _facet_flags(y: DiscreteRandomSet, f: np.ndarray,
+                 config: ExperimentConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per block ``(reps, (R, S) flags)``: 1.0 when the checkpoint's mean has
+    a facet (a support face of two or more vertices) in direction ``f``.
+
+    By face commutation it has one exactly when a drawn atom has one.
+    Checkpoints flagged by :func:`_tie_band`, or whose facet is shorter
+    than ``FACE_EXTENT_REL * (1 + envelope)`` (the hull's vertex merge
+    could close it up), take the body path.
+    """
+    atom_faces = [support_face(body, f).face for body in y.bodies]
+    facet_atoms = np.array([face.vertex_count >= 2 for face in atom_faces])
+    extents = np.array([face.diameter for face in atom_faces])
+    gaps, spreads = _face_gaps(y.bodies, f, atom_faces)
+    sizes = config.sample_sizes
+
+    def body(coefs, rep):
+        cert = support_face(weighted_sum(y.bodies, coefs), f)
+        if rep < ORACLE_REPS:
+            check_face_commutation(cert.face, atom_faces, coefs)
+        return 1.0 if cert.face.vertex_count >= 2 else 0.0
+
+    for reps, counts in _count_blocks(y, config):
+        coefs = counts / np.array(sizes)[:, None]
+        flags = _facet_kernel(counts, facet_atoms)
+        extent = (coefs * extents).max(axis=-1)
+        band = (_tie_band(counts, coefs, gaps, spreads, y.envelope)
+                | ((flags > 0.0) & (extent <= FACE_EXTENT_REL * (1.0 + y.envelope))))
+        yield reps, _reconcile(reps, sizes, coefs, flags, band, body, y.envelope)
+
+
+def _facet_kernel(counts: np.ndarray, facet_atoms: np.ndarray) -> np.ndarray:
+    return (counts[..., facet_atoms].sum(axis=-1) > 0).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +492,9 @@ def lln_experiment(y: DiscreteRandomSet, config: ExperimentConfig, *,
     ``slope_range``.
     """
     t0 = time.perf_counter()
-    records = [(rep, n, (dist,)) for rep, n, dist in _distances(y, config)]
+    records = []
+    for reps, dist in _distances(y, config):
+        records += _records(reps, config.sample_sizes, dist[..., None])
 
     groups = _group_by_size(records)
     medians = {n: float(np.median(vals)) for n, vals in groups.items()}
@@ -244,7 +538,10 @@ def clt_hausdorff_experiment(y: DiscreteRandomSet, config: ExperimentConfig, *,
     if len(config.sample_sizes) < 2:
         raise ValueError("stability check needs at least two sample sizes")
     t0 = time.perf_counter()
-    records = [(rep, n, (float(np.sqrt(n) * dist),)) for rep, n, dist in _distances(y, config)]
+    records = []
+    root_n = np.sqrt(config.sample_sizes)
+    for reps, dist in _distances(y, config):
+        records += _records(reps, config.sample_sizes, (root_n * dist)[..., None])
 
     groups = _group_by_size(records)
     pairs = []
@@ -288,25 +585,15 @@ def clt_exposed_experiment(y: DiscreteRandomSet, direction, config: ExperimentCo
     selection = exposed_selection(y, direction)  # raises NotExposed if blocked
     target = selection.mean
     sigma = selection.covariance
-    f = norm_gradient(direction)
-    atom_faces = [support_face(body, f).face for body in y.bodies]
     d = y.dim
 
     records = []
-    tied = set()   # replications with a non-singleton face at some checkpoint
-    for rep, n, counts in _checkpoints(y, config):
-        if rep in tied:
-            continue
-        cert = support_face(weighted_sum(y.bodies, counts / n), f)
-        if cert.face.vertex_count != 1:
-            tied.add(rep)
-            continue
-        if rep < 3:
-            check_face_commutation(cert.face, atom_faces, counts / n)
-        stat = np.sqrt(n) * (cert.face.vertices[0] - target)
-        records.append((rep, n, tuple(float(v) for v in stat)))
-    records = [r for r in records if r[0] not in tied]
-    discarded = len(tied)
+    discarded = 0   # replications with a non-singleton face at some checkpoint
+    root_n = np.sqrt(config.sample_sizes)[:, None]
+    for reps, points in _exposed_points(y, norm_gradient(direction), config):
+        kept = ~np.isnan(points).any(axis=(1, 2))
+        discarded += int((~kept).sum())
+        records += _records(reps[kept], config.sample_sizes, root_n * (points[kept] - target))
     if discarded > DEGENERATE_FACE_LIMIT * config.replications:
         raise DegenerateFace(
             f"{discarded} of {config.replications} replications had tied faces"
@@ -374,24 +661,21 @@ def clt_tangent_experiment(y: DiscreteRandomSet, direction, config: ExperimentCo
     t0 = time.perf_counter()
     u = norm_gradient(direction)
     sigma2 = tangent_variance(y, u)
-    ey = expectation(y)
-    s_expected = support(ey, u)
-    atom_supports = np.array([support(body, u) for body in y.bodies])
-    ey_face = support_face(ey, u).face
-    atom_faces = [support_face(body, u).face for body in y.bodies]
+    s_expected = support(expectation(y), u)
+    sizes = np.array(config.sample_sizes)
 
     records = []
-    face_gaps: dict[int, list[float]] = {n: [] for n in config.sample_sizes}
-    for rep, n, counts in _checkpoints(y, config):
-        total = float(counts @ atom_supports)
-        stat = (total - n * s_expected) / np.sqrt(n)
-        records.append((rep, n, (float(stat),)))
-        face_gaps[n].append(hausdorff(weighted_sum(atom_faces, counts / n), ey_face))
+    face_gaps = []
+    for reps, totals, gaps in _tangent_values(y, u, config):
+        stat = (totals - sizes * s_expected) / np.sqrt(sizes)
+        records += _records(reps, config.sample_sizes, stat[..., None])
+        face_gaps.append(gaps)
+    face_gaps = np.concatenate(face_gaps)
 
     final_n = config.sample_sizes[-1]
     final = np.array([stat[0] for _, n, stat in records if n == final_n])
     emp_var = float(final.var(ddof=1))
-    gap_means = {n: float(np.mean(gaps)) for n, gaps in face_gaps.items()}
+    gap_means = {n: float(np.mean(gaps)) for n, gaps in zip(config.sample_sizes, face_gaps.T)}
     moments = {
         "final_N": final_n,
         "empirical_variance": emp_var,
@@ -466,13 +750,11 @@ def clt_facet_experiment(y: DiscreteRandomSet, point, config: ExperimentConfig, 
 
     records = []
     excursions = 0
-    for rep, n, counts in _checkpoints(y, config):
-        mean_body = weighted_sum(y.bodies, counts / n)
-        dist = point_distance(mean_body, x)
-        records.append((rep, n, (float(np.sqrt(n) * (dist - base_distance)),)))
-        k_n = nearest_point(mean_body, x)
-        if dist <= 1e-12 or not is_facet_at(mean_body, k_n, facet_functional):
-            excursions += 1
+    root_n = np.sqrt(config.sample_sizes)
+    for reps, values in _facet_values(y, x, facet_functional, config):
+        records += _records(reps, config.sample_sizes,
+                            (root_n * (values[..., 0] - base_distance))[..., None])
+        excursions += int(values[..., 1].sum())
 
     final_n = config.sample_sizes[-1]
     final = np.array([stat[0] for _, n, stat in records if n == final_n])
@@ -524,14 +806,10 @@ def facet_frequency_experiment(y: DiscreteRandomSet, direction,
     t0 = time.perf_counter()
     f = norm_gradient(direction)
     p_facet, _ = facet_inheritance(y, f, 1)
-    atom_faces = [support_face(body, f).face for body in y.bodies]
 
     records = []
-    for rep, n, counts in _checkpoints(y, config):
-        cert = support_face(weighted_sum(y.bodies, counts / n), f)
-        if rep < 3:
-            check_face_commutation(cert.face, atom_faces, counts / n)
-        records.append((rep, n, (1.0 if cert.face.vertex_count >= 2 else 0.0,)))
+    for reps, flags in _facet_flags(y, f, config):
+        records += _records(reps, config.sample_sizes, flags[..., None])
 
     groups = _group_by_size(records)
     per_size = []

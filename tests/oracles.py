@@ -5,7 +5,10 @@ draw-by-draw oracle for the count-driven sample means of
 ``setmeans.simulate`` (``weighted_sum`` of the atoms at ``counts / N``).
 ``chain_hull`` is the 2-D reference for ``setmeans.geometry.hull``: the
 same merge and rank rules, then Andrew's monotone chain with orientation
-signs evaluated in exact rational arithmetic.
+signs evaluated in exact rational arithmetic.  ``checkpoints`` draws the
+counts one replication at a time and ``body_values`` measures every
+checkpoint's folded mean body: together they are the per-record
+reference for the blocked count kernels of ``setmeans.simulate``.
 """
 
 from __future__ import annotations
@@ -21,9 +24,17 @@ from setmeans.geometry import (
     ConvexBody,
     DimensionMismatch,
     hausdorff,
+    is_facet_at,
     minkowski_sum,
+    nearest_point,
+    point_distance,
     scale,
+    support,
+    support_face,
+    weighted_sum,
 )
+from setmeans.randomsets import sample_many
+from setmeans.rng import uniforms
 
 
 @dataclass(frozen=True)
@@ -119,3 +130,44 @@ def chain_hull(points) -> np.ndarray:
             ring = half(pts)[:-1] + half(pts[::-1])[:-1]
             P = np.array([[float(x), float(y)] for x, y in ring])
     return P[np.lexsort(P.T[::-1])]
+
+
+def checkpoints(y, config):
+    """``(rep, n, counts)`` of every checkpoint in record order, one
+    ``uniforms`` call per replication."""
+    sizes = config.sample_sizes
+    for rep in range(config.replications):
+        draws = sample_many(y, uniforms(config.master_seed, rep, sizes[-1]))
+        for n in sizes:
+            yield rep, n, np.bincount(draws[:n], minlength=y.atom_count)
+
+
+def body_values(kind, y, vector, config) -> dict:
+    """Per checkpoint ``(rep, n)``, the statistic of a kernel of
+    ``setmeans.simulate`` measured on the folded mean body.
+
+    ``exposed``: the exposed point in direction ``vector`` (NaN when the
+    face is tied); ``tangent``: the support in direction ``vector`` and
+    the distance of the mean of the atom faces to their ``y.weights``
+    mean; ``facet``: the distance to ``vector = (x, f)`` and 1.0 for an
+    excursion off the facet in direction ``f``; ``flags``: 1.0 when the
+    face in direction ``vector`` has two or more vertices.
+    """
+    out = {}
+    for rep, n, counts in checkpoints(y, config):
+        mean = weighted_sum(y.bodies, counts / n)
+        if kind == "exposed":
+            face = support_face(mean, vector).face
+            value = face.vertices[0] if face.vertex_count == 1 else np.full(y.dim, np.nan)
+        elif kind == "tangent":
+            faces = [support_face(body, vector).face for body in y.bodies]
+            value = [support(mean, vector), hausdorff(weighted_sum(faces, counts / n),
+                                                      weighted_sum(faces, y.weights))]
+        elif kind == "facet":
+            x, f = vector
+            dist = point_distance(mean, x)
+            value = [dist, float(dist <= 1e-12 or not is_facet_at(mean, nearest_point(mean, x), f))]
+        else:
+            value = float(support_face(mean, vector).face.vertex_count >= 2)
+        out[rep, n] = np.asarray(value, dtype=float)
+    return out

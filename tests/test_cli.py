@@ -17,6 +17,7 @@ from setmeans.cli import (
     write_report,
 )
 from setmeans.geometry import ConvergenceError, NormalFan
+from setmeans import simulate
 from setmeans.randomsets import DiscreteRandomSet
 from setmeans.simulate import ExperimentConfig, lln_experiment
 
@@ -397,6 +398,22 @@ def test_exit_codes_through_the_binary(tmp_path):
     assert failed.returncode == 2
 
 
+def test_lln_below_unit_scale_is_the_unit_run_scaled(tmp_path, capsys):
+    doc = json.loads(TWO_SEGMENTS)
+    for atom in doc["atoms"]:
+        atom["vertices"] = (1e-6 * np.array(atom["vertices"])).tolist()
+    unit = write_scene(tmp_path, TWO_SEGMENTS, "unit.json")
+    small = write_scene(tmp_path, json.dumps(doc), "small.json")
+    argv = ["simulate", "lln", "--seed", "1", "--reps", "20", "--sizes", "16,64"]
+    run_command(argv + ["--scene", unit, "--out", str(tmp_path / "unit")])
+    assert run_command(argv + ["--scene", small, "--out", str(tmp_path / "small")]) == 0
+    capsys.readouterr()
+    want, got = (np.loadtxt(tmp_path / d / "records.csv", delimiter=",", skiprows=1)
+                 for d in ("unit", "small"))
+    assert np.array_equal(got[:, :2], want[:, :2])
+    assert np.allclose(got[:, 2], 1e-6 * want[:, 2], rtol=1e-9, atol=0.0)
+
+
 def _not_converging(*args):
     raise ConvergenceError("min-norm solver did not converge")
 
@@ -408,6 +425,13 @@ def _fan_off_by_1e6(fan, coefs, ref):
     return _fan_hausdorff(fan, coefs, ref) + 1e-6
 
 
+def _off_by_1e6(kernel):
+    return lambda *args: kernel(*args) + 1e-6
+
+
+_fan_point_distance = NormalFan.point_distance
+
+
 @pytest.mark.parametrize("argv, target, value, error", [
     (["nearest", "--scene", "{scene}", "--point", "2,2"],
      "setmeans.geometry._min_norm_point", _not_converging, "ConvergenceError"),
@@ -417,11 +441,25 @@ def _fan_off_by_1e6(fan, coefs, ref):
     (["simulate", "lln", "--scene", "{scene}", "--seed", "1", "--reps", "3",
       "--sizes", "16,64", "--out", "{out}"],
      "setmeans.geometry.NormalFan.hausdorff", _fan_off_by_1e6, "OracleMismatch"),
+    (["simulate", "clt-exposed", "--scene", "{scene}", "--dir", "1,1", "--seed", "1",
+      "--reps", "3", "--sizes", "4", "--out", "{out}"],
+     "setmeans.simulate._fold", _off_by_1e6(simulate._fold), "OracleMismatch"),
+    (["simulate", "clt-tangent", "--scene", "{scene}", "--dir", "1,0", "--seed", "1",
+      "--reps", "3", "--sizes", "4", "--out", "{out}"],
+     "setmeans.simulate._fold", _off_by_1e6(simulate._fold), "OracleMismatch"),
+    (["simulate", "clt-facet", "--scene", "{stacked}", "--point", "0.5,-1", "--seed", "1",
+      "--reps", "3", "--sizes", "4", "--out", "{out}"],
+     "setmeans.geometry.NormalFan.point_distance", _off_by_1e6(_fan_point_distance),
+     "OracleMismatch"),
+    (["simulate", "facet-freq", "--scene", "{scene}", "--dir", "0,-1", "--seed", "1",
+      "--reps", "3", "--sizes", "4", "--out", "{out}"],
+     "setmeans.simulate._facet_kernel", _off_by_1e6(simulate._facet_kernel), "OracleMismatch"),
 ])
 def test_broken_internal_invariants_exit_three_without_traceback(
         tmp_path, capsys, monkeypatch, argv, target, value, error):
     scene = write_scene(tmp_path, TWO_SEGMENTS)
-    argv = [a.format(scene=scene, out=tmp_path / "out") for a in argv]
+    argv = [a.format(scene=scene, stacked=SCENES / "stacked_squares.json", out=tmp_path / "out")
+            for a in argv]
     monkeypatch.setattr(target, value)
     monkeypatch.setattr(sys, "argv", ["setmeans", *argv])
     with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import checkpoints
 from setmeans.cli import parse_scene
 from setmeans.geometry import (
     GeometryError,
@@ -18,7 +19,6 @@ from setmeans.geometry import (
 )
 from setmeans.simulate import (
     ExperimentConfig,
-    _checkpoints,
     clt_hausdorff_experiment,
     lln_experiment,
 )
@@ -137,7 +137,7 @@ def test_experiments_match_the_body_path_record_for_record(experiment, scaled):
     records = experiment(y, config).records
     ey = weighted_sum(y.bodies, y.weights)
     expected = [(rep, n, hausdorff(weighted_sum(y.bodies, counts / n), ey))
-                for rep, n, counts in _checkpoints(y, config)]
+                for rep, n, counts in checkpoints(y, config)]
     assert [r[:2] for r in records] == [e[:2] for e in expected]
     for (_, n, (stat,)), (_, _, dist) in zip(records, expected):
         value = stat / np.sqrt(n) if scaled else stat

@@ -324,6 +324,23 @@ def test_hausdorff_examples():
     assert hausdorff(square(), square(0, 2)) == pytest.approx(SQ2)
 
 
+@pytest.mark.parametrize("k", range(-12, 13))
+def test_distances_are_equivariant_under_scaling(k):
+    # vertex arrays taken as they are (no hull, no dedup), so only the
+    # min-norm solver's own tolerances meet the scale
+    rng = np.random.default_rng(3)
+    s = 10.0 ** k
+    for _ in range(8):
+        a = hull(rng.uniform(-1, 1, size=(int(rng.integers(3, 9)), 2))).vertices
+        b = hull(rng.uniform(-1, 1, size=(int(rng.integers(1, 9)), 2)) + 0.5).vertices
+        x = rng.uniform(-2, 2, size=2)
+        unit = (point_distance(ConvexBody(a), x), hausdorff(ConvexBody(a), ConvexBody(b)))
+        scaled = (point_distance(ConvexBody(s * a), s * x),
+                  hausdorff(ConvexBody(s * a), ConvexBody(s * b)))
+        for got, want in zip(scaled, unit):
+            assert got == pytest.approx(s * want, rel=1e-12, abs=1e-12 * s)
+
+
 def test_metric_axioms_on_random_triples():
     rng = np.random.default_rng(47)
     for _ in range(25):
@@ -403,6 +420,16 @@ def test_is_facet_at_examples():
     assert is_facet_at(square(), (0.5, 0), (0, -1))
     assert not is_facet_at(square(), (0, 0), (0, -1))
     assert not is_facet_at(triangle(), (1, 0), (1, 1))
+
+
+def test_is_facet_at_two_point_face_with_rounding_noise():
+    # the centred 2x2 SVD of this segment has a second singular value just
+    # above the rank threshold; two points still span one dimension
+    V = np.array([[-0.1313246005548126, -0.041364562857149165],
+                  [-0.13021936858219443, -0.04789009341875548]])
+    d = V[1] - V[0]
+    f = np.array([d[1], -d[0]]) / np.linalg.norm(d)
+    assert is_facet_at(ConvexBody(V), V.mean(axis=0), f)
 
 
 def test_is_facet_at_point_outside():

@@ -44,6 +44,15 @@ def test_uniform_scalar_vector_agree_bitwise():
     for rep in (0, 3, 977):
         vec = uniforms(123456789, rep, 16)
         assert [uniform(123456789, rep, i) for i in range(16)] == vec.tolist()
+    # an array of replications is the per-replication streams, stacked
+    reps = [0, 1, 977, 2 ** 63, 2 ** 64 - 2, 2 ** 64 - 1]
+    for seed in (0, 123456789, 2 ** 64 - 1):
+        flat = uniforms(seed, np.array(reps, dtype=np.uint64), 16)
+        stacked = np.concatenate([uniforms(seed, rep, 16) for rep in reps])
+        assert flat.shape == (16 * len(reps),)
+        assert flat.view(np.uint64).tolist() == stacked.view(np.uint64).tolist()
+        assert flat[-16:].tolist() == [uniform(seed, 2 ** 64 - 1, i) for i in range(16)]
+    assert uniforms(5, np.arange(3), 0).shape == (0,)
 
 
 def test_uniform_range_and_determinism():
