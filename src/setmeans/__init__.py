@@ -26,7 +26,7 @@ from .geometry import (
     sphere_grid,
     support,
     support_face,
-    translate,
+    tolerance,
     weighted_sum,
 )
 from .randomsets import (
@@ -39,11 +39,9 @@ from .randomsets import (
     exposed_selection,
     facet_inheritance,
     nearest_point_selection,
-    sample,
     tangent_variance,
 )
 from .simulate import (
-    DegenerateFace,
     ExperimentConfig,
     ExperimentReport,
     IncompatibleSelection,

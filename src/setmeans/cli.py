@@ -36,9 +36,15 @@ from .geometry import (
     shapley_folkman_gap,
     support_face,
 )
-from .randomsets import CommutationError, DiscreteRandomSet, NotExposed, expectation
+from .randomsets import (
+    WEIGHT_SUM_TOL,
+    CommutationError,
+    DiscreteRandomSet,
+    NotExposed,
+    expectation,
+    expectation_face,
+)
 from .simulate import (
-    DegenerateFace,
     ExperimentConfig,
     ExperimentReport,
     IncompatibleSelection,
@@ -65,7 +71,6 @@ _USAGE_ERRORS = (
     IncompatibleSelection,
     NoFacet,
     InsideBody,
-    DegenerateFace,
     ValueError,
     OSError,
 )
@@ -138,8 +143,8 @@ def _scene_doc(text: str) -> dict:
                     raise SceneError(f"{where}.vertices[{j}]", "coordinates must be finite numbers")
         total += float(w)
 
-    if abs(total - 1.0) > 1e-6:
-        raise SceneError("atoms", f"weights sum to {total!r}, outside 1 +/- 1e-06")
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise SceneError("atoms", f"weights sum to {total!r}, outside 1 +/- {WEIGHT_SUM_TOL}")
     return doc
 
 
@@ -150,17 +155,6 @@ def parse_scene(text: str) -> DiscreteRandomSet:
         weights=np.array([float(atom["weight"]) for atom in atoms]),
         bodies=tuple(hull(np.asarray(atom["vertices"], dtype=float)) for atom in atoms),
     )
-
-
-def serialize_scene(y: DiscreteRandomSet) -> dict:
-    return {
-        "version": SCENE_VERSION,
-        "dim": y.dim,
-        "atoms": [
-            {"weight": float(w), "vertices": body.vertices.tolist()}
-            for w, body in zip(y.weights, y.bodies)
-        ],
-    }
 
 
 def load_scene(path: str) -> DiscreteRandomSet:
@@ -441,13 +435,14 @@ def run_command(argv) -> int:
             y = load_scene(args.scene)
             direction = _parse_numbers(args.dir, "direction")
             cert = support_face(expectation(y), direction)
+            face, _ = expectation_face(y, direction)   # the face rule: sum_j w_j F_j
             print("direction " + " ".join(_format_float(c) for c in cert.direction))
             print(f"support_value {_format_float(cert.support_value)}")
-            print(f"is_exposed {str(cert.is_exposed).lower()}")
-            if cert.facet_direction is not None:
-                print("facet_direction " + " ".join(_format_float(c) for c in cert.facet_direction))
+            print(f"is_exposed {str(face.vertex_count == 1).lower()}")
+            if face.vertex_count > 1:
+                print("facet_direction " + " ".join(_format_float(c) for c in cert.direction))
             print("face_vertices:")
-            _print_body(cert.face)
+            _print_body(face)
             return 0
 
         if args.command == "nearest":

@@ -18,10 +18,9 @@ import numpy as np
 from scipy.spatial import ConvexHull as _Qhull
 from scipy.spatial import QhullError, Voronoi, cKDTree
 
-VERTEX_DEDUP_REL = 1e-9   # vertex merge tolerance, scaled by coordinate size
-FACE_REL_TOL = 1e-9       # support-face membership tolerance
+REL_TOL = 1e-9            # vertex merges, face and membership decisions, times the extent
+ROUNDOFF = 32 * float(np.finfo(float).eps)  # round-off of a coordinate, times its magnitude
 FACET_REL_MARGIN = 1e-6   # relative-interior margin, scaled by diameter
-MEMBERSHIP_REL = 1e-8     # point-in-body tolerance for facet queries
 MIN_NORM_GAP_TOL = 1e-12  # duality-gap threshold for the min-norm solver
 
 
@@ -63,6 +62,26 @@ def _as_vector(x, dim: int) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise GeometryError("vector contains NaN or infinite coordinates")
     return v
+
+
+def box_of(P: np.ndarray) -> tuple[float, float]:
+    """Scale of a point array: ``(extent, magnitude)``, the diagonal of its
+    bounding box and its largest absolute coordinate."""
+    return float(np.linalg.norm(P.max(axis=0) - P.min(axis=0))), float(np.abs(P).max())
+
+
+def tolerance(rel: float, box: tuple[float, float]) -> float:
+    """The one tolerance model: ``rel * extent + ROUNDOFF * magnitude``.
+
+    ``box`` is the ``(extent, magnitude)`` of the points a decision is
+    about (:func:`box_of`, :attr:`ConvexBody.box`).  The extent term is
+    invariant under translation and equivariant under scaling, and box
+    widths add under Minkowski sums; the magnitude term only covers the
+    round-off of coordinates far from the origin.  Every geometric
+    threshold of the library is one of these.
+    """
+    extent, magnitude = box
+    return rel * extent + ROUNDOFF * magnitude
 
 
 def _canonical(V: np.ndarray) -> np.ndarray:
@@ -107,6 +126,11 @@ class ConvexBody:
         return float(np.sqrt((self.vertices ** 2).sum(axis=1)).max())
 
     @cached_property
+    def box(self) -> tuple[float, float]:
+        """``(extent, magnitude)`` of the vertices, see :func:`tolerance`."""
+        return box_of(self.vertices)
+
+    @cached_property
     def diameter(self) -> float:
         V = self.vertices
         if len(V) == 1:
@@ -139,7 +163,7 @@ class FaceCertificate:
 # deduplication and extreme-point extraction
 
 def _dedup(P: np.ndarray) -> np.ndarray:
-    """Merge points closer than the relative dedup tolerance.
+    """Merge points closer than ``tolerance(REL_TOL, box_of(P))``.
 
     Clusters are formed from the pairwise proximity graph, so the result
     does not depend on input order; each cluster is represented by its
@@ -148,7 +172,7 @@ def _dedup(P: np.ndarray) -> np.ndarray:
     n = len(P)
     if n == 1:
         return P
-    tol = VERTEX_DEDUP_REL * (1.0 + float(np.abs(P).max()))
+    tol = tolerance(REL_TOL, box_of(P))
     pairs = cKDTree(P).query_pairs(tol, output_type="ndarray")
     if len(pairs) == 0:
         return P
@@ -237,10 +261,7 @@ def scale(a: ConvexBody, lam: float) -> ConvexBody:
         raise GeometryError("negative scale factors (reflections) are not supported")
     if lam == 0.0:
         return ConvexBody(np.zeros((1, a.dim)))
-    V = lam * a.vertices
-    if lam < 1.0:
-        V = _dedup(V)  # strong shrinking can push vertices inside the merge tolerance
-    return ConvexBody(_canonical(V))
+    return ConvexBody(_canonical(lam * a.vertices))  # the merge tolerance scales along
 
 
 def weighted_sum(bodies: Sequence[ConvexBody], coefs) -> ConvexBody:
@@ -267,12 +288,6 @@ def weighted_sum(bodies: Sequence[ConvexBody], coefs) -> ConvexBody:
     return acc
 
 
-def translate(a: ConvexBody, t) -> ConvexBody:
-    """Shift a body by the vector t."""
-    t = _as_vector(t, a.dim)
-    return ConvexBody(_canonical(a.vertices + t))
-
-
 # ---------------------------------------------------------------------------
 # support functions and faces
 
@@ -285,9 +300,9 @@ def support(a: ConvexBody, u) -> float:
 def support_face(a: ConvexBody, u) -> FaceCertificate:
     """Argmax set of a nonzero functional, with exposure classification.
 
-    All vertices within the relative tolerance of the maximum belong to
-    the face.  The face's vertices are vertices of the body, hence the
-    face body needs no re-hulling.
+    All vertices within ``tolerance(REL_TOL, a.box)`` of the maximum
+    belong to the face.  The face's vertices are vertices of the body,
+    hence the face body needs no re-hulling.
     """
     u = _as_vector(u, a.dim)
     norm = float(np.linalg.norm(u))
@@ -296,8 +311,7 @@ def support_face(a: ConvexBody, u) -> FaceCertificate:
     f = u / norm
     vals = a.vertices @ f
     smax = float(vals.max())
-    tol = FACE_REL_TOL * (1.0 + a.max_norm)
-    face_vertices = a.vertices[vals >= smax - tol]
+    face_vertices = a.vertices[vals >= smax - tolerance(REL_TOL, a.box)]
     face = ConvexBody(_canonical(face_vertices))
     exposed = face.vertex_count == 1
     f.setflags(write=False)
@@ -587,37 +601,50 @@ def normal_fan(bodies: Sequence[ConvexBody]) -> NormalFan:
 # ---------------------------------------------------------------------------
 # facet classification
 
-def _relative_boundary_distance(face: ConvexBody, k: np.ndarray) -> float:
-    """Signed distance from k to the face's relative boundary (negative outside).
+def _relative_boundary_distance(Q: np.ndarray, q: np.ndarray, tol: float) -> float:
+    """Signed distance from q to the relative boundary of conv(Q), negative
+    outside; -inf when q is farther than ``tol`` from the affine hull of Q.
 
-    Supports faces of affine dimension 1 (segments) and 2 (polygons);
-    higher-dimensional faces do not occur for bodies of dimension <= 3.
+    Supports point sets of affine rank <= 2, which covers the faces of
+    bodies of dimension <= 3 measured inside their hyperplane.
     """
-    V = face.vertices
-    centroid, U, s, Vt = _affine_frame(V)
+    centroid, U, s, Vt = _affine_frame(Q)
     rank = len(s)
+    r = q - centroid
+    if rank == 0 or np.linalg.norm(r - (Vt @ r) @ Vt) > tol:
+        return -np.inf
     if rank == 1:
-        return float(min(np.linalg.norm(k - V[0]), np.linalg.norm(k - V[-1])))
+        t, ts = float(Vt[0] @ r), U[:, 0] * s[0]
+        return min(t - float(ts.min()), float(ts.max()) - t)
     if rank == 2:
         eq = _qhull(U * s).equations
-        return float(-(eq[:, :2] @ (Vt @ (k - centroid)) + eq[:, 2]).max())
+        return float(-(eq[:, :2] @ (Vt @ r) + eq[:, 2]).max())
     raise GeometryError(f"facet test needs a face of affine rank <= 2, got rank {rank}")
+
+
+def _in_facet(face: ConvexBody, k: np.ndarray, f: np.ndarray, margin: float, tol: float) -> bool:
+    """Whether the face of the unit functional ``f`` has two or more vertices,
+    ``k`` lies on its hyperplane within ``tol`` and, measured inside the
+    hyperplane ``f``-perp where the face lives, keeps more than ``margin``
+    from the face's relative boundary.  In 2-D every such face is a
+    segment or a point, however its vertices scatter along ``f``."""
+    V = face.vertices
+    if len(V) < 2 or abs(float((V @ f).max() - k @ f)) > tol:
+        return False
+    perp = np.linalg.svd(f[None, :])[2][1:]   # orthonormal rows spanning f-perp
+    return _relative_boundary_distance(V @ perp.T, perp @ k, tol) > margin
 
 
 def is_facet_at(a: ConvexBody, k, f) -> bool:
     """Whether the support face of f has affine dimension >= 1 and contains
-    k in its relative interior (margin of 1e-6 times the diameter)."""
+    k in its relative interior, measured inside the hyperplane f-perp
+    (margin of 1e-6 times the diameter)."""
     k = _as_vector(k, a.dim)
-    membership_tol = MEMBERSHIP_REL * (1.0 + a.max_norm)
-    if point_distance(a, k) > membership_tol:
+    tol = tolerance(REL_TOL, a.box)
+    if point_distance(a, k) > tol:
         raise GeometryError("query point lies outside the body")
     cert = support_face(a, f)
-    if cert.face.vertex_count < 2:
-        return False
-    margin = FACET_REL_MARGIN * a.diameter
-    if point_distance(cert.face, k) > max(membership_tol, margin):
-        return False
-    return _relative_boundary_distance(cert.face, k) > margin
+    return _in_facet(cert.face, k, cert.direction, FACET_REL_MARGIN * a.diameter, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -679,14 +706,15 @@ def _covering_radius_2d(sites: np.ndarray, qh: _Qhull) -> float:
     n = len(sites)
     ring = sites[qh.vertices]  # counterclockwise
     tree = cKDTree(sites)
-    scale_len = 1.0 + float(np.abs(sites).max())
+    box = box_of(sites)
+    tol = tolerance(REL_TOL, box)
     candidates = []
 
     if n <= 12:
         pair_idx = np.array(list(itertools.combinations(range(n), 2)))
         interior = []
         for i, j, k in itertools.combinations(range(n), 3):
-            c = _circumcenter(sites[i], sites[j], sites[k], scale_len)
+            c = _circumcenter(sites[i], sites[j], sites[k], tol * box[0])
             if c is not None:
                 interior.append(c)
         interior = np.array(interior) if interior else np.empty((0, 2))
@@ -696,7 +724,6 @@ def _covering_radius_2d(sites: np.ndarray, qh: _Qhull) -> float:
         interior = vor.vertices
 
     if len(interior):
-        tol = 1e-12 * (1.0 + float(np.abs(ring).max()))
         inside = (interior @ qh.equations[:, :2].T + qh.equations[:, 2] <= tol).all(axis=1)
         candidates.append(interior[inside])
 
@@ -711,7 +738,7 @@ def _covering_radius_2d(sites: np.ndarray, qh: _Qhull) -> float:
         delta = e1 - e0
         den = normals @ delta
         num = consts - normals @ e0
-        ok = np.abs(den) > 1e-300
+        ok = np.abs(den) > ROUNDOFF * np.linalg.norm(normals, axis=1) * np.linalg.norm(delta)
         t = num[ok] / den[ok]
         on_edge = (t >= 0.0) & (t <= 1.0)
         if np.any(on_edge):
@@ -726,10 +753,12 @@ def _covering_radius_2d(sites: np.ndarray, qh: _Qhull) -> float:
     return float(dists.max())
 
 
-def _circumcenter(p, q, r, scale_len: float):
+def _circumcenter(p, q, r, min_det: float):
+    """Circumcenter of a triangle; None when ``|det|`` (eight times its area)
+    is at most ``min_det``."""
     A = 2.0 * np.array([q - p, r - p])
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    if abs(det) <= 1e-14 * scale_len * scale_len:
+    if abs(det) <= min_det:
         return None
     rhs = np.array([q @ q - p @ p, r @ r - p @ p])
     return np.linalg.solve(A, rhs)

@@ -1,9 +1,11 @@
 """Finitely supported random convex bodies and their expectations.
 
 A law is a weighted finite family of convex bodies.  The expectation is
-the weighted Minkowski sum of the atoms; support faces of the
-expectation are weighted Minkowski sums of the atom faces, and the
-module enforces that identity as a hard internal check.
+the weighted Minkowski sum of the atoms.  Faces follow the face rule:
+the support face of a Minkowski combination of the atoms is the same
+combination of the atom faces, each decided once at its atom's own
+tolerance; :func:`check_face_commutation` builds such a face and checks
+it against the body as a hard internal check.
 """
 
 from __future__ import annotations
@@ -17,16 +19,18 @@ import numpy as np
 from .geometry import (
     ConvexBody,
     DimensionMismatch,
-    hausdorff,
+    box_of,
     nearest_point,
+    point_distance,
     support,
     support_face,
+    tolerance,
     weighted_sum,
 )
 
 WEIGHT_SUM_TOL = 1e-6          # acceptable deviation of raw weights from 1
-COMMUTATION_TOL = 1e-9         # face-of-expectation consistency threshold
-SELECTION_COMPAT_TOL = 1e-6    # nearest-point selection mean vs projected mean
+COMMUTATION_TOL = 1e-8         # face rule versus the body, relative (see `tolerance`)
+SELECTION_COMPAT_TOL = 1e-6    # nearest-point selection mean vs projected mean, relative
 
 
 class NotExposed(ValueError):
@@ -53,7 +57,8 @@ class DiscreteRandomSet:
     """Random convex body with finitely many outcomes.
 
     Weights must be strictly positive and sum to 1 within ``WEIGHT_SUM_TOL``;
-    they are renormalized exactly on construction.
+    they are renormalized on construction unless they already sum to 1 up
+    to round-off, so renormalized weights pass through unchanged.
     """
 
     weights: np.ndarray
@@ -71,7 +76,8 @@ class DiscreteRandomSet:
         total = float(w.sum())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, outside 1 +/- {WEIGHT_SUM_TOL}")
-        w = w / total
+        if abs(total - 1.0) > len(w) * np.finfo(float).eps:
+            w = w / total
         dim = bodies[0].dim
         for body in bodies:
             if body.dim != dim:
@@ -92,6 +98,12 @@ class DiscreteRandomSet:
     def envelope(self) -> float:
         """Uniform bound on the outcomes: max over atoms of the max vertex norm."""
         return max(body.max_norm for body in self.bodies)
+
+    @cached_property
+    def box(self) -> tuple[float, float]:
+        """``(extent, magnitude)`` of all atom vertices together: the scale of
+        every body the law generates (see ``geometry.tolerance``)."""
+        return box_of(np.vstack([body.vertices for body in self.bodies]))
 
     @cached_property
     def cumulative_weights(self) -> np.ndarray:
@@ -126,27 +138,34 @@ def expectation(y: DiscreteRandomSet) -> ConvexBody:
     return weighted_sum(y.bodies, y.weights)
 
 
-def check_face_commutation(face: ConvexBody, atom_faces: Sequence[ConvexBody], coefs):
-    """Hard check that a face of sum_j coefs[j] * K_j is the same weighted sum
-    of the atom faces, within ``COMMUTATION_TOL``.
+def check_face_commutation(body: ConvexBody, atom_faces: Sequence[ConvexBody], coefs,
+                           f: np.ndarray) -> ConvexBody:
+    """The face rule: the support face of ``body = sum_j coefs[j] * K_j`` in
+    the unit direction ``f`` is ``sum_j coefs[j] * F_j``, with ``F_j`` the
+    atom faces, each decided once at its atom's own tolerance.
 
-    A violation indicates a geometry bug, not a soft condition, and raises
-    :class:`CommutationError`.
+    Returns that face after a hard check of what the body decides without
+    the rule: its support value equals the face's, and every vertex of
+    the face lies on the body, within ``tolerance(COMMUTATION_TOL,
+    body.box)``.  A violation indicates a geometry bug, not a soft
+    condition, and raises :class:`CommutationError`.
     """
-    residual = hausdorff(face, weighted_sum(atom_faces, coefs))
-    if residual > COMMUTATION_TOL:
-        raise CommutationError(
-            f"face deviates from the weighted sum of the atom faces by {residual:.3e}"
-        )
+    face = weighted_sum(atom_faces, coefs)
+    gap = abs(support(body, f) - float((face.vertices @ f).max()))
+    off = max(point_distance(body, v) for v in face.vertices)
+    if max(gap, off) > tolerance(COMMUTATION_TOL, body.box):
+        raise CommutationError(f"the mean of the atom faces misses the body's support by "
+                               f"{gap:.3e} and lies {off:.3e} off the body")
+    return face
 
 
 def expectation_face(y: DiscreteRandomSet, f) -> tuple[ConvexBody, list[ConvexBody]]:
-    """Support face of the expectation together with the per-atom faces,
-    checked by :func:`check_face_commutation`."""
-    ey = expectation(y)
-    face = support_face(ey, f).face
-    atom_faces = [support_face(body, f).face for body in y.bodies]
-    check_face_commutation(face, atom_faces, y.weights)
+    """Support face of the expectation, ``sum_j w_j F_j`` by the face rule,
+    together with the per-atom faces ``F_j``; checked by
+    :func:`check_face_commutation`."""
+    certs = [support_face(body, f) for body in y.bodies]
+    atom_faces = [cert.face for cert in certs]
+    face = check_face_commutation(expectation(y), atom_faces, y.weights, certs[0].direction)
     return face, atom_faces
 
 
@@ -157,41 +176,33 @@ def exposed_selection(y: DiscreteRandomSet, f) -> Selection:
     otherwise the expectation face is non-singleton and
     :class:`NotExposed` reports the offending atoms.
     """
-    face, atom_faces = expectation_face(y, f)
+    _, atom_faces = expectation_face(y, f)   # the face rule, checked on E
     offenders = [j + 1 for j, af in enumerate(atom_faces) if af.vertex_count != 1]
     if offenders:
         raise NotExposed(offenders)
-    points = np.vstack([af.vertices[0] for af in atom_faces])
-    sel = Selection.from_points(points, y.weights)
-    exposed_point = face.vertices[0]
-    residual = float(np.linalg.norm(sel.mean - exposed_point))
-    if residual > COMMUTATION_TOL * (1.0 + y.envelope):
-        raise CommutationError(
-            f"selection mean deviates from the exposed point by {residual:.3e}"
-        )
-    return sel
+    return Selection.from_points(np.vstack([af.vertices[0] for af in atom_faces]), y.weights)
 
 
 def nearest_point_selection(y: DiscreteRandomSet, x) -> tuple[Selection, bool]:
     """Per-atom nearest points to x, plus a compatibility flag.
 
     The flag is True when the selection mean agrees with the nearest
-    point of the expectation within ``SELECTION_COMPAT_TOL``; the facet
-    fluctuation experiment requires that agreement.
+    point of the expectation within ``tolerance(SELECTION_COMPAT_TOL,
+    y.box)``; the facet fluctuation experiment requires that agreement.
     """
     points = np.vstack([nearest_point(body, x) for body in y.bodies])
     sel = Selection.from_points(points, y.weights)
     projected = nearest_point(expectation(y), x)
-    compatible = bool(np.linalg.norm(sel.mean - projected) <= SELECTION_COMPAT_TOL)
+    compatible = bool(np.linalg.norm(sel.mean - projected)
+                      <= tolerance(SELECTION_COMPAT_TOL, y.box))
     return sel, compatible
 
 
 def tangent_variance(y: DiscreteRandomSet, u) -> float:
-    """Variance of the support value in direction u under the law."""
+    """Variance of the support value in direction u under the law, taken
+    about the mean so that it does not depend on where the law sits."""
     s = np.array([support(body, u) for body in y.bodies])
-    mean = float(y.weights @ s)
-    var = float(y.weights @ (s * s)) - mean * mean
-    return max(var, 0.0)
+    return float(y.weights @ (s - y.weights @ s) ** 2)
 
 
 def facet_inheritance(y: DiscreteRandomSet, f, n: int) -> tuple[float, float]:
@@ -211,14 +222,8 @@ def facet_inheritance(y: DiscreteRandomSet, f, n: int) -> tuple[float, float]:
     return p_facet, 1.0 - (1.0 - p_facet) ** n
 
 
-def sample(y: DiscreteRandomSet, u: float) -> int:
-    """Atom index by inverse CDF over the cumulative weights."""
-    if not 0.0 <= u < 1.0:
-        raise ValueError("u must lie in [0, 1)")
-    return int(np.searchsorted(y.cumulative_weights, u, side="right"))
-
-
 def sample_many(y: DiscreteRandomSet, u: np.ndarray) -> np.ndarray:
-    """Vectorized inverse-CDF sampling; identical to :func:`sample` per entry."""
+    """Atom indices of uniforms ``u`` in [0, 1), by inverse CDF over the
+    cumulative weights."""
     idx = np.searchsorted(y.cumulative_weights, np.asarray(u, dtype=float), side="right")
     return np.minimum(idx, y.atom_count - 1)

@@ -35,29 +35,17 @@ def _finalize_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _stream_base(master_seed: int, replication: int) -> int:
-    return _finalize(_finalize(master_seed) ^ (replication & _MASK))
-
-
-def uniform(master_seed: int, replication: int, index: int) -> float:
-    """Uniform draw in [0, 1) keyed by (master_seed, replication, index)."""
-    state = (_stream_base(master_seed, replication) + (index + 1) * _GAMMA) & _MASK
-    return (_finalize(state) >> 11) * _INV53
-
-
 def uniforms(master_seed: int, replication, n: int) -> np.ndarray:
-    """Vectorized stream of draws 0..n-1; bit-identical to :func:`uniform`.
+    """Uniform draws 0..n-1 in [0, 1) of one replication's stream: draw ``i``
+    is ``(finalize(base_r + (i + 1) * gamma) >> 11) * 2**-53``.
 
     ``replication`` is one index or a 1-D array of indices in
     ``[0, 2**64)``; for an array the streams are concatenated
     replication-major, ``len(replication) * n`` draws in all, exactly as
     stacking one call per replication.
     """
-    if np.ndim(replication) == 0:
-        bases = np.uint64(_stream_base(master_seed, replication))
-    else:
-        reps = np.asarray(replication, dtype=np.uint64).reshape(-1, 1)
-        bases = _finalize_array(np.uint64(_finalize(master_seed)) ^ reps)
+    reps = np.asarray(replication, dtype=np.uint64).reshape(-1, 1)
+    bases = _finalize_array(np.uint64(_finalize(master_seed)) ^ reps)  # base_r per replication
     steps = np.arange(1, n + 1, dtype=np.uint64)
     z = _finalize_array(bases + steps * np.uint64(_GAMMA))
     return ((z >> np.uint64(11)).astype(np.float64) * _INV53).reshape(-1)

@@ -16,7 +16,12 @@ maps the block to its statistic with array operations (a count kernel),
 at a cost per checkpoint independent of the sample size.  The body path
 (fold the mean body, then measure it) stays as the oracle: it
 recomputes replications ``0 .. ORACLE_REPS - 1`` at every size, and it
-decides the checkpoints a kernel flags as too close to a threshold.
+decides the clt-facet checkpoints too close to a threshold.
+
+Faces follow the face rule: each atom's support face ``F_j`` is decided
+once per law, and the face of a mean is ``sum_j (c_j / N) F_j`` by
+definition (face commutation), never re-decided per checkpoint.  Every
+tolerance is ``geometry.tolerance`` of the law's box.
 """
 
 from __future__ import annotations
@@ -29,10 +34,10 @@ import numpy as np
 
 from . import stats
 from .geometry import (
-    FACE_REL_TOL,
     FACET_REL_MARGIN,
-    MEMBERSHIP_REL,
+    REL_TOL,
     GeometryError,
+    _in_facet,
     hausdorff,
     is_facet_at,
     nearest_point,
@@ -41,6 +46,7 @@ from .geometry import (
     point_distance,
     support,
     support_face,
+    tolerance,
     weighted_sum,
 )
 from .randomsets import (
@@ -55,16 +61,9 @@ from .randomsets import (
 )
 from .rng import uniforms
 
-DEGENERATE_FACE_LIMIT = 1e-3   # tolerated fraction of degenerate replications
 DRAW_BUDGET = 2 ** 15          # draws per block of replications drawn by `_count_blocks`
 ORACLE_REPS = 3                # replications recomputed along the body path at every size
-ORACLE_REL = 1e-9              # kernel-versus-body-path tolerance, times 1 + envelope
-GUARD_REL = 1e-8               # half-width of the kernels' guard bands, times 1 + envelope
-FACE_EXTENT_REL = 1e-6         # facets shorter than this, times 1 + envelope, take the body path
-
-
-class DegenerateFace(RuntimeError):
-    """Too many replications produced tied (non-singleton) faces."""
+GUARD_REL = 1e-8               # half-width of clt-facet's guard band, relative (see `tolerance`)
 
 
 class IncompatibleSelection(ValueError):
@@ -113,6 +112,8 @@ class ExperimentReport:
 
     ``records`` holds one ``(replication, size, statistic_components)``
     tuple per checkpoint; every verdict is recomputable from them.
+    ``discarded`` counts dropped replications; no experiment drops any,
+    and the field stays for readers of ``report.json``.
     """
 
     experiment: str
@@ -195,75 +196,23 @@ def _fold(coefs: np.ndarray, points: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _face_gaps(bodies, f, faces) -> tuple[np.ndarray, np.ndarray]:
-    """Per atom: how far below its support in direction ``f`` its best vertex
-    off the support face lies (inf when every vertex is on it), and the
-    spread of ``f`` over the face's own vertices."""
-    gaps, spreads = [], []
-    for body, face in zip(bodies, faces):
-        vals = body.vertices @ f
-        on_face = (body.vertices[:, None, :] == face.vertices[None, :, :]).all(axis=-1).any(axis=-1)
-        top = vals.max()
-        gaps.append(float(top - vals[~on_face].max()) if not on_face.all() else np.inf)
-        spreads.append(float(top - vals[on_face].min()))
-    return np.array(gaps), np.array(spreads)
-
-
-def _tie_band(counts: np.ndarray, coefs: np.ndarray, gaps: np.ndarray, spreads: np.ndarray,
-              envelope: float) -> np.ndarray:
-    """Checkpoints whose mean may have a support face other than the weighted
-    sum of the drawn atoms' faces, as ``support_face`` would find it.
-
-    A mean vertex off that face is below the support by at least
-    ``min_{c_j > 0} (c_j / n) * gap_j``, and a vertex of that face by at
-    most ``sum_j (c_j / n) * spread_j``.  When the bound is within the
-    guard band of ``FACE_REL_TOL * (1 + envelope)``, or the spread is not
-    well inside ``FACE_REL_TOL``, only the body path can tell.
-    """
-    drawn = counts > 0
-    bound = (np.where(drawn, coefs, np.inf) * gaps).min(axis=-1)
-    spread = (coefs * spreads).sum(axis=-1)
-    return ((bound <= (FACE_REL_TOL + GUARD_REL) * (1.0 + envelope))
-            | (spread > FACE_REL_TOL / 2.0))
-
-
-def _segment_band(counts: np.ndarray, faces, f: np.ndarray) -> np.ndarray:
-    """Checkpoints whose facet ``sum_j (c_j / n) F_j`` need not be a segment:
-    a drawn atom face of three or more vertices, or two drawn segment faces
-    that are not exactly parallel.  ``is_facet_at`` takes the relative
-    boundary of such a face in its own affine hull."""
-    tilts = []
-    for face in faces:
-        V = face.vertices
-        if len(V) == 2:
-            tilts.append(float((V[1] - V[0]) @ f / np.linalg.norm(V[1] - V[0])))
-        else:
-            tilts.append(np.nan if len(V) == 1 else np.inf)
-    tilts = np.array(tilts)
-    segments = (counts > 0) & np.isfinite(tilts)
-    low = np.where(segments, tilts, np.inf).min(axis=-1)
-    high = np.where(segments, tilts, -np.inf).max(axis=-1)
-    return (high > low) | ((counts > 0) & np.isposinf(tilts)).any(axis=-1)
-
-
 def _reconcile(reps: np.ndarray, sizes: tuple[int, ...], coefs: np.ndarray,
-               values: np.ndarray, band: np.ndarray, body, envelope: float,
-               oracle_reps: Optional[int] = None) -> np.ndarray:
+               values: np.ndarray, body, tol: float, band: Optional[np.ndarray] = None,
+               oracle_reps: int = ORACLE_REPS) -> np.ndarray:
     """Body-path values where the kernel is unsure, and the in-run oracle.
 
     ``values[r, s]`` is the kernel's statistic of checkpoint
     ``(reps[r], sizes[s])`` and ``band`` marks the checkpoints whose
     statistic the kernel cannot decide; those take
-    ``body(coefs[r, s], rep)``.  Every checkpoint of the replications
-    below ``oracle_reps`` (default ``ORACLE_REPS``) is recomputed along
-    the body path as well, and a difference beyond
-    ``ORACLE_REL * (1 + envelope)`` raises :class:`OracleMismatch`.
+    ``body(coefs[r, s])``.  Every checkpoint of the replications below
+    ``oracle_reps`` is recomputed along the body path as well, and a
+    difference beyond ``tol`` raises :class:`OracleMismatch`.
     """
-    tol = ORACLE_REL * (1.0 + envelope)
-    oracle_reps = ORACLE_REPS if oracle_reps is None else oracle_reps
+    if band is None:
+        band = np.zeros(values.shape[:2], dtype=bool)
     redo = band | (reps < oracle_reps)[:, None]
     for r, s in zip(*np.nonzero(redo)):
-        slow = body(coefs[r, s], int(reps[r]))
+        slow = body(coefs[r, s])
         if band[r, s]:
             values[r, s] = slow
         elif not np.all(np.abs(values[r, s] - slow) <= tol):
@@ -287,15 +236,16 @@ def _distances(y: DiscreteRandomSet,
     In 2-D the distance comes straight from the draw counts through the
     atoms' normal fan; replication 0 is recomputed along the body path
     (fold the mean, then Wolfe) at every size as an oracle, and a
-    disagreement beyond ``1e-9 * (1 + envelope)`` raises
+    disagreement beyond ``tolerance(REL_TOL, y.box)`` raises
     :class:`OracleMismatch`.  Other dimensions take the body path.  No
     distance may exceed the largest atom-to-expectation distance.
     """
     ey = expectation(y)
     fan = normal_fan(y.bodies) if y.dim == 2 else None
     sizes = config.sample_sizes
+    tol = tolerance(REL_TOL, y.box)
 
-    def body_distance(coefs, rep=0):
+    def body_distance(coefs):
         return hausdorff(weighted_sum(y.bodies, coefs), ey)
 
     units = np.eye(y.atom_count)
@@ -308,10 +258,9 @@ def _distances(y: DiscreteRandomSet,
         if fan is None:
             dist, band = np.zeros(counts.shape[:2]), np.ones(counts.shape[:2], dtype=bool)
         else:
-            dist, band = fan.hausdorff(coefs, y.weights), np.zeros(counts.shape[:2], dtype=bool)
-        dist = _reconcile(reps, sizes, coefs, dist, band, body_distance, y.envelope,
-                          oracle_reps=1)
-        if (dist > max_atom_dist + 1e-9).any():
+            dist, band = fan.hausdorff(coefs, y.weights), None
+        dist = _reconcile(reps, sizes, coefs, dist, body_distance, tol, band, oracle_reps=1)
+        if (dist > max_atom_dist + tol).any():
             raise GeometryError("sample mean left the hull of the atoms")
         yield reps, dist
 
@@ -319,30 +268,23 @@ def _distances(y: DiscreteRandomSet,
 def _exposed_points(y: DiscreteRandomSet, f: np.ndarray,
                     config: ExperimentConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Exposed point of every checkpoint's mean in direction ``f``, per block
-    ``(reps, (R, S, d) points)``; a tied (non-singleton) face gives NaN.
+    ``(reps, (R, S, d) points)``.
 
-    By face commutation the point is ``sum_j (c_j / n) * v_j`` with ``v_j``
-    the exposed vertex of atom ``j``, folded as ``weighted_sum`` folds.
-    Ties are decided by the body path only, on the checkpoints that
-    :func:`_tie_band` flags.  The atoms' faces must be singletons.
+    The atoms' faces must be singletons ``{v_j}``; by the face rule the
+    mean's face is then the point ``sum_j (c_j / n) * v_j``, folded as
+    ``weighted_sum`` folds, and never tied.
     """
     atom_faces = [support_face(body, f).face for body in y.bodies]
     tops = np.array([face.vertices[0] for face in atom_faces])
-    gaps, spreads = _face_gaps(y.bodies, f, atom_faces)
     sizes = config.sample_sizes
+    tol = tolerance(REL_TOL, y.box)
 
-    def body(coefs, rep):
-        cert = support_face(weighted_sum(y.bodies, coefs), f)
-        if cert.face.vertex_count != 1:
-            return np.full(y.dim, np.nan)
-        if rep < ORACLE_REPS:
-            check_face_commutation(cert.face, atom_faces, coefs)
-        return cert.face.vertices[0]
+    def body(coefs):
+        return check_face_commutation(weighted_sum(y.bodies, coefs), atom_faces, coefs, f).vertices[0]
 
     for reps, counts in _count_blocks(y, config):
         coefs = counts / np.array(sizes)[:, None]
-        band = _tie_band(counts, coefs, gaps, spreads, y.envelope)
-        yield reps, _reconcile(reps, sizes, coefs, _fold(coefs, tops), band, body, y.envelope)
+        yield reps, _reconcile(reps, sizes, coefs, _fold(coefs, tops), body, tol)
 
 
 def _tangent_values(y: DiscreteRandomSet, u: np.ndarray, config: ExperimentConfig
@@ -361,7 +303,7 @@ def _tangent_values(y: DiscreteRandomSet, u: np.ndarray, config: ExperimentConfi
     def face_gap(coefs):
         return hausdorff(weighted_sum(atom_faces, coefs), ey_face)
 
-    def body(coefs, rep):
+    def body(coefs):
         return [support(weighted_sum(y.bodies, coefs), u), face_gap(coefs)]
 
     for reps, counts in _count_blocks(y, config):
@@ -372,8 +314,7 @@ def _tangent_values(y: DiscreteRandomSet, u: np.ndarray, config: ExperimentConfi
         else:
             gaps = fan.hausdorff(coefs, y.weights)
         values = np.stack([totals / np.array(sizes), gaps], axis=-1)
-        _reconcile(reps, sizes, coefs, values, np.zeros(counts.shape[:2], dtype=bool), body,
-                   y.envelope)
+        _reconcile(reps, sizes, coefs, values, body, tolerance(REL_TOL, y.box))
         yield reps, totals, gaps
 
 
@@ -382,37 +323,38 @@ def _facet_values(y: DiscreteRandomSet, x: np.ndarray, f: np.ndarray,
     """Per block ``(reps, (R, S, 2) values)``: the distance from ``x`` to each
     checkpoint's mean and whether its nearest point makes an excursion
     (1.0) off the relative interior of the mean's facet in direction
-    ``f``, with the rule of :func:`is_facet_at` (``dist <= 1e-12`` is an
+    ``f``, measured inside ``f``-perp as :func:`is_facet_at` measures it
+    (a distance within ``tol = tolerance(REL_TOL, y.box)`` is an
     excursion too).
 
-    In 2-D both come from the draw counts: the distance from the normal
-    fan, the facet as the segment ``sum_j (c_j / n) [a_j, b_j]`` between
-    the atom f-face endpoints.  When ``x`` is beyond the facet's line and
-    projects into the facet, its nearest point is that projection, inside
-    the facet if it keeps ``FACET_REL_MARGIN * diameter`` from both ends;
-    when it projects outside, the nearest point is off the facet.  The
-    body path decides the rest: a projection inside from the other side
-    of the line (a flat mean has the facet on both sides), margins no
-    wider than ``is_facet_at``'s membership tolerance, checkpoints
-    within ``GUARD_REL * (1 + envelope)`` of a threshold, those flagged
-    by :func:`_tie_band` or :func:`_segment_band`, and every checkpoint
-    of other dimensions.
+    By the face rule the facet is ``sum_j (c_j / n) F_j``; inside
+    ``f``-perp it is the segment between the folded endpoints ``a_j``,
+    ``b_j`` of the atom faces.  In 2-D both values come from the draw
+    counts: the distance from the normal fan, and when ``x`` is beyond
+    the facet's line and projects into the facet, its nearest point is
+    that projection, inside the facet if it keeps
+    ``FACET_REL_MARGIN * diameter`` from both ends; when it projects
+    outside, the nearest point is off the facet.  The body path decides
+    the checkpoints within ``tolerance(GUARD_REL, y.box)`` of one of
+    these thresholds, and every checkpoint of other dimensions.
     """
     atom_faces = [support_face(body, f).face for body in y.bodies]
-    gaps, spreads = _face_gaps(y.bodies, f, atom_faces)
     fan = normal_fan(y.bodies) if y.dim == 2 else None
     sizes = config.sample_sizes
-    guard = GUARD_REL * (1.0 + y.envelope)
+    tol = tolerance(REL_TOL, y.box)
+    guard = tolerance(GUARD_REL, y.box)
     if fan is not None:
         along = np.array([-f[1], f[0]])
         ends = np.array([[face.vertices[np.argmin(face.vertices @ along)],
                           face.vertices[np.argmax(face.vertices @ along)]] for face in atom_faces])
 
-    def body(coefs, rep):
+    def body(coefs):
         mean = weighted_sum(y.bodies, coefs)
+        face = check_face_commutation(mean, atom_faces, coefs, f)
         dist = point_distance(mean, x)
-        outside = dist <= 1e-12 or not is_facet_at(mean, nearest_point(mean, x), f)
-        return [dist, float(outside)]
+        inside = dist > tol and _in_facet(face, nearest_point(mean, x), f,
+                                          FACET_REL_MARGIN * mean.diameter, tol)
+        return [dist, float(not inside)]
 
     for reps, counts in _count_blocks(y, config):
         coefs = counts / np.array(sizes)[:, None]
@@ -422,7 +364,7 @@ def _facet_values(y: DiscreteRandomSet, x: np.ndarray, f: np.ndarray,
         else:
             dist = fan.point_distance(coefs, x)
             a, b = _fold(coefs, ends[:, 0]), _fold(coefs, ends[:, 1])
-            length = np.hypot(*np.moveaxis(b - a, -1, 0))
+            length = ((b - a) * along).sum(axis=-1)
             offset = ((x - a) * along).sum(axis=-1)      # projection of x along the facet
             height = ((x - a) * f).sum(axis=-1)          # beyond the facet's line when > 0
             inner = np.minimum(offset, length - offset)  # distance to the nearer end
@@ -432,15 +374,12 @@ def _facet_values(y: DiscreteRandomSet, x: np.ndarray, f: np.ndarray,
                 far = np.sqrt(((P - P[..., i, None, :]) ** 2).sum(axis=-1)).max(axis=-1)
                 diameter = np.maximum(diameter, far)
             margin = FACET_REL_MARGIN * diameter
-            facet = (dist > 1e-12) & (inner > margin)   # height > 0 is settled by the band
+            facet = (dist > tol) & (inner > margin)   # height > 0 is settled by the band
             values = np.stack([dist, (~facet).astype(float)], axis=-1)
-            band = (_tie_band(counts, coefs, gaps, spreads, y.envelope)
-                    | _segment_band(counts, atom_faces, f)
-                    | (np.abs(dist - 1e-12) <= guard)
+            band = ((np.abs(dist - tol) <= guard)
                     | ((inner > margin - guard)
-                       & ((height <= guard) | (np.abs(inner - margin) <= guard)))
-                    | (margin <= MEMBERSHIP_REL * (1.0 + y.envelope) + guard))
-        yield reps, _reconcile(reps, sizes, coefs, values, band, body, y.envelope)
+                       & ((height <= guard) | (np.abs(inner - margin) <= guard))))
+        yield reps, _reconcile(reps, sizes, coefs, values, body, tol, band)
 
 
 def _facet_flags(y: DiscreteRandomSet, f: np.ndarray,
@@ -448,30 +387,20 @@ def _facet_flags(y: DiscreteRandomSet, f: np.ndarray,
     """Per block ``(reps, (R, S) flags)``: 1.0 when the checkpoint's mean has
     a facet (a support face of two or more vertices) in direction ``f``.
 
-    By face commutation it has one exactly when a drawn atom has one.
-    Checkpoints flagged by :func:`_tie_band`, or whose facet is shorter
-    than ``FACE_EXTENT_REL * (1 + envelope)`` (the hull's vertex merge
-    could close it up), take the body path.
+    By the face rule it has one exactly when a drawn atom has one.
     """
     atom_faces = [support_face(body, f).face for body in y.bodies]
     facet_atoms = np.array([face.vertex_count >= 2 for face in atom_faces])
-    extents = np.array([face.diameter for face in atom_faces])
-    gaps, spreads = _face_gaps(y.bodies, f, atom_faces)
     sizes = config.sample_sizes
+    tol = tolerance(REL_TOL, y.box)
 
-    def body(coefs, rep):
-        cert = support_face(weighted_sum(y.bodies, coefs), f)
-        if rep < ORACLE_REPS:
-            check_face_commutation(cert.face, atom_faces, coefs)
-        return 1.0 if cert.face.vertex_count >= 2 else 0.0
+    def body(coefs):
+        face = check_face_commutation(weighted_sum(y.bodies, coefs), atom_faces, coefs, f)
+        return 1.0 if face.vertex_count >= 2 else 0.0
 
     for reps, counts in _count_blocks(y, config):
         coefs = counts / np.array(sizes)[:, None]
-        flags = _facet_kernel(counts, facet_atoms)
-        extent = (coefs * extents).max(axis=-1)
-        band = (_tie_band(counts, coefs, gaps, spreads, y.envelope)
-                | ((flags > 0.0) & (extent <= FACE_EXTENT_REL * (1.0 + y.envelope))))
-        yield reps, _reconcile(reps, sizes, coefs, flags, band, body, y.envelope)
+        yield reps, _reconcile(reps, sizes, coefs, _facet_kernel(counts, facet_atoms), body, tol)
 
 
 def _facet_kernel(counts: np.ndarray, facet_atoms: np.ndarray) -> np.ndarray:
@@ -578,8 +507,7 @@ def clt_exposed_experiment(y: DiscreteRandomSet, direction, config: ExperimentCo
     Verdicts (on the largest size): empirical covariance within
     ``cov_atol`` entrywise of the analytic selection covariance, KS
     normality per non-degenerate coordinate, and near-zero empirical
-    mean.  Replications whose face is non-singleton at some checkpoint
-    are discarded; more than ``DEGENERATE_FACE_LIMIT`` of them fails.
+    mean.  Every atom face is a point, so no mean's face is tied.
     """
     t0 = time.perf_counter()
     selection = exposed_selection(y, direction)  # raises NotExposed if blocked
@@ -588,16 +516,9 @@ def clt_exposed_experiment(y: DiscreteRandomSet, direction, config: ExperimentCo
     d = y.dim
 
     records = []
-    discarded = 0   # replications with a non-singleton face at some checkpoint
     root_n = np.sqrt(config.sample_sizes)[:, None]
     for reps, points in _exposed_points(y, norm_gradient(direction), config):
-        kept = ~np.isnan(points).any(axis=(1, 2))
-        discarded += int((~kept).sum())
-        records += _records(reps[kept], config.sample_sizes, root_n * (points[kept] - target))
-    if discarded > DEGENERATE_FACE_LIMIT * config.replications:
-        raise DegenerateFace(
-            f"{discarded} of {config.replications} replications had tied faces"
-        )
+        records += _records(reps, config.sample_sizes, root_n * (points - target))
 
     final_n = config.sample_sizes[-1]
     final = np.array([stat for _, n, stat in records if n == final_n])
@@ -625,7 +546,7 @@ def clt_exposed_experiment(y: DiscreteRandomSet, direction, config: ExperimentCo
     ks = []
     for axis in range(d):
         sd = float(np.sqrt(sigma[axis, axis]))
-        if sd <= 1e-9 * (1.0 + y.envelope):
+        if sd <= tolerance(REL_TOL, y.box):
             continue
         D, p = stats.ks_test_normal(final[:, axis], 0.0, sd)
         ks.append({"axis": axis, "D": D, "p": p})
@@ -643,7 +564,6 @@ def clt_exposed_experiment(y: DiscreteRandomSet, direction, config: ExperimentCo
         records=records,
         moments=moments,
         verdicts=verdicts,
-        discarded=discarded,
         duration_seconds=time.perf_counter() - t0,
     )
 
@@ -683,7 +603,8 @@ def clt_tangent_experiment(y: DiscreteRandomSet, direction, config: ExperimentCo
         "face_gap_by_size": [{"N": n, "mean_gap": gap_means[n]} for n in config.sample_sizes],
     }
     verdicts = {}
-    if sigma2 > 0.0:
+    tol = tolerance(REL_TOL, y.box)   # a support value's round-off; records are sqrt(N) times it
+    if sigma2 > tol * tol:
         verdicts["variance"] = {
             "pass": abs(emp_var - sigma2) <= variance_rtol * sigma2,
             "observed": emp_var,
@@ -694,7 +615,7 @@ def clt_tangent_experiment(y: DiscreteRandomSet, direction, config: ExperimentCo
         verdicts["ks_normality"] = {"pass": p > ks_alpha, "D": D, "p": p, "alpha": ks_alpha}
     else:
         verdicts["variance"] = {
-            "pass": emp_var <= 1e-12,
+            "pass": emp_var <= final_n * tol * tol,
             "observed": emp_var,
             "expected": 0.0,
         }
@@ -733,7 +654,7 @@ def clt_facet_experiment(y: DiscreteRandomSet, point, config: ExperimentConfig, 
     ey = expectation(y)
     x = np.asarray(point, dtype=float).reshape(-1)
     base_distance = point_distance(ey, x)
-    if base_distance <= 1e-9 * (1.0 + y.envelope):
+    if base_distance <= tolerance(REL_TOL, y.box):
         raise InsideBody("query point lies inside the expectation")
     k = nearest_point(ey, x)
     outward = norm_gradient(k - x)
@@ -768,7 +689,7 @@ def clt_facet_experiment(y: DiscreteRandomSet, point, config: ExperimentConfig, 
         "excursions": excursions,
     }
     verdicts = {}
-    if predicted_var > 1e-12:
+    if predicted_var > tolerance(REL_TOL, y.box) ** 2:
         verdicts["variance"] = {
             "pass": abs(emp_var - predicted_var) <= variance_rtol * predicted_var,
             "observed": emp_var,

@@ -1,4 +1,4 @@
-"""Slow reference implementations shared by the tests.
+"""Slow reference implementations and test-only helpers shared by the tests.
 
 The mean process adds draws one Minkowski sum at a time; it is the
 draw-by-draw oracle for the count-driven sample means of
@@ -9,20 +9,31 @@ signs evaluated in exact rational arithmetic.  ``checkpoints`` draws the
 counts one replication at a time and ``body_values`` measures every
 checkpoint's folded mean body: together they are the per-record
 reference for the blocked count kernels of ``setmeans.simulate``.
+``exact_support_face`` decides the support face of a Minkowski
+combination in exact rational arithmetic over every combination of atom
+vertices, without face commutation: the reference for the face rule.
+``translate``, ``serialize_scene``, ``sample`` and ``uniform`` are
+test-only helpers; ``uniform`` recomputes one splitmix64 draw with
+Python integers.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
+from setmeans.cli import SCENE_VERSION
 from setmeans.geometry import (
-    VERTEX_DEDUP_REL,
+    REL_TOL,
     ConvexBody,
     DimensionMismatch,
+    _as_vector,
+    _canonical,
+    box_of,
     hausdorff,
     is_facet_at,
     minkowski_sum,
@@ -31,10 +42,52 @@ from setmeans.geometry import (
     scale,
     support,
     support_face,
+    tolerance,
     weighted_sum,
 )
-from setmeans.randomsets import sample_many
+from setmeans.randomsets import DiscreteRandomSet, sample_many
 from setmeans.rng import uniforms
+
+
+def translate(a: ConvexBody, t) -> ConvexBody:
+    """Shift a body by the vector t."""
+    return ConvexBody(_canonical(a.vertices + _as_vector(t, a.dim)))
+
+
+def serialize_scene(y: DiscreteRandomSet) -> dict:
+    """Scene document of a law, the inverse of ``setmeans.cli.parse_scene``."""
+    return {
+        "version": SCENE_VERSION,
+        "dim": y.dim,
+        "atoms": [
+            {"weight": float(w), "vertices": body.vertices.tolist()}
+            for w, body in zip(y.weights, y.bodies)
+        ],
+    }
+
+
+def sample(y: DiscreteRandomSet, u: float) -> int:
+    """Atom index of one uniform by inverse CDF over the cumulative weights."""
+    if not 0.0 <= u < 1.0:
+        raise ValueError("u must lie in [0, 1)")
+    return int(np.searchsorted(y.cumulative_weights, u, side="right"))
+
+
+_MASK = (1 << 64) - 1
+
+
+def _splitmix_finalize(z: int) -> int:
+    z &= _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def uniform(master_seed: int, replication: int, index: int) -> float:
+    """Draw ``index`` of replication ``replication``: splitmix64 on Python ints."""
+    base = _splitmix_finalize(_splitmix_finalize(master_seed) ^ (replication & _MASK))
+    state = (base + (index + 1) * 0x9E3779B97F4A7C15) & _MASK
+    return (_splitmix_finalize(state) >> 11) * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -69,13 +122,13 @@ def same_body(a: ConvexBody, b: ConvexBody, tol: float = 1e-9) -> bool:
 
 
 def dense_dedup(P: np.ndarray) -> np.ndarray:
-    """Merge points closer than the relative dedup tolerance, all pairs compared.
+    """Merge points closer than ``tolerance(REL_TOL, box_of(P))``, all pairs compared.
 
     Each cluster of the proximity graph is represented by its
     lexicographically smallest member; survivors keep their input order.
     """
     n = len(P)
-    tol = VERTEX_DEDUP_REL * (1.0 + float(np.abs(P).max()))
+    tol = tolerance(REL_TOL, box_of(P))
     close = ((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=2) <= tol * tol
     label = list(range(n))
 
@@ -166,8 +219,40 @@ def body_values(kind, y, vector, config) -> dict:
         elif kind == "facet":
             x, f = vector
             dist = point_distance(mean, x)
-            value = [dist, float(dist <= 1e-12 or not is_facet_at(mean, nearest_point(mean, x), f))]
+            outside = dist <= tolerance(REL_TOL, y.box) or \
+                not is_facet_at(mean, nearest_point(mean, x), f)
+            value = [dist, float(outside)]
         else:
             value = float(support_face(mean, vector).face.vertex_count >= 2)
         out[rep, n] = np.asarray(value, dtype=float)
     return out
+
+
+def exact_support_face(bodies, coefs, u) -> np.ndarray:
+    """Vertices of the support face of ``sum_j coefs[j] * bodies[j]`` (2-D) in
+    the integer direction ``u``, in lexicographic order.
+
+    Decided in exact rational arithmetic: vertex coordinates and
+    ``coefs`` (ints or ``Fraction``) are read as rationals, every
+    combination of one vertex per body with a nonzero coefficient is
+    evaluated, and the face is the segment between the maximizers that
+    are extreme along ``u`` turned by 90 degrees.  No tolerance and no
+    face commutation are involved.
+    """
+    u = [Fraction(int(c)) for c in u]
+    terms = [(Fraction(c), [tuple(map(Fraction, v)) for v in body.vertices.tolist()])
+             for body, c in zip(bodies, coefs) if c != 0]
+    best, face = None, []
+    for combo in itertools.product(*(vertices for _, vertices in terms)):
+        p = tuple(sum(c * v[i] for (c, _), v in zip(terms, combo)) for i in range(2))
+        value = u[0] * p[0] + u[1] * p[1]
+        if best is None or value > best:
+            best, face = value, [p]
+        elif value == best:
+            face.append(p)
+
+    def along(p):
+        return u[0] * p[1] - u[1] * p[0]
+
+    ends = {min(face, key=along), max(face, key=along)}
+    return np.array(sorted({(float(x), float(y)) for x, y in ends}))

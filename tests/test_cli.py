@@ -6,17 +6,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import serialize_scene
 from setmeans.cli import (
     SceneError,
     entry,
     load_scene_point_sets,
     parse_scene,
     run_command,
-    serialize_scene,
     write_report,
 )
-from setmeans.geometry import ConvergenceError, NormalFan
+from setmeans.geometry import ConvergenceError, NormalFan, hull
 from setmeans import simulate
 from setmeans.randomsets import DiscreteRandomSet
 from setmeans.simulate import ExperimentConfig, lln_experiment
@@ -90,6 +92,30 @@ def test_scene_round_trip():
     assert np.allclose(again.weights, y.weights, atol=1e-12)
     for a, b in zip(again.bodies, y.bodies):
         assert np.allclose(a.vertices, b.vertices, atol=1e-12)
+
+
+@st.composite
+def laws(draw):
+    """Laws of 1..4 atoms in 1..3 dimensions: raw weights, and hulls of
+    integer points times a power of two (exact in binary)."""
+    dim = draw(st.integers(1, 3))
+    factor = 2.0 ** draw(st.integers(-30, 30))
+    point = st.lists(st.integers(-20, 20), min_size=dim, max_size=dim)
+    atoms = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.floats(0.01, 10.0), min_size=atoms, max_size=atoms))
+    bodies = tuple(hull(factor * np.array(draw(st.lists(point, min_size=1, max_size=8))))
+                   for _ in range(atoms))
+    return DiscreteRandomSet(weights=np.array(weights) / sum(weights), bodies=bodies)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(laws())
+def test_scene_round_trip_is_exact(y):
+    again = parse_scene(json.dumps(serialize_scene(y)))
+    assert np.array_equal(again.weights, y.weights)
+    assert len(again.bodies) == len(y.bodies)
+    for a, b in zip(again.bodies, y.bodies):
+        assert np.array_equal(a.vertices, b.vertices)
 
 
 def test_load_scene_point_sets_keeps_raw_points(tmp_path):
@@ -412,6 +438,64 @@ def test_lln_below_unit_scale_is_the_unit_run_scaled(tmp_path, capsys):
                  for d in ("unit", "small"))
     assert np.array_equal(got[:, :2], want[:, :2])
     assert np.allclose(got[:, 2], 1e-6 * want[:, 2], rtol=1e-9, atol=0.0)
+
+
+def scaled_scene(text: str, factor: float) -> str:
+    doc = json.loads(text)
+    for atom in doc["atoms"]:
+        atom["vertices"] = (factor * np.array(atom["vertices"])).tolist()
+    return json.dumps(doc)
+
+
+def test_face_of_a_tiny_scene_is_the_unit_face_scaled(tmp_path, capsys):
+    scene = write_scene(tmp_path, scaled_scene(TWO_SEGMENTS, 1e-10))
+    assert run_command(["face", "--scene", scene, "--dir", "1,1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    support_value = float(lines[1].split()[1])
+    assert support_value == pytest.approx(1e-10 / np.sqrt(2.0), rel=1e-12)
+    assert lines[2] == "is_exposed true"
+    assert np.allclose([float(c) for c in lines[-1].split()], [5e-11, 5e-11], rtol=1e-12, atol=0)
+
+
+def test_face_of_a_rare_near_tie_is_the_mean_of_the_atom_faces(tmp_path, capsys):
+    # weighted by 0.01, atom 2's runner-up vertex lies 2e-10 below the top of E
+    scene = write_scene(tmp_path, json.dumps({"version": 1, "dim": 2, "atoms": [
+        {"weight": 0.99, "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]},
+        {"weight": 0.01, "vertices": [[0, 0], [1, -2e-8]]}]}))
+    assert run_command(["face", "--scene", scene, "--dir", "0,-1"]) == 0
+    out = capsys.readouterr().out
+    assert "is_exposed false" in out
+    assert out.split("face_vertices:\n")[1].splitlines() == ["0.01 -2e-10", "1.0 -2e-10"]
+
+
+def test_facet_freq_runs_on_a_law_with_a_near_tie(tmp_path, capsys):
+    # atom 2's runner-up vertex lies 2e-8 below its exposed vertex in
+    # direction (0, -1): the mean's face is still the mean of the atom faces
+    scene = write_scene(tmp_path, json.dumps({"version": 1, "dim": 2, "atoms": [
+        {"weight": 0.9, "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]},
+        {"weight": 0.1, "vertices": [[0, 0], [1, -2e-8]]}]}))
+    out = tmp_path / "out"
+    code = run_command(["simulate", "facet-freq", "--scene", scene, "--dir", "0,-1", "--seed", "1",
+                        "--reps", "50", "--sizes", "16", "--out", str(out)])
+    assert code in (0, 2), capsys.readouterr().err
+    records = np.loadtxt(out / "records.csv", delimiter=",", skiprows=1)
+    assert (records[:, 2] == 1.0).all()   # atom 1 has the bottom facet; every mean inherits it
+
+
+def test_clt_facet_on_a_tiny_scene_is_the_unit_run_scaled(tmp_path, capsys):
+    text = (SCENES / "stacked_squares.json").read_text()
+    argv = ["simulate", "clt-facet", "--seed", "3", "--reps", "40", "--sizes", "4,16"]
+    for name, factor in (("unit", 1.0), ("tiny", 1e-10)):
+        scene = write_scene(tmp_path, scaled_scene(text, factor), f"{name}.json")
+        point = f"{0.5 * factor},{-1.0 * factor}"
+        assert run_command(argv + ["--scene", scene, "--point", point,
+                                   "--out", str(tmp_path / name)]) in (0, 2)
+    capsys.readouterr()
+    want, got = (np.loadtxt(tmp_path / d / "records.csv", delimiter=",", skiprows=1)
+                 for d in ("unit", "tiny"))
+    assert np.allclose(got[:, 2], 1e-10 * want[:, 2], rtol=1e-9, atol=1e-24)
+    reports = [json.loads((tmp_path / d / "report.json").read_text()) for d in ("unit", "tiny")]
+    assert reports[0]["moments"]["excursions"] == reports[1]["moments"]["excursions"]
 
 
 def _not_converging(*args):

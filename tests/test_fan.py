@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import checkpoints
+from oracles import checkpoints, translate
 from setmeans.cli import parse_scene
 from setmeans.geometry import (
     GeometryError,
     hausdorff,
     hull,
     normal_fan,
-    translate,
     weighted_sum,
 )
 from setmeans.simulate import (

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import same_body
+from oracles import same_body, translate
 from setmeans.geometry import (
     ConvexBody,
     DimensionMismatch,
@@ -20,7 +20,6 @@ from setmeans.geometry import (
     sphere_grid,
     support,
     support_face,
-    translate,
 )
 
 SQ2 = np.sqrt(2.0)

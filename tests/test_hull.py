@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import chain_hull, dense_dedup
-from setmeans.geometry import VERTEX_DEDUP_REL, ConvexBody, _dedup, hull, point_distance
+from setmeans.geometry import REL_TOL, ConvexBody, _dedup, box_of, hull, point_distance, tolerance
 
 # derandomized, so a tier-1 run is reproducible; no example database on disk
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -87,7 +87,7 @@ def test_dedup_matches_the_dense_oracle(kind, seed, n, dim):
         P = starts[rng.integers(0, groups, n)] + 1e-11 * rng.normal(size=(n, dim))
     else:  # chains with steps of 0.45 merge radii: only transitive merges join their ends
         steps = rng.normal(size=(groups, dim))
-        radius = VERTEX_DEDUP_REL * (1.0 + float(np.abs(starts).max()))
+        radius = tolerance(REL_TOL, box_of(starts))  # the chains barely widen the box
         steps *= 0.45 * radius / np.linalg.norm(steps, axis=1, keepdims=True)
         i = rng.permutation(n)
         P = starts[i % groups] + (i // groups)[:, None] * steps[i % groups]

@@ -2,10 +2,12 @@
 
 Every boundary statistic is computed from a block of draw counts; the
 reference folds each checkpoint's mean body and measures it
-(``oracles.body_values``).  Pinned laws drive checkpoints into the
-kernels' guard bands, where only the body path can decide.
+(``oracles.body_values``).  Pinned laws with near ties check the face
+rule against faces decided in exact arithmetic, and drive clt-facet
+checkpoints into its guard band, where only the body path decides.
 """
 
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +15,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import body_values
+from oracles import body_values, checkpoints, exact_support_face
 from setmeans import simulate
 from setmeans.cli import parse_scene, run_command
-from setmeans.geometry import hull, norm_gradient, support_face
+from setmeans.geometry import (
+    FACET_REL_MARGIN,
+    REL_TOL,
+    hull,
+    nearest_point,
+    norm_gradient,
+    point_distance,
+    support_face,
+    tolerance,
+    weighted_sum,
+)
 from setmeans.randomsets import DiscreteRandomSet, expectation
 from setmeans.simulate import (
     ExperimentConfig,
@@ -178,12 +190,12 @@ def test_facet_records_and_excursions_equal_the_body_path():
 
 
 # ---------------------------------------------------------------------------
-# guard bands: pinned laws whose checkpoints only the body path decides
+# the face rule: a mean's face is sum_j (c_j / n) F_j, with F_j decided once
 
 def near_tie_law():
     """Atom 2's runner-up vertex lies 2e-8 below its exposed vertex in
-    direction (0, -1), above the atom's face tolerance, but a mean that
-    draws it rarely puts that gap inside the mean's face tolerance."""
+    direction (0, -1): a gap above the atom's face tolerance that a mean
+    drawing it rarely shrinks below the mean's own face tolerance."""
     return DiscreteRandomSet(
         weights=[0.9, 0.1],
         bodies=(hull([[0.0, 0.0], [1.0, 1.0], [-1.0, 1.0]]), hull([[0.0, 0.0], [10.0, 2e-8]])),
@@ -191,8 +203,8 @@ def near_tie_law():
 
 
 def uneven_facet_law():
-    """Atom 1's facet in direction (0, -1) rises by 5e-7, inside its own face
-    tolerance far from the origin, but not inside that of a mean near it."""
+    """Atom 1's bottom edge rises by 5e-7 over a length of 1, far from the
+    origin: a vertex, not a facet, at any translation."""
     return DiscreteRandomSet(
         weights=[0.5, 0.5],
         bodies=(hull([[1000.0, 0.0], [1001.0, 5e-7]]), hull([[-1000.0, 0.0]])),
@@ -200,13 +212,80 @@ def uneven_facet_law():
 
 
 DOWN = np.array([0.0, -1.0])
-TIE_CASES = {   # kind -> (law, kernel, body_values vector)
+X_BELOW = np.array([0.3, -1.0])
+NEAR_TIE_CASES = {   # kind -> (law, kernel, body_values vector)
     "exposed": (near_tie_law, lambda y, c: _exposed_points(y, DOWN, c), DOWN),
-    "facet": (near_tie_law, lambda y, c: _facet_values(y, np.array([0.3, -1.0]), DOWN, c),
-              (np.array([0.3, -1.0]), DOWN)),
+    "facet": (near_tie_law, lambda y, c: _facet_values(y, X_BELOW, DOWN, c), (X_BELOW, DOWN)),
     "flags": (near_tie_law, lambda y, c: _facet_flags(y, DOWN, c), DOWN),
     "flags-uneven": (uneven_facet_law, lambda y, c: _facet_flags(y, DOWN, c), DOWN),
 }
+
+
+def exact_values(kind, y, vector, config) -> dict:
+    """Per checkpoint, the statistic of a kernel with the mean's face in
+    direction (0, -1) decided in exact arithmetic (``exact_support_face``);
+    clt-facet's distance and nearest point come from the folded body."""
+    out = {}
+    for rep, n, counts in checkpoints(y, config):
+        face = exact_support_face(y.bodies, [Fraction(int(c), n) for c in counts], (0, -1))
+        if kind == "exposed":
+            value = face[0] if len(face) == 1 else np.full(y.dim, np.nan)
+        elif kind == "flags":
+            value = float(len(face) >= 2)
+        else:
+            x, _ = vector
+            mean = weighted_sum(y.bodies, counts / n)
+            dist = point_distance(mean, x)
+            k = nearest_point(mean, x)
+            margin = FACET_REL_MARGIN * mean.diameter
+            inside = (len(face) == 2 and dist > tolerance(REL_TOL, y.box)
+                      and abs(k[1] - face[0, 1]) <= tolerance(REL_TOL, y.box)
+                      and face[0, 0] + margin < k[0] < face[1, 0] - margin)
+            value = [dist, float(not inside)]
+        out[rep, n] = np.asarray(value, dtype=float)
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(NEAR_TIE_CASES))
+def test_near_ties_follow_the_atom_faces(kind):
+    law, kernel, vector = NEAR_TIE_CASES[kind]
+    kind, y = kind.split("-")[0], law()
+    config = ExperimentConfig(master_seed=2, sample_sizes=(4, 16), replications=40)
+    # the oracle replications run and agree: the face rule holds on the body
+    got = kernel_values(kernel(y, config), config)
+    assert_same(got, exact_values(kind, y, vector, config), y)
+    # re-deciding each mean's face from its own vertices ties some faces of
+    # the near-tie law; the uneven facet is a vertex at every translation
+    body = body_values(kind, y, vector, config)
+    differs = any(not np.array_equal(got[key], body[key], equal_nan=True) for key in body)
+    assert differs == (law is near_tie_law)
+
+
+def test_short_facets_are_kept_at_every_scale():
+    # atom 2 is a facet 5e-9 long; scaled by c / N it stays a facet of the
+    # mean, although the mean's hull merges its ends
+    config = ExperimentConfig(master_seed=2, sample_sizes=(4, 16), replications=30)
+    for s in (1e-10, 1.0, 1e10):
+        y = DiscreteRandomSet(weights=[0.7, 0.3],
+                              bodies=(hull(s * np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, 1.0]])),
+                                      hull(s * np.array([[0.0, 0.0], [5e-9, 0.0]]))))
+        flags = kernel_values(_facet_flags(y, DOWN, config), config)
+        assert_same(flags, exact_values("flags", y, DOWN, config), y, rtol=0.0)
+        assert 0.0 < np.mean(list(flags.values())) < 1.0
+
+
+def test_non_parallel_facets_are_segments_inside_the_hyperplane():
+    # both bottom edges are facets in direction (0, -1), 1e-12 apart in
+    # slope: their sum has three vertices, but inside the line y = 0 it is
+    # a segment, and x projects well inside it
+    y = DiscreteRandomSet(weights=[0.5, 0.5],
+                          bodies=(hull([[0, 0], [1, 0], [1, 1], [0, 1]]),
+                                  hull([[0, 0], [1, 1e-12], [1, 1], [0, 1]])))
+    x = np.array([0.5, -1.0])
+    config = ExperimentConfig(master_seed=3, sample_sizes=(4, 16), replications=20)
+    kernel = kernel_values(_facet_values(y, x, DOWN, config), config)
+    assert_same(kernel, body_values("facet", y, (x, DOWN), config), y)
+    assert sum(v[1] for v in kernel.values()) == 0
 
 
 def count_body_paths(monkeypatch):
@@ -217,62 +296,6 @@ def count_body_paths(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("kind", sorted(TIE_CASES))
-def test_tie_band_sends_near_ties_to_the_body_path(kind, monkeypatch):
-    law, kernel, vector = TIE_CASES[kind]
-    y = law()
-    config = ExperimentConfig(master_seed=2, sample_sizes=(4, 16), replications=40)
-    body = body_values(kind.split("-")[0], y, vector, config)
-    # a near-tied face fails the commutation check of the oracle replications
-    # (facet-freq), so only the band sends checkpoints to the body path here
-    monkeypatch.setattr(simulate, "ORACLE_REPS", 0)
-    calls = count_body_paths(monkeypatch)
-    assert_same(kernel_values(kernel(y, config), config), body, y)
-    assert len(calls) > 0   # the band was taken
-
-    # without the guard band the kernel alone disagrees
-    monkeypatch.setattr(simulate, "_tie_band",
-                        lambda counts, *args: np.zeros(counts.shape[:2], dtype=bool))
-    with pytest.raises(AssertionError):
-        assert_same(kernel_values(kernel(y, config), config), body, y)
-
-
-def test_extent_band_sends_short_facets_to_the_body_path(monkeypatch):
-    # atom 2 is a facet 5e-9 long; scaled by c / N its ends merge in the hull
-    y = DiscreteRandomSet(weights=[0.7, 0.3],
-                          bodies=(hull([[0.0, 0.0], [1.0, 1.0], [-1.0, 1.0]]),
-                                  hull([[0.0, 0.0], [5e-9, 0.0]])))
-    config = ExperimentConfig(master_seed=2, sample_sizes=(4, 16), replications=30)
-    body = body_values("flags", y, DOWN, config)
-    assert 0.0 < np.mean(list(body.values())) < 1.0
-    monkeypatch.setattr(simulate, "ORACLE_REPS", 0)   # the merged face fails commutation
-    calls = count_body_paths(monkeypatch)
-    assert_same(kernel_values(_facet_flags(y, DOWN, config), config), body, y, rtol=0.0)
-    assert len(calls) > 0
-
-    monkeypatch.setattr(simulate, "FACE_EXTENT_REL", 0.0)
-    with pytest.raises(AssertionError):
-        assert_same(kernel_values(_facet_flags(y, DOWN, config), config), body, y, rtol=0.0)
-
-
-def test_segment_band_sends_non_parallel_facets_to_the_body_path(monkeypatch):
-    # both bottom edges are facets in direction (0, -1), 1e-12 apart in
-    # slope: their sum is a sliver, which is_facet_at measures as a polygon
-    y = DiscreteRandomSet(weights=[0.5, 0.5],
-                          bodies=(hull([[0, 0], [1, 0], [1, 1], [0, 1]]),
-                                  hull([[0, 0], [1, 1e-12], [1, 1], [0, 1]])))
-    x = np.array([0.5, -1.0])
-    config = ExperimentConfig(master_seed=3, sample_sizes=(4, 16), replications=20)
-    body = body_values("facet", y, (x, DOWN), config)
-    assert_same(kernel_values(_facet_values(y, x, DOWN, config), config), body, y)
-
-    monkeypatch.setattr(simulate, "_segment_band",
-                        lambda counts, *args: np.zeros(counts.shape[:2], dtype=bool))
-    monkeypatch.setattr(simulate, "ORACLE_REPS", 0)
-    with pytest.raises(AssertionError):
-        assert_same(kernel_values(_facet_values(y, x, DOWN, config), config), body, y)
-
-
 def test_excursion_band_sends_boundary_points_to_the_body_path(monkeypatch):
     # the mean of N draws of the lower segment passes through x: distance 0
     y = DiscreteRandomSet(weights=[0.5, 0.5],
@@ -280,7 +303,7 @@ def test_excursion_band_sends_boundary_points_to_the_body_path(monkeypatch):
     x = np.array([0.5, -1.0])
     config = ExperimentConfig(master_seed=1, sample_sizes=(1, 2, 4), replications=30)
     body = body_values("facet", y, (x, DOWN), config)
-    on_boundary = sum(v[0] <= 1e-12 for v in body.values())
+    on_boundary = sum(v[0] <= tolerance(REL_TOL, y.box) for v in body.values())
     calls = count_body_paths(monkeypatch)
     kernel = kernel_values(_facet_values(y, x, DOWN, config), config)
     assert_same(kernel, body, y)
@@ -294,18 +317,25 @@ def test_excursion_band_sends_boundary_points_to_the_body_path(monkeypatch):
     ((1.0 - 1e-7, -1.0), 0.0),
     ((0.5, 3.0), 0.0),           # projects inside the bottom facet from the wrong side
     ((-1.0, -1.0), 0.0),         # nearest point is a vertex
-    # far from the origin the membership tolerance (1.4e-5) exceeds the
-    # margin (1.4e-6): a nearest point 5e-6 up the left edge counts as inside
+    # a nearest point 5e-6 up the left edge is off the bottom facet, far
+    # from the origin as well as at it
     ((999.0, 1000.0 + 5e-6), 1000.0),
 ])
 def test_facet_kernel_decides_excursions_like_is_facet_at(x, shift):
     squares = scene("stacked_squares")
-    y = DiscreteRandomSet(weights=squares.weights,
-                          bodies=tuple(hull(body.vertices + shift) for body in squares.bodies))
     config = ExperimentConfig(master_seed=4, sample_sizes=(1, 4, 16), replications=20)
     x = np.array(x)
-    assert_same(kernel_values(_facet_values(y, x, DOWN, config), config),
-                body_values("facet", y, (x, DOWN), config), y)
+    values = []
+    for t in (shift, 0.0):
+        y = DiscreteRandomSet(weights=squares.weights,
+                              bodies=tuple(hull(body.vertices + t) for body in squares.bodies))
+        kernel = kernel_values(_facet_values(y, x - shift + t, DOWN, config), config)
+        assert_same(kernel, body_values("facet", y, (x - shift + t, DOWN), config), y)
+        values.append(kernel)
+    # the decisions do not depend on where the law sits
+    for key, want in values[1].items():
+        assert values[0][key][1] == want[1]
+        assert abs(values[0][key][0] - want[0]) <= 1e-9
 
 
 def test_facet_experiment_counts_the_excursions_of_the_body_path():

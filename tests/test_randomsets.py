@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from setmeans.geometry import hausdorff, hull, minkowski_sum, scale, support, translate
+from oracles import sample, translate
+from setmeans.geometry import hausdorff, hull, minkowski_sum, scale, support, support_face
 from setmeans.randomsets import (
     DiscreteRandomSet,
     NotExposed,
@@ -11,7 +12,6 @@ from setmeans.randomsets import (
     exposed_selection,
     facet_inheritance,
     nearest_point_selection,
-    sample,
     sample_many,
     tangent_variance,
 )
@@ -119,6 +119,19 @@ def test_expectation_face_single_atom():
     assert vset(face) == {(1.0, 0.0)}
 
 
+def test_expectation_face_of_a_rare_near_tie_follows_the_atom_faces():
+    # atom 2's runner-up vertex lies 2e-8 below its top in direction (0, -1);
+    # weighted by 0.01 the gap falls below E's own face tolerance
+    y = DiscreteRandomSet(weights=[0.99, 0.01],
+                          bodies=(hull([(0, 0), (1, 0), (0, 1), (1, 1)]),
+                                  hull([(0, 0), (1, -2e-8)])))
+    face, atom_faces = expectation_face(y, (0, -1))
+    assert [af.vertex_count for af in atom_faces] == [2, 1]
+    assert np.allclose(face.vertices, [[0.01, -2e-10], [1.0, -2e-10]], rtol=0, atol=1e-15)
+    with pytest.raises(NotExposed):
+        exposed_selection(y, (0, -1))
+
+
 def test_commutation_property_random_laws():
     rng = np.random.default_rng(73)
     for _ in range(30):
@@ -132,6 +145,7 @@ def test_commutation_property_random_laws():
                 piece = scale(af, float(w))
                 mix = piece if mix is None else minkowski_sum(mix, piece)
             assert hausdorff(face, mix) <= 1e-9
+            assert hausdorff(support_face(ey, f).face, mix) <= 1e-9   # E's own face agrees
             # exposure uniqueness: singleton expectation face => all atom faces singleton
             if face.vertex_count == 1:
                 assert all(af.vertex_count == 1 for af in atom_faces)
@@ -215,6 +229,13 @@ def brute_support_variance(y, u):
     values = [support(body, u) for body in y.bodies]
     mean = sum(w * s for w, s in zip(y.weights, values))
     return sum(w * (s - mean) ** 2 for w, s in zip(y.weights, values))
+
+
+def test_tangent_variance_does_not_depend_on_where_the_law_sits():
+    segments = (hull([(0, 0), (1, 0)]), hull([(0, 0), (0, 1)]))
+    for t in (0.0, 1e6):
+        y = DiscreteRandomSet(weights=[0.3, 0.7], bodies=tuple(translate(b, (t, t)) for b in segments))
+        assert tangent_variance(y, (1, 0.3)) == pytest.approx(0.1029, rel=1e-9)
 
 
 def test_tangent_variance_examples():

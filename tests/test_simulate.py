@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from oracles import MeanProcessState, mean_process_extend, mean_process_mean, same_body
-from setmeans.geometry import hausdorff, hull, shapley_folkman_gap, support_face, translate
+from oracles import (
+    MeanProcessState,
+    mean_process_extend,
+    mean_process_mean,
+    same_body,
+    translate,
+    uniform,
+)
+from setmeans.geometry import hausdorff, hull, shapley_folkman_gap, support_face
 from setmeans.randomsets import DiscreteRandomSet, NotExposed, expectation, sample_many
-from setmeans.rng import uniform, uniforms
+from setmeans.rng import uniforms
 from setmeans.simulate import (
     ExperimentConfig,
     IncompatibleSelection,

@@ -83,12 +83,13 @@ def test_all_zero_coefficients_give_the_origin():
     assert combo.vertices.tolist() == [[0.0, 0.0]]
 
 
-def test_a_lone_term_below_one_is_scaled_and_merged():
+def test_a_lone_term_below_one_is_scaled_exactly():
     a = hull([(0, 0), (1, 0)])
     b = hull([(0, 0), (1, 0), (1, 1e-3)])
     combo = weighted_sum([a, b], [0.0, 1e-7])
     assert np.array_equal(combo.vertices, scale(b, 1e-7).vertices)
-    assert combo.vertex_count == 2  # (1e-7, 0) and (1e-7, 1e-10) merge
+    # the merge tolerance scales with the body: (1e-7, 0) and (1e-7, 1e-10) stay apart
+    assert np.array_equal(combo.vertices, 1e-7 * b.vertices)
 
 
 def test_negative_coefficients_are_rejected():
