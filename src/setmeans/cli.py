@@ -185,20 +185,23 @@ def write_report(report: ExperimentReport, out_dir: str,
                  manifest: Optional[dict] = None) -> dict:
     """Write report JSON, records CSV and (optionally) a manifest.
 
-    The CSV is byte-stable for a fixed report: one row per record with
-    header ``replication,N,stat`` (scalar) or ``replication,N,stat_0..``.
+    The CSV is byte-stable for a fixed report: one row per checkpoint
+    ``report.records[r, s]``, in that order, with header
+    ``replication,N,stat`` (scalar) or ``replication,N,stat_0..``.
+    ``report.json`` keeps a ``discarded`` key, always 0, for its readers.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "report": os.path.join(out_dir, "report.json"),
         "records": os.path.join(out_dir, "records.csv"),
     }
-    width = report.stat_width
+    width = report.records.shape[-1]
     header = "replication,N,stat" if width == 1 else \
         "replication,N," + ",".join(f"stat_{i}" for i in range(width))
     lines = [header]
-    for rep, n, stat in report.records:
-        lines.append(f"{rep},{n}," + ",".join(_format_float(s) for s in stat))
+    for rep, per_size in enumerate(report.records.tolist()):
+        for n, stat in zip(report.config["sample_sizes"], per_size):
+            lines.append(f"{rep},{n}," + ",".join(_format_float(s) for s in stat))
     text = "\n".join(lines) + "\n"
     with open(paths["records"], "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -208,10 +211,10 @@ def write_report(report: ExperimentReport, out_dir: str,
         "config": report.config,
         "moments": report.moments,
         "verdicts": report.verdicts,
-        "discarded": report.discarded,
+        "discarded": 0,
         "duration_seconds": report.duration_seconds,
         "passed": report.passed(),
-        "record_count": len(report.records),
+        "record_count": len(lines) - 1,
     }
     with open(paths["report"], "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)

@@ -8,11 +8,10 @@ round-off, which is what the sample-mean experiments need.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial import ConvexHull as _Qhull
@@ -147,16 +146,12 @@ class FaceCertificate:
     """Support face of a body in a given direction.
 
     ``direction`` is the unit functional, ``face`` its argmax set,
-    ``support_value`` the attained maximum.  ``facet_direction`` is a
-    vector ``d`` with ``<direction, d> = 1``; it is populated exactly
-    when the face has affine dimension >= 1.
+    ``support_value`` the attained maximum.
     """
 
     direction: np.ndarray
     face: ConvexBody
     support_value: float
-    is_exposed: bool
-    facet_direction: Optional[np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +293,7 @@ def support(a: ConvexBody, u) -> float:
 
 
 def support_face(a: ConvexBody, u) -> FaceCertificate:
-    """Argmax set of a nonzero functional, with exposure classification.
+    """Argmax set of a nonzero functional.
 
     All vertices within ``tolerance(REL_TOL, a.box)`` of the maximum
     belong to the face.  The face's vertices are vertices of the body,
@@ -312,12 +307,9 @@ def support_face(a: ConvexBody, u) -> FaceCertificate:
     vals = a.vertices @ f
     smax = float(vals.max())
     face_vertices = a.vertices[vals >= smax - tolerance(REL_TOL, a.box)]
-    face = ConvexBody(_canonical(face_vertices))
-    exposed = face.vertex_count == 1
     f.setflags(write=False)
-    facet_dir = None if exposed else f
-    return FaceCertificate(direction=f, face=face, support_value=smax,
-                           is_exposed=exposed, facet_direction=facet_dir)
+    return FaceCertificate(direction=f, face=ConvexBody(_canonical(face_vertices)),
+                           support_value=smax)
 
 
 def norm_gradient(x) -> np.ndarray:
@@ -474,6 +466,19 @@ def hausdorff_via_support(a: ConvexBody, b: ConvexBody, m: int) -> float:
     return float(np.abs(sa - sb).max())
 
 
+def _fold(coefs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``sum_j coefs[..., j] * points[j]``, shape ``coefs.shape[:-1] +
+    points.shape[1:]``, folded in input order: the rounding of the vertex
+    ``weighted_sum`` builds from one point per body (``@`` may sum in
+    another order), and the value of one combination does not depend on
+    how many are evaluated at once."""
+    shape = coefs.shape[:-1] + (1,) * (points.ndim - 1)
+    acc = coefs[..., 0].reshape(shape) * points[0]
+    for j in range(1, len(points)):
+        acc = acc + coefs[..., j].reshape(shape) * points[j]
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # 2-D normal fans: exact Hausdorff distances between Minkowski combinations
 
@@ -498,6 +503,7 @@ class NormalFan:
         object.__setattr__(self, "_angles", angles)
         object.__setattr__(self, "_spans", np.diff(angles, append=angles[0] + 2.0 * np.pi))
         object.__setattr__(self, "_ends", np.roll(self.directions, -1, axis=0))
+        object.__setattr__(self, "_by_body", self.vertices.swapaxes(0, 1))   # (J, m, 2)
 
     def _coefficients(self, coefs) -> np.ndarray:
         coefs = np.asarray(coefs, dtype=float)
@@ -507,23 +513,11 @@ class NormalFan:
             raise GeometryError("negative scale factors (reflections) are not supported")
         return coefs
 
-    def _combine(self, coefs: np.ndarray) -> np.ndarray:
-        """``sum_j coefs[..., j] * vertices[:, j]``, shape ``(..., m, 2)``.
-
-        Folded over the bodies in input order, so the value of one
-        combination does not depend on how many are evaluated at once.
-        """
-        c = coefs[..., None, None]
-        acc = c[..., 0, :, :] * self.vertices[:, 0]
-        for j in range(1, self.vertices.shape[1]):
-            acc = acc + c[..., j, :, :] * self.vertices[:, j]
-        return acc
-
     def support_points(self, coefs) -> np.ndarray:
         """Per cell, the vertex of ``sum_j coefs[..., j] * K_j`` attaining its
         support on that cell: shape ``(..., m, 2)``.  Every vertex of the
         combination is among them."""
-        return self._combine(self._coefficients(coefs))
+        return _fold(self._coefficients(coefs), self._by_body)
 
     def hausdorff(self, coefs, ref):
         """Exact ``H(sum_j coefs[j] * K_j, sum_j ref[j] * K_j)`` for coefficients >= 0.
@@ -535,7 +529,7 @@ class NormalFan:
         endpoint values.  ``coefs`` and ``ref`` may carry leading batch
         axes ``(..., J)``; the result then has shape ``(...)``.
         """
-        D = self._combine(self._coefficients(coefs) - self._coefficients(ref))
+        D = _fold(self._coefficients(coefs) - self._coefficients(ref), self._by_body)
         ends = np.maximum(np.abs((D * self.directions).sum(axis=-1)),
                           np.abs((D * self._ends).sum(axis=-1)))
         # D or -D lies in the arc iff its angle from the start, modulo pi, is within the span
@@ -698,30 +692,19 @@ def _covering_radius(sites: np.ndarray) -> float:
 def _covering_radius_2d(sites: np.ndarray, qh: _Qhull) -> float:
     """Largest empty circle centered in the hull of the sites, sites as obstacles.
 
-    Candidate centers are the circumcenters of site triples (interior
-    local maxima) and the crossings of site-pair bisectors with the ring
-    edges (boundary local maxima); evaluating the nearest-site distance
-    at each candidate is exact.
+    Candidate centers are the Voronoi vertices inside the hull (interior
+    local maxima) and the crossings of the Voronoi ridges' bisectors with
+    the ring edges (boundary local maxima); evaluating the nearest-site
+    distance at each candidate is exact.
     """
-    n = len(sites)
     ring = sites[qh.vertices]  # counterclockwise
     tree = cKDTree(sites)
-    box = box_of(sites)
-    tol = tolerance(REL_TOL, box)
+    tol = tolerance(REL_TOL, box_of(sites))
     candidates = []
 
-    if n <= 12:
-        pair_idx = np.array(list(itertools.combinations(range(n), 2)))
-        interior = []
-        for i, j, k in itertools.combinations(range(n), 3):
-            c = _circumcenter(sites[i], sites[j], sites[k], tol * box[0])
-            if c is not None:
-                interior.append(c)
-        interior = np.array(interior) if interior else np.empty((0, 2))
-    else:
-        vor = Voronoi(sites)
-        pair_idx = vor.ridge_points
-        interior = vor.vertices
+    vor = Voronoi(sites)
+    pair_idx = vor.ridge_points
+    interior = vor.vertices
 
     if len(interior):
         inside = (interior @ qh.equations[:, :2].T + qh.equations[:, 2] <= tol).all(axis=1)
@@ -752,13 +735,3 @@ def _covering_radius_2d(sites: np.ndarray, qh: _Qhull) -> float:
     dists, _ = tree.query(points)
     return float(dists.max())
 
-
-def _circumcenter(p, q, r, min_det: float):
-    """Circumcenter of a triangle; None when ``|det|`` (eight times its area)
-    is at most ``min_det``."""
-    A = 2.0 * np.array([q - p, r - p])
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    if abs(det) <= min_det:
-        return None
-    rhs = np.array([q @ q - p @ p, r @ r - p @ p])
-    return np.linalg.solve(A, rhs)

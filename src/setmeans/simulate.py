@@ -10,13 +10,16 @@ reports are reproducible bit-for-bit and replications are order
 independent.  Since the atoms are convex, the Minkowski sum of ``c``
 copies of an atom equals the atom scaled by ``c``, so the mean of ``N``
 draws is ``weighted_sum(atoms, counts / N)``: every statistic depends on
-a replication only through its per-atom draw counts.  ``_count_blocks``
-draws the counts of a block of replications at once, and each experiment
-maps the block to its statistic with array operations (a count kernel),
-at a cost per checkpoint independent of the sample size.  The body path
-(fold the mean body, then measure it) stays as the oracle: it
-recomputes replications ``0 .. ORACLE_REPS - 1`` at every size, and it
-decides the clt-facet checkpoints too close to a threshold.
+a replication only through its per-atom draw counts.  One function,
+``_statistic``, draws the counts of a block of replications at once
+(``_count_blocks``) and hands them to the experiment's count kernel,
+which maps the block to its statistic with array operations, at a cost
+per checkpoint independent of the sample size; it fills one ``(R, S, k)``
+array, the report's records.  The body path (fold the mean body, then
+measure it) stays as the oracle: it recomputes replications
+``0 .. ORACLE_REPS - 1`` at every size, and it decides the checkpoints a
+kernel cannot (clt-facet's near a threshold, and those of kernels that
+need the 2-D fan on other dimensions).
 
 Faces follow the face rule: each atom's support face ``F_j`` is decided
 once per law, and the face of a mean is ``sum_j (c_j / N) F_j`` by
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from .geometry import (
     FACET_REL_MARGIN,
     REL_TOL,
     GeometryError,
+    _fold,
     _in_facet,
     hausdorff,
     is_facet_at,
@@ -110,23 +114,17 @@ class ExperimentConfig:
 class ExperimentReport:
     """Outcome of one experiment: records, summary moments and verdicts.
 
-    ``records`` holds one ``(replication, size, statistic_components)``
-    tuple per checkpoint; every verdict is recomputable from them.
-    ``discarded`` counts dropped replications; no experiment drops any,
-    and the field stays for readers of ``report.json``.
+    ``records`` is an ``(R, S, k)`` float array: entry ``[r, s]`` holds
+    the ``k`` statistic components of replication ``r`` at
+    ``config["sample_sizes"][s]``; every verdict is recomputable from it.
     """
 
     experiment: str
     config: dict
-    records: list[tuple[int, int, tuple[float, ...]]]
+    records: np.ndarray
     moments: dict
     verdicts: dict
-    discarded: int = 0
     duration_seconds: float = 0.0
-
-    @property
-    def stat_width(self) -> int:
-        return len(self.records[0][2]) if self.records else 1
 
     def passed(self) -> bool:
         return all(v["pass"] for v in self.verdicts.values())
@@ -143,13 +141,6 @@ def _config_echo(config: ExperimentConfig, **extra) -> dict:
     }
     echo.update(extra)
     return echo
-
-
-def _group_by_size(records, component: int = 0) -> dict[int, np.ndarray]:
-    groups: dict[int, list[float]] = {}
-    for _, n, stat in records:
-        groups.setdefault(n, []).append(stat[component])
-    return {n: np.array(vals) for n, vals in groups.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -186,89 +177,77 @@ def _count_blocks(y: DiscreteRandomSet,
         yield reps, counts
 
 
-def _fold(coefs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """``sum_j coefs[..., j] * points[j]`` folded in atom order, whatever the
-    block shape: the rounding of the vertex ``weighted_sum`` builds from
-    one point per atom (``@`` may sum in another order)."""
-    acc = coefs[..., 0, None] * points[0]
-    for j in range(1, len(points)):
-        acc = acc + coefs[..., j, None] * points[j]
-    return acc
-
-
-def _reconcile(reps: np.ndarray, sizes: tuple[int, ...], coefs: np.ndarray,
-               values: np.ndarray, body, tol: float, band: Optional[np.ndarray] = None,
+def _statistic(y: DiscreteRandomSet, config: ExperimentConfig, kernel, body,
                oracle_reps: int = ORACLE_REPS) -> np.ndarray:
-    """Body-path values where the kernel is unsure, and the in-run oracle.
+    """The statistic of every checkpoint, as an ``(R, S, k)`` array whose
+    entry ``[r, s]`` belongs to replication ``r`` at ``sizes[s]``.
 
-    ``values[r, s]`` is the kernel's statistic of checkpoint
-    ``(reps[r], sizes[s])`` and ``band`` marks the checkpoints whose
-    statistic the kernel cannot decide; those take
-    ``body(coefs[r, s])``.  Every checkpoint of the replications below
-    ``oracle_reps`` is recomputed along the body path as well, and a
-    difference beyond ``tol`` raises :class:`OracleMismatch`.
+    ``kernel(counts, coefs)`` maps a block of draw counts and their
+    coefficients ``counts / N``, both ``(B, S, J)``, to ``(values,
+    band)``: the ``(B, S)`` or ``(B, S, k)`` statistics, and a ``(B, S)``
+    mask of the checkpoints it cannot decide (or None).  Those take the
+    body path, ``body(coefs[b, s])``.  Every checkpoint of the
+    replications below ``oracle_reps`` is recomputed along the body path
+    as well, and a difference beyond ``tolerance(REL_TOL, y.box)`` raises
+    :class:`OracleMismatch`.
     """
-    if band is None:
-        band = np.zeros(values.shape[:2], dtype=bool)
-    redo = band | (reps < oracle_reps)[:, None]
-    for r, s in zip(*np.nonzero(redo)):
-        slow = body(coefs[r, s])
-        if band[r, s]:
-            values[r, s] = slow
-        elif not np.all(np.abs(values[r, s] - slow) <= tol):
-            raise OracleMismatch(f"count kernel gives {values[r, s].tolist()!r} where the body "
-                                 f"path gives {np.asarray(slow).tolist()!r} "
-                                 f"(replication {reps[r]}, N={sizes[s]})")
-    return values
+    sizes = config.sample_sizes
+    tol = tolerance(REL_TOL, y.box)
+    out = None
+    for reps, counts in _count_blocks(y, config):
+        coefs = counts / np.array(sizes)[:, None]
+        values, band = kernel(counts, coefs)
+        values = values.reshape(counts.shape[:2] + (-1,))
+        if band is None:
+            band = np.zeros(counts.shape[:2], dtype=bool)
+        # band is (B, S), so the oracle replications are checked at every size
+        for r, s in zip(*np.nonzero(band | (reps < oracle_reps)[:, None])):
+            slow = body(coefs[r, s])
+            if band[r, s]:
+                values[r, s] = slow
+            elif not np.all(np.abs(values[r, s] - slow) <= tol):
+                raise OracleMismatch(f"count kernel gives {values[r, s].tolist()!r} where the body "
+                                     f"path gives {np.asarray(slow).tolist()!r} "
+                                     f"(replication {reps[r]}, N={sizes[s]})")
+        if out is None:
+            out = np.empty((config.replications, len(sizes), values.shape[-1]))
+        out[reps] = values
+    return out
 
 
-def _records(reps: np.ndarray, sizes: tuple[int, ...], stats: np.ndarray) -> list:
-    """Records ``(rep, n, stat)`` of a block of ``(R, S, k)`` statistics, in record order."""
-    return [(rep, n, tuple(stat))
-            for rep, per_size in zip(reps.tolist(), stats.tolist())
-            for n, stat in zip(sizes, per_size)]
-
-
-def _distances(y: DiscreteRandomSet,
-               config: ExperimentConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``H(mean_N, E)`` of every checkpoint, per block ``(reps, (R, S) distances)``.
+def _distances(y: DiscreteRandomSet, config: ExperimentConfig) -> np.ndarray:
+    """``H(mean_N, E)`` of every checkpoint, ``(R, S, 1)``.
 
     In 2-D the distance comes straight from the draw counts through the
-    atoms' normal fan; replication 0 is recomputed along the body path
-    (fold the mean, then Wolfe) at every size as an oracle, and a
-    disagreement beyond ``tolerance(REL_TOL, y.box)`` raises
-    :class:`OracleMismatch`.  Other dimensions take the body path.  No
+    atoms' normal fan, with replication 0 as the oracle (fold the mean,
+    then Wolfe).  Other dimensions take the body path everywhere.  No
     distance may exceed the largest atom-to-expectation distance.
     """
     ey = expectation(y)
     fan = normal_fan(y.bodies) if y.dim == 2 else None
-    sizes = config.sample_sizes
     tol = tolerance(REL_TOL, y.box)
 
-    def body_distance(coefs):
+    def body(coefs):
         return hausdorff(weighted_sum(y.bodies, coefs), ey)
+
+    def kernel(counts, coefs):
+        if fan is None:
+            return np.zeros(counts.shape[:2]), np.ones(counts.shape[:2], dtype=bool)
+        return fan.hausdorff(coefs, y.weights), None
 
     units = np.eye(y.atom_count)
     if fan is None:
-        max_atom_dist = max(body_distance(unit) for unit in units)
+        max_atom_dist = max(body(unit) for unit in units)
     else:
         max_atom_dist = float(fan.hausdorff(units, y.weights).max())
-    for reps, counts in _count_blocks(y, config):
-        coefs = counts / np.array(sizes)[:, None]
-        if fan is None:
-            dist, band = np.zeros(counts.shape[:2]), np.ones(counts.shape[:2], dtype=bool)
-        else:
-            dist, band = fan.hausdorff(coefs, y.weights), None
-        dist = _reconcile(reps, sizes, coefs, dist, body_distance, tol, band, oracle_reps=1)
-        if (dist > max_atom_dist + tol).any():
-            raise GeometryError("sample mean left the hull of the atoms")
-        yield reps, dist
+    dist = _statistic(y, config, kernel, body, oracle_reps=1)
+    if (dist > max_atom_dist + tol).any():
+        raise GeometryError("sample mean left the hull of the atoms")
+    return dist
 
 
-def _exposed_points(y: DiscreteRandomSet, f: np.ndarray,
-                    config: ExperimentConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Exposed point of every checkpoint's mean in direction ``f``, per block
-    ``(reps, (R, S, d) points)``.
+def _exposed_points(y: DiscreteRandomSet, f: np.ndarray, config: ExperimentConfig) -> np.ndarray:
+    """Exposed point of every checkpoint's mean in direction ``f``, ``(R, S, d)``.
 
     The atoms' faces must be singletons ``{v_j}``; by the face rule the
     mean's face is then the point ``sum_j (c_j / n) * v_j``, folded as
@@ -276,29 +255,26 @@ def _exposed_points(y: DiscreteRandomSet, f: np.ndarray,
     """
     atom_faces = [support_face(body, f).face for body in y.bodies]
     tops = np.array([face.vertices[0] for face in atom_faces])
-    sizes = config.sample_sizes
-    tol = tolerance(REL_TOL, y.box)
 
     def body(coefs):
         return check_face_commutation(weighted_sum(y.bodies, coefs), atom_faces, coefs, f).vertices[0]
 
-    for reps, counts in _count_blocks(y, config):
-        coefs = counts / np.array(sizes)[:, None]
-        yield reps, _reconcile(reps, sizes, coefs, _fold(coefs, tops), body, tol)
+    return _statistic(y, config, lambda counts, coefs: (_fold(coefs, tops), None), body)
 
 
-def _tangent_values(y: DiscreteRandomSet, u: np.ndarray, config: ExperimentConfig
-                    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per block ``(reps, totals, gaps)``, both ``(R, S)``: the summed support
-    values ``counts @ atom_supports`` of the draws in direction ``u``, and
-    the distance between the mean of the draw faces and the face of the
+def _tangent_values(y: DiscreteRandomSet, u: np.ndarray,
+                    config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``(totals, gaps)``, both ``(R, S)``: the summed support values
+    ``counts @ atom_supports`` of the draws in direction ``u``, and the
+    distance between the mean of the draw faces and the face of the
     expectation, ``H(sum_j (c_j / n) F_j, sum_j w_j F_j)``, from the normal
     fan of the atom faces in 2-D and along the body path otherwise."""
     atom_supports = np.array([support(body, u) for body in y.bodies])
     atom_faces = [support_face(body, u).face for body in y.bodies]
     ey_face = weighted_sum(atom_faces, y.weights)
     fan = normal_fan(atom_faces) if y.dim == 2 else None
-    sizes = config.sample_sizes
+    sizes = np.array(config.sample_sizes)
+    totals = []   # per block, in record order: records use the totals, not totals / N
 
     def face_gap(coefs):
         return hausdorff(weighted_sum(atom_faces, coefs), ey_face)
@@ -306,26 +282,25 @@ def _tangent_values(y: DiscreteRandomSet, u: np.ndarray, config: ExperimentConfi
     def body(coefs):
         return [support(weighted_sum(y.bodies, coefs), u), face_gap(coefs)]
 
-    for reps, counts in _count_blocks(y, config):
-        coefs = counts / np.array(sizes)[:, None]
-        totals = _fold(counts, atom_supports[:, None])[..., 0]
+    def kernel(counts, coefs):
+        totals.append(_fold(counts, atom_supports[:, None])[..., 0])
         if fan is None:
             gaps = np.array([[face_gap(c) for c in per_rep] for per_rep in coefs])
         else:
             gaps = fan.hausdorff(coefs, y.weights)
-        values = np.stack([totals / np.array(sizes), gaps], axis=-1)
-        _reconcile(reps, sizes, coefs, values, body, tolerance(REL_TOL, y.box))
-        yield reps, totals, gaps
+        return np.stack([totals[-1] / sizes, gaps], axis=-1), None
+
+    gaps = _statistic(y, config, kernel, body)[..., 1]
+    return np.concatenate(totals), gaps
 
 
 def _facet_values(y: DiscreteRandomSet, x: np.ndarray, f: np.ndarray,
-                  config: ExperimentConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per block ``(reps, (R, S, 2) values)``: the distance from ``x`` to each
-    checkpoint's mean and whether its nearest point makes an excursion
-    (1.0) off the relative interior of the mean's facet in direction
-    ``f``, measured inside ``f``-perp as :func:`is_facet_at` measures it
-    (a distance within ``tol = tolerance(REL_TOL, y.box)`` is an
-    excursion too).
+                  config: ExperimentConfig) -> np.ndarray:
+    """``(R, S, 2)``: the distance from ``x`` to each checkpoint's mean and
+    whether its nearest point makes an excursion (1.0) off the relative
+    interior of the mean's facet in direction ``f``, measured inside
+    ``f``-perp as :func:`is_facet_at` measures it (a distance within
+    ``tol = tolerance(REL_TOL, y.box)`` is an excursion too).
 
     By the face rule the facet is ``sum_j (c_j / n) F_j``; inside
     ``f``-perp it is the segment between the folded endpoints ``a_j``,
@@ -340,7 +315,6 @@ def _facet_values(y: DiscreteRandomSet, x: np.ndarray, f: np.ndarray,
     """
     atom_faces = [support_face(body, f).face for body in y.bodies]
     fan = normal_fan(y.bodies) if y.dim == 2 else None
-    sizes = config.sample_sizes
     tol = tolerance(REL_TOL, y.box)
     guard = tolerance(GUARD_REL, y.box)
     if fan is not None:
@@ -356,51 +330,45 @@ def _facet_values(y: DiscreteRandomSet, x: np.ndarray, f: np.ndarray,
                                           FACET_REL_MARGIN * mean.diameter, tol)
         return [dist, float(not inside)]
 
-    for reps, counts in _count_blocks(y, config):
-        coefs = counts / np.array(sizes)[:, None]
+    def kernel(counts, coefs):
         if fan is None:
-            values = np.zeros(counts.shape[:2] + (2,))
-            band = np.ones(counts.shape[:2], dtype=bool)
-        else:
-            dist = fan.point_distance(coefs, x)
-            a, b = _fold(coefs, ends[:, 0]), _fold(coefs, ends[:, 1])
-            length = ((b - a) * along).sum(axis=-1)
-            offset = ((x - a) * along).sum(axis=-1)      # projection of x along the facet
-            height = ((x - a) * f).sum(axis=-1)          # beyond the facet's line when > 0
-            inner = np.minimum(offset, length - offset)  # distance to the nearer end
-            P = fan.support_points(coefs)   # every vertex of the mean is among them
-            diameter = np.zeros(dist.shape)
-            for i in range(P.shape[-2]):
-                far = np.sqrt(((P - P[..., i, None, :]) ** 2).sum(axis=-1)).max(axis=-1)
-                diameter = np.maximum(diameter, far)
-            margin = FACET_REL_MARGIN * diameter
-            facet = (dist > tol) & (inner > margin)   # height > 0 is settled by the band
-            values = np.stack([dist, (~facet).astype(float)], axis=-1)
-            band = ((np.abs(dist - tol) <= guard)
-                    | ((inner > margin - guard)
-                       & ((height <= guard) | (np.abs(inner - margin) <= guard))))
-        yield reps, _reconcile(reps, sizes, coefs, values, body, tol, band)
+            return np.zeros(counts.shape[:2] + (2,)), np.ones(counts.shape[:2], dtype=bool)
+        dist = fan.point_distance(coefs, x)
+        a, b = _fold(coefs, ends[:, 0]), _fold(coefs, ends[:, 1])
+        length = ((b - a) * along).sum(axis=-1)
+        offset = ((x - a) * along).sum(axis=-1)      # projection of x along the facet
+        height = ((x - a) * f).sum(axis=-1)          # beyond the facet's line when > 0
+        inner = np.minimum(offset, length - offset)  # distance to the nearer end
+        P = fan.support_points(coefs)   # every vertex of the mean is among them
+        diameter = np.zeros(dist.shape)
+        for i in range(P.shape[-2]):
+            far = np.sqrt(((P - P[..., i, None, :]) ** 2).sum(axis=-1)).max(axis=-1)
+            diameter = np.maximum(diameter, far)
+        margin = FACET_REL_MARGIN * diameter
+        facet = (dist > tol) & (inner > margin)   # height > 0 is settled by the band
+        band = ((np.abs(dist - tol) <= guard)
+                | ((inner > margin - guard)
+                   & ((height <= guard) | (np.abs(inner - margin) <= guard))))
+        return np.stack([dist, (~facet).astype(float)], axis=-1), band
+
+    return _statistic(y, config, kernel, body)
 
 
-def _facet_flags(y: DiscreteRandomSet, f: np.ndarray,
-                 config: ExperimentConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per block ``(reps, (R, S) flags)``: 1.0 when the checkpoint's mean has
-    a facet (a support face of two or more vertices) in direction ``f``.
+def _facet_flags(y: DiscreteRandomSet, f: np.ndarray, config: ExperimentConfig) -> np.ndarray:
+    """``(R, S, 1)``: 1.0 when the checkpoint's mean has a facet (a support
+    face of two or more vertices) in direction ``f``.
 
     By the face rule it has one exactly when a drawn atom has one.
     """
     atom_faces = [support_face(body, f).face for body in y.bodies]
     facet_atoms = np.array([face.vertex_count >= 2 for face in atom_faces])
-    sizes = config.sample_sizes
-    tol = tolerance(REL_TOL, y.box)
 
     def body(coefs):
         face = check_face_commutation(weighted_sum(y.bodies, coefs), atom_faces, coefs, f)
         return 1.0 if face.vertex_count >= 2 else 0.0
 
-    for reps, counts in _count_blocks(y, config):
-        coefs = counts / np.array(sizes)[:, None]
-        yield reps, _reconcile(reps, sizes, coefs, _facet_kernel(counts, facet_atoms), body, tol)
+    return _statistic(y, config, lambda counts, coefs: (_facet_kernel(counts, facet_atoms), None),
+                      body)
 
 
 def _facet_kernel(counts: np.ndarray, facet_atoms: np.ndarray) -> np.ndarray:
@@ -421,24 +389,19 @@ def lln_experiment(y: DiscreteRandomSet, config: ExperimentConfig, *,
     ``slope_range``.
     """
     t0 = time.perf_counter()
-    records = []
-    for reps, dist in _distances(y, config):
-        records += _records(reps, config.sample_sizes, dist[..., None])
-
-    groups = _group_by_size(records)
-    medians = {n: float(np.median(vals)) for n, vals in groups.items()}
-    moments = {"median_by_size": [{"N": n, "median": medians[n]} for n in config.sample_sizes]}
+    records = _distances(y, config)
+    sizes = config.sample_sizes
+    medians = [float(np.median(dist)) for dist in records[..., 0].T]
+    moments = {"median_by_size": [{"N": n, "median": m} for n, m in zip(sizes, medians)]}
     verdicts = {}
-    final_n = config.sample_sizes[-1]
     verdicts["final_median"] = {
-        "pass": medians[final_n] <= median_max,
-        "observed": medians[final_n],
+        "pass": medians[-1] <= median_max,
+        "observed": medians[-1],
         "threshold": median_max,
-        "N": final_n,
+        "N": sizes[-1],
     }
-    if len(config.sample_sizes) >= 3 and all(m > 0.0 for m in medians.values()):
-        slope, intercept = stats.loglog_slope(list(config.sample_sizes),
-                                              [medians[n] for n in config.sample_sizes])
+    if len(sizes) >= 3 and all(m > 0.0 for m in medians):
+        slope, intercept = stats.loglog_slope(list(sizes), medians)
         moments["slope"] = slope
         moments["intercept"] = intercept
         verdicts["slope"] = {
@@ -467,18 +430,15 @@ def clt_hausdorff_experiment(y: DiscreteRandomSet, config: ExperimentConfig, *,
     if len(config.sample_sizes) < 2:
         raise ValueError("stability check needs at least two sample sizes")
     t0 = time.perf_counter()
-    records = []
-    root_n = np.sqrt(config.sample_sizes)
-    for reps, dist in _distances(y, config):
-        records += _records(reps, config.sample_sizes, (root_n * dist)[..., None])
-
-    groups = _group_by_size(records)
+    sizes = config.sample_sizes
+    records = np.sqrt(sizes)[:, None] * _distances(y, config)
+    by_size = records[..., 0].T
     pairs = []
-    for a, b in zip(config.sample_sizes, config.sample_sizes[1:]):
-        d, p = stats.ks_two_sample(groups[a], groups[b])
-        pairs.append({"sizes": [a, b], "D": d, "p": p})
+    for s in range(1, len(sizes)):
+        d, p = stats.ks_two_sample(by_size[s - 1], by_size[s])
+        pairs.append({"sizes": [sizes[s - 1], sizes[s]], "D": d, "p": p})
     moments = {
-        "mean_by_size": [{"N": n, "mean": float(groups[n].mean())} for n in config.sample_sizes],
+        "mean_by_size": [{"N": n, "mean": float(x.mean())} for n, x in zip(sizes, by_size)],
         "ks_pairs": pairs,
     }
     verdicts = {
@@ -515,13 +475,11 @@ def clt_exposed_experiment(y: DiscreteRandomSet, direction, config: ExperimentCo
     sigma = selection.covariance
     d = y.dim
 
-    records = []
-    root_n = np.sqrt(config.sample_sizes)[:, None]
-    for reps, points in _exposed_points(y, norm_gradient(direction), config):
-        records += _records(reps, config.sample_sizes, root_n * (points - target))
+    points = _exposed_points(y, norm_gradient(direction), config)
+    records = np.sqrt(config.sample_sizes)[:, None] * (points - target)
 
     final_n = config.sample_sizes[-1]
-    final = np.array([stat for _, n, stat in records if n == final_n])
+    final = records[:, -1]
     emp_mean, emp_cov = stats.mean_and_covariance(final)
     moments = {
         "final_N": final_n,
@@ -584,23 +542,19 @@ def clt_tangent_experiment(y: DiscreteRandomSet, direction, config: ExperimentCo
     s_expected = support(expectation(y), u)
     sizes = np.array(config.sample_sizes)
 
-    records = []
-    face_gaps = []
-    for reps, totals, gaps in _tangent_values(y, u, config):
-        stat = (totals - sizes * s_expected) / np.sqrt(sizes)
-        records += _records(reps, config.sample_sizes, stat[..., None])
-        face_gaps.append(gaps)
-    face_gaps = np.concatenate(face_gaps)
+    totals, gaps = _tangent_values(y, u, config)
+    records = ((totals - sizes * s_expected) / np.sqrt(sizes))[..., None]
 
     final_n = config.sample_sizes[-1]
-    final = np.array([stat[0] for _, n, stat in records if n == final_n])
+    final = records[:, -1, 0]
     emp_var = float(final.var(ddof=1))
-    gap_means = {n: float(np.mean(gaps)) for n, gaps in zip(config.sample_sizes, face_gaps.T)}
+    gap_means = [float(np.mean(gap)) for gap in gaps.T]
     moments = {
         "final_N": final_n,
         "empirical_variance": emp_var,
         "analytic_variance": sigma2,
-        "face_gap_by_size": [{"N": n, "mean_gap": gap_means[n]} for n in config.sample_sizes],
+        "face_gap_by_size": [{"N": n, "mean_gap": m}
+                             for n, m in zip(config.sample_sizes, gap_means)],
     }
     verdicts = {}
     tol = tolerance(REL_TOL, y.box)   # a support value's round-off; records are sqrt(N) times it
@@ -621,8 +575,8 @@ def clt_tangent_experiment(y: DiscreteRandomSet, direction, config: ExperimentCo
         }
     gap_threshold = 4.0 * y.envelope / np.sqrt(final_n)
     verdicts["face_gap"] = {
-        "pass": gap_means[final_n] <= gap_threshold,
-        "observed": gap_means[final_n],
+        "pass": gap_means[-1] <= gap_threshold,
+        "observed": gap_means[-1],
         "threshold": float(gap_threshold),
     }
     return ExperimentReport(
@@ -669,16 +623,12 @@ def clt_facet_experiment(y: DiscreteRandomSet, point, config: ExperimentConfig, 
         raise NoFacet("nearest point of the expectation is not interior to a facet")
     predicted_var = float(outward @ selection.covariance @ outward)
 
-    records = []
-    excursions = 0
-    root_n = np.sqrt(config.sample_sizes)
-    for reps, values in _facet_values(y, x, facet_functional, config):
-        records += _records(reps, config.sample_sizes,
-                            (root_n * (values[..., 0] - base_distance))[..., None])
-        excursions += int(values[..., 1].sum())
+    values = _facet_values(y, x, facet_functional, config)
+    records = (np.sqrt(config.sample_sizes) * (values[..., 0] - base_distance))[..., None]
+    excursions = int(values[..., 1].sum())
 
     final_n = config.sample_sizes[-1]
-    final = np.array([stat[0] for _, n, stat in records if n == final_n])
+    final = records[:, -1, 0]
     emp_var = float(final.var(ddof=1))
     moments = {
         "final_N": final_n,
@@ -728,17 +678,13 @@ def facet_frequency_experiment(y: DiscreteRandomSet, direction,
     f = norm_gradient(direction)
     p_facet, _ = facet_inheritance(y, f, 1)
 
-    records = []
-    for reps, flags in _facet_flags(y, f, config):
-        records += _records(reps, config.sample_sizes, flags[..., None])
-
-    groups = _group_by_size(records)
+    records = _facet_flags(y, f, config)
     per_size = []
     all_in_band = True
-    for n in config.sample_sizes:
+    for n, flags in zip(config.sample_sizes, records[..., 0].T):
         expected = 1.0 - (1.0 - p_facet) ** n
-        successes = int(groups[n].sum())
-        trials = len(groups[n])
+        successes = int(flags.sum())
+        trials = len(flags)
         in_band = stats.binomial_band(trials, expected, successes)
         all_in_band &= in_band
         per_size.append({

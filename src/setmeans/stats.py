@@ -30,10 +30,6 @@ def mean_and_covariance(values):
     return mean, cov
 
 
-def normal_cdf(x: float, mu: float = 0.0, sigma: float = 1.0) -> float:
-    return 0.5 * (1.0 + math.erf((x - mu) / (sigma * math.sqrt(2.0))))
-
-
 def kolmogorov_sf(lam: float) -> float:
     """Kolmogorov limit survival function, series truncated below 1e-10."""
     if lam < 1e-8:
@@ -58,14 +54,14 @@ def ks_test_normal(values, mu: float, sigma: float):
     """One-sample two-sided KS statistic and p-value against N(mu, sigma^2)."""
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    xs = sorted(float(v) for v in values)
+    xs = np.sort(np.asarray(values, dtype=float))
     n = len(xs)
     if n < 20:
         raise ValueError("one-sample KS needs at least 20 observations")
-    d = 0.0
-    for i, x in enumerate(xs):
-        cdf = normal_cdf(x, mu, sigma)
-        d = max(d, cdf - i / n, (i + 1) / n - cdf)
+    z = (xs - mu) / (sigma * math.sqrt(2.0))
+    cdf = 0.5 * (1.0 + np.array([math.erf(v) for v in z.tolist()]))
+    i = np.arange(n)
+    d = float(max((cdf - i / n).max(), ((i + 1) / n - cdf).max()))
     return d, _ks_p_value(d, n)
 
 

@@ -12,14 +12,15 @@ reference for the blocked count kernels of ``setmeans.simulate``.
 ``exact_support_face`` decides the support face of a Minkowski
 combination in exact rational arithmetic over every combination of atom
 vertices, without face commutation: the reference for the face rule.
-``translate``, ``serialize_scene``, ``sample`` and ``uniform`` are
-test-only helpers; ``uniform`` recomputes one splitmix64 draw with
-Python integers.
+``translate``, ``serialize_scene``, ``sample``, ``uniform`` and
+``normal_cdf`` are test-only helpers; ``uniform`` recomputes one
+splitmix64 draw with Python integers.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -71,6 +72,11 @@ def sample(y: DiscreteRandomSet, u: float) -> int:
     if not 0.0 <= u < 1.0:
         raise ValueError("u must lie in [0, 1)")
     return int(np.searchsorted(y.cumulative_weights, u, side="right"))
+
+
+def normal_cdf(x: float, mu: float = 0.0, sigma: float = 1.0) -> float:
+    """CDF of N(mu, sigma^2) from the stdlib error function."""
+    return 0.5 * (1.0 + math.erf((x - mu) / (sigma * math.sqrt(2.0))))
 
 
 _MASK = (1 << 64) - 1

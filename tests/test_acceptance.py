@@ -149,14 +149,14 @@ def test_criterion_04_exposed_point_clt():
     # KS normality of the projection onto (1,-1)/sqrt(2); analytic variance 1/2
     from setmeans.stats import ks_test_normal
     w = np.array([1.0, -1.0]) / SQ2
-    final = np.array([stat for _, n, stat in report.records if n == 1000])
+    final = report.records[:, -1]   # N = 1000
     proj = final @ w
     sigma = float(np.sqrt(w @ analytic @ w))
     assert sigma == pytest.approx(np.sqrt(0.5))
     _, p = ks_test_normal(proj, 0.0, sigma)
 
     ok = (cov_err <= 0.03 and p > 0.01 and elapsed < 120.0
-          and report.discarded == 0 and report.passed())
+          and report.records.shape == (2000, 1, 2) and report.passed())
     verdict(4, "exposed-point fluctuations",
             ok, f"cov err {cov_err:.4f}, KS p {p:.3f}, {elapsed:.1f}s")
 

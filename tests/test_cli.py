@@ -18,7 +18,7 @@ from setmeans.cli import (
     run_command,
     write_report,
 )
-from setmeans.geometry import ConvergenceError, NormalFan, hull
+from setmeans.geometry import ConvergenceError, NormalFan, _fold, hull
 from setmeans import simulate
 from setmeans.randomsets import DiscreteRandomSet
 from setmeans.simulate import ExperimentConfig, lln_experiment
@@ -513,6 +513,17 @@ def _off_by_1e6(kernel):
     return lambda *args: kernel(*args) + 1e-6
 
 
+def _off_at_the_last_size(kernel):
+    """``kernel`` with 1e-6 added at the last sample size of each ``(B, S, ...)``
+    block only: the in-run oracle must check every size, not just the first."""
+    def off(*args):
+        out = kernel(*args)
+        if np.ndim(out) >= 2:
+            out[:, -1] += 1e-6
+        return out
+    return off
+
+
 _fan_point_distance = NormalFan.point_distance
 
 
@@ -527,10 +538,10 @@ _fan_point_distance = NormalFan.point_distance
      "setmeans.geometry.NormalFan.hausdorff", _fan_off_by_1e6, "OracleMismatch"),
     (["simulate", "clt-exposed", "--scene", "{scene}", "--dir", "1,1", "--seed", "1",
       "--reps", "3", "--sizes", "4", "--out", "{out}"],
-     "setmeans.simulate._fold", _off_by_1e6(simulate._fold), "OracleMismatch"),
+     "setmeans.simulate._fold", _off_by_1e6(_fold), "OracleMismatch"),
     (["simulate", "clt-tangent", "--scene", "{scene}", "--dir", "1,0", "--seed", "1",
       "--reps", "3", "--sizes", "4", "--out", "{out}"],
-     "setmeans.simulate._fold", _off_by_1e6(simulate._fold), "OracleMismatch"),
+     "setmeans.simulate._fold", _off_by_1e6(_fold), "OracleMismatch"),
     (["simulate", "clt-facet", "--scene", "{stacked}", "--point", "0.5,-1", "--seed", "1",
       "--reps", "3", "--sizes", "4", "--out", "{out}"],
      "setmeans.geometry.NormalFan.point_distance", _off_by_1e6(_fan_point_distance),
@@ -538,6 +549,13 @@ _fan_point_distance = NormalFan.point_distance
     (["simulate", "facet-freq", "--scene", "{scene}", "--dir", "0,-1", "--seed", "1",
       "--reps", "3", "--sizes", "4", "--out", "{out}"],
      "setmeans.simulate._facet_kernel", _off_by_1e6(simulate._facet_kernel), "OracleMismatch"),
+    (["simulate", "lln", "--scene", "{scene}", "--seed", "1", "--reps", "3",
+      "--sizes", "16,64", "--out", "{out}"],
+     "setmeans.geometry.NormalFan.hausdorff", _off_at_the_last_size(_fan_hausdorff),
+     "OracleMismatch"),
+    (["simulate", "clt-exposed", "--scene", "{scene}", "--dir", "1,1", "--seed", "1",
+      "--reps", "3", "--sizes", "4,16", "--out", "{out}"],
+     "setmeans.simulate._fold", _off_at_the_last_size(_fold), "OracleMismatch"),
 ])
 def test_broken_internal_invariants_exit_three_without_traceback(
         tmp_path, capsys, monkeypatch, argv, target, value, error):

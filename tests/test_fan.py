@@ -137,7 +137,8 @@ def test_experiments_match_the_body_path_record_for_record(experiment, scaled):
     ey = weighted_sum(y.bodies, y.weights)
     expected = [(rep, n, hausdorff(weighted_sum(y.bodies, counts / n), ey))
                 for rep, n, counts in checkpoints(y, config)]
-    assert [r[:2] for r in records] == [e[:2] for e in expected]
-    for (_, n, (stat,)), (_, _, dist) in zip(records, expected):
+    assert records.shape == (20, 3, 1)
+    for rep, n, dist in expected:
+        stat = records[rep, config.sample_sizes.index(n), 0]
         value = stat / np.sqrt(n) if scaled else stat
         assert abs(value - dist) <= 1e-12 * (1.0 + y.envelope)

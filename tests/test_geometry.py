@@ -161,16 +161,14 @@ def test_support_additivity_and_homogeneity():
 def test_support_face_bottom_edge():
     cert = support_face(square(), (0, -1))
     assert vertex_set(cert.face) == {(0.0, 0.0), (1.0, 0.0)}
-    assert not cert.is_exposed
-    assert cert.facet_direction is not None
-    assert np.dot(cert.direction, cert.facet_direction) == pytest.approx(1.0)
+    assert cert.face.vertex_count >= 2
+    assert np.linalg.norm(cert.direction) == pytest.approx(1.0)
 
 
 def test_support_face_corner():
     cert = support_face(square(), (1, 1))
     assert vertex_set(cert.face) == {(1.0, 1.0)}
-    assert cert.is_exposed
-    assert cert.facet_direction is None
+    assert cert.face.vertex_count == 1
 
 
 def test_support_face_segment_endpoint():
@@ -485,6 +483,16 @@ def test_sfs_ten_copies():
     gap, bound = shapley_folkman_gap(sets)
     assert gap == pytest.approx(0.05)  # half the raw-sum lattice spacing
     assert gap <= SQ2 / 10
+
+
+@pytest.mark.parametrize("sites, gap", [
+    ([[0.0, 0.0], [2.0, 0.0], [1.0, 1.5]], 13.0 / 12.0),  # acute: the circumradius
+    # obtuse: the circumcenter lies outside; the gap is attained on the
+    # longest edge, where it is equidistant from an end and the apex
+    ([[0.0, 0.0], [4.0, 0.0], [2.0, 1.0]], 1.25),
+])
+def test_sfs_gap_of_three_sites(sites, gap):
+    assert shapley_folkman_gap([np.array(sites)])[0] == pytest.approx(gap, rel=1e-12)
 
 
 def test_sfs_gap_matches_grid_oracle_on_small_instances():

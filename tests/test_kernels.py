@@ -65,22 +65,17 @@ def laws(draw):
     return DiscreteRandomSet(weights=weights / weights.sum(), bodies=tuple(bodies))
 
 
-def kernel_values(blocks, config=CONFIG) -> dict:
-    """``(rep, n) -> value`` from a generator of ``(reps, values, ...)`` blocks."""
-    out = {}
-    for reps, *values in blocks:
-        values = np.stack(values, axis=-1) if len(values) > 1 else values[0]
-        for r, rep in enumerate(reps.tolist()):
-            for s, n in enumerate(config.sample_sizes):
-                out[rep, n] = np.asarray(values[r, s], dtype=float)
-    return out
+def at(kernel: np.ndarray, key, config=CONFIG) -> np.ndarray:
+    """Entry ``key = (rep, n)`` of an ``(R, S, k)`` kernel output."""
+    return kernel[key[0], config.sample_sizes.index(key[1])]
 
 
-def assert_same(kernel: dict, body: dict, y, rtol=1e-12):
-    assert kernel.keys() == body.keys()
+def assert_same(kernel: np.ndarray, body: dict, y, config=CONFIG, rtol=1e-12):
+    assert kernel.shape[:2] == (config.replications, len(config.sample_sizes))
+    assert len(body) == kernel.shape[0] * kernel.shape[1]
     tol = rtol * (1.0 + y.envelope)
     for key, want in body.items():
-        got = kernel[key]
+        got, want = at(kernel, key, config), np.atleast_1d(want)
         assert np.array_equal(np.isnan(got), np.isnan(want)), key
         keep = ~np.isnan(want)
         assert np.all(np.abs(got[keep] - want[keep]) <= tol), (key, got, want)
@@ -101,20 +96,17 @@ def test_exposed_kernel_matches_the_body_path(y, angle):
     f = np.array([np.cos(angle), np.sin(angle)])
     assume(all(support_face(body, f).face.vertex_count == 1 for body in y.bodies))
     # the fold rounds as weighted_sum does: the points are equal, not just close
-    assert_same(kernel_values(_exposed_points(y, f, CONFIG)),
-                body_values("exposed", y, f, CONFIG), y, rtol=0.0)
+    assert_same(_exposed_points(y, f, CONFIG), body_values("exposed", y, f, CONFIG), y, rtol=0.0)
 
 
 @PROPERTY
 @given(laws(), GRID_DIRECTIONS)
 def test_tangent_kernel_matches_the_body_path(y, direction):
     u = norm_gradient(direction)
-    kernel = kernel_values(_tangent_values(y, u, CONFIG))
-    body = tangent_body(y, u)
-    for (rep, n), want in body.items():
-        # totals are compared per draw, like every other unscaled statistic
-        kernel[rep, n] = kernel[rep, n] / [n, 1.0]
-        body[rep, n] = want / [n, 1.0]
+    totals, gaps = _tangent_values(y, u, CONFIG)
+    # totals are compared per draw, like every other unscaled statistic
+    kernel = np.stack([totals / np.array(CONFIG.sample_sizes), gaps], axis=-1)
+    body = {(rep, n): want / [n, 1.0] for (rep, n), want in tangent_body(y, u).items()}
     assert_same(kernel, body, y)
 
 
@@ -122,8 +114,7 @@ def test_tangent_kernel_matches_the_body_path(y, direction):
 @given(laws(), GRID_DIRECTIONS)
 def test_facet_flag_kernel_matches_the_body_path(y, direction):
     f = norm_gradient(direction)
-    assert_same(kernel_values(_facet_flags(y, f, CONFIG)),
-                body_values("flags", y, f, CONFIG), y, rtol=0.0)
+    assert_same(_facet_flags(y, f, CONFIG), body_values("flags", y, f, CONFIG), y, rtol=0.0)
 
 
 @PROPERTY
@@ -131,11 +122,11 @@ def test_facet_flag_kernel_matches_the_body_path(y, direction):
 def test_facet_distance_kernel_matches_the_body_path(y, direction, point):
     f = norm_gradient(direction)
     x = np.array(point) + 3.0 * f   # often beyond a facet in direction f
-    kernel = kernel_values(_facet_values(y, x, f, CONFIG))
+    kernel = _facet_values(y, x, f, CONFIG)
     body = body_values("facet", y, (x, f), CONFIG)
     assert_same(kernel, body, y)
     # the excursion count of the experiment is the sum of these flags
-    assert sum(v[1] for v in kernel.values()) == sum(v[1] for v in body.values())
+    assert kernel[..., 1].sum() == sum(v[1] for v in body.values())
 
 
 # ---------------------------------------------------------------------------
@@ -157,18 +148,21 @@ def test_exposed_and_tangent_records_equal_the_body_path():
     report = clt_exposed_experiment(y, u, EXPERIMENT_CONFIG)
     body = body_values("exposed", y, u, EXPERIMENT_CONFIG)
     target = support_face(expectation(y), u).face.vertices[0]
-    assert report.discarded == len({rep for (rep, _), v in body.items() if np.isnan(v).any()})
-    for rep, n, stat in report.records:
-        assert np.all(np.abs(np.array(stat) / np.sqrt(n) - (body[rep, n] - target))
-                      <= 1e-12 * (1.0 + y.envelope))
+    # no face is tied, and every replication is recorded
+    assert not any(np.isnan(v).any() for v in body.values())
+    assert report.records.shape == (60, 3, 2)
+    for (rep, n), want in body.items():
+        stat = at(report.records, (rep, n), EXPERIMENT_CONFIG)
+        assert np.all(np.abs(stat / np.sqrt(n) - (want - target)) <= 1e-12 * (1.0 + y.envelope))
 
     u = norm_gradient([1.0, 0.0])
     report = clt_tangent_experiment(y, u, EXPERIMENT_CONFIG)
     body = tangent_body(y, u, EXPERIMENT_CONFIG)
     s_expected = support_face(expectation(y), u).support_value
-    for rep, n, (stat,) in report.records:
-        assert abs(stat / np.sqrt(n) - (body[rep, n][0] / n - s_expected)) \
-            <= 1e-12 * (1.0 + y.envelope)
+    assert report.records.shape == (60, 3, 1)
+    for (rep, n), want in body.items():
+        (stat,) = at(report.records, (rep, n), EXPERIMENT_CONFIG)
+        assert abs(stat / np.sqrt(n) - (want[0] / n - s_expected)) <= 1e-12 * (1.0 + y.envelope)
 
 
 def test_facet_records_and_excursions_equal_the_body_path():
@@ -178,15 +172,17 @@ def test_facet_records_and_excursions_equal_the_body_path():
     body = body_values("facet", y, (x, np.array([0.0, -1.0])), EXPERIMENT_CONFIG)
     base = report.moments["base_distance"]
     assert report.moments["excursions"] == sum(int(v[1]) for v in body.values())
-    for rep, n, (stat,) in report.records:
-        assert abs(stat / np.sqrt(n) - (body[rep, n][0] - base)) <= 1e-12 * (1.0 + y.envelope)
+    assert report.records.shape == (60, 3, 1)
+    for (rep, n), want in body.items():
+        (stat,) = at(report.records, (rep, n), EXPERIMENT_CONFIG)
+        assert abs(stat / np.sqrt(n) - (want[0] - base)) <= 1e-12 * (1.0 + y.envelope)
 
     y = scene("two_segments")
     f = norm_gradient([0.0, -1.0])
     report = facet_frequency_experiment(y, f, EXPERIMENT_CONFIG)
     body = body_values("flags", y, f, EXPERIMENT_CONFIG)
-    assert [stat[0] for _, _, stat in report.records] == \
-        [body[rep, n] for rep, n, _ in report.records]
+    sizes = EXPERIMENT_CONFIG.sample_sizes
+    assert report.records[..., 0].tolist() == [[body[rep, n] for n in sizes] for rep in range(60)]
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +248,13 @@ def test_near_ties_follow_the_atom_faces(kind):
     kind, y = kind.split("-")[0], law()
     config = ExperimentConfig(master_seed=2, sample_sizes=(4, 16), replications=40)
     # the oracle replications run and agree: the face rule holds on the body
-    got = kernel_values(kernel(y, config), config)
-    assert_same(got, exact_values(kind, y, vector, config), y)
+    got = kernel(y, config)
+    assert_same(got, exact_values(kind, y, vector, config), y, config)
     # re-deciding each mean's face from its own vertices ties some faces of
     # the near-tie law; the uneven facet is a vertex at every translation
     body = body_values(kind, y, vector, config)
-    differs = any(not np.array_equal(got[key], body[key], equal_nan=True) for key in body)
+    differs = any(not np.array_equal(at(got, key, config), np.atleast_1d(want), equal_nan=True)
+                  for key, want in body.items())
     assert differs == (law is near_tie_law)
 
 
@@ -269,9 +266,9 @@ def test_short_facets_are_kept_at_every_scale():
         y = DiscreteRandomSet(weights=[0.7, 0.3],
                               bodies=(hull(s * np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, 1.0]])),
                                       hull(s * np.array([[0.0, 0.0], [5e-9, 0.0]]))))
-        flags = kernel_values(_facet_flags(y, DOWN, config), config)
-        assert_same(flags, exact_values("flags", y, DOWN, config), y, rtol=0.0)
-        assert 0.0 < np.mean(list(flags.values())) < 1.0
+        flags = _facet_flags(y, DOWN, config)
+        assert_same(flags, exact_values("flags", y, DOWN, config), y, config, rtol=0.0)
+        assert 0.0 < flags.mean() < 1.0
 
 
 def test_non_parallel_facets_are_segments_inside_the_hyperplane():
@@ -283,9 +280,9 @@ def test_non_parallel_facets_are_segments_inside_the_hyperplane():
                                   hull([[0, 0], [1, 1e-12], [1, 1], [0, 1]])))
     x = np.array([0.5, -1.0])
     config = ExperimentConfig(master_seed=3, sample_sizes=(4, 16), replications=20)
-    kernel = kernel_values(_facet_values(y, x, DOWN, config), config)
-    assert_same(kernel, body_values("facet", y, (x, DOWN), config), y)
-    assert sum(v[1] for v in kernel.values()) == 0
+    kernel = _facet_values(y, x, DOWN, config)
+    assert_same(kernel, body_values("facet", y, (x, DOWN), config), y, config)
+    assert kernel[..., 1].sum() == 0
 
 
 def count_body_paths(monkeypatch):
@@ -305,8 +302,8 @@ def test_excursion_band_sends_boundary_points_to_the_body_path(monkeypatch):
     body = body_values("facet", y, (x, DOWN), config)
     on_boundary = sum(v[0] <= tolerance(REL_TOL, y.box) for v in body.values())
     calls = count_body_paths(monkeypatch)
-    kernel = kernel_values(_facet_values(y, x, DOWN, config), config)
-    assert_same(kernel, body, y)
+    kernel = _facet_values(y, x, DOWN, config)
+    assert_same(kernel, body, y, config)
     assert on_boundary > 0
     assert len(calls) >= on_boundary   # every zero-distance checkpoint took the body path
 
@@ -329,13 +326,12 @@ def test_facet_kernel_decides_excursions_like_is_facet_at(x, shift):
     for t in (shift, 0.0):
         y = DiscreteRandomSet(weights=squares.weights,
                               bodies=tuple(hull(body.vertices + t) for body in squares.bodies))
-        kernel = kernel_values(_facet_values(y, x - shift + t, DOWN, config), config)
-        assert_same(kernel, body_values("facet", y, (x - shift + t, DOWN), config), y)
+        kernel = _facet_values(y, x - shift + t, DOWN, config)
+        assert_same(kernel, body_values("facet", y, (x - shift + t, DOWN), config), y, config)
         values.append(kernel)
     # the decisions do not depend on where the law sits
-    for key, want in values[1].items():
-        assert values[0][key][1] == want[1]
-        assert abs(values[0][key][0] - want[0]) <= 1e-9
+    assert np.array_equal(values[0][..., 1], values[1][..., 1])
+    assert np.abs(values[0][..., 0] - values[1][..., 0]).max() <= 1e-9
 
 
 def test_facet_experiment_counts_the_excursions_of_the_body_path():

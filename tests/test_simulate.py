@@ -137,19 +137,17 @@ def test_config_validation():
 def test_record_counts_per_size_group():
     cfg = ExperimentConfig(master_seed=5, sample_sizes=(8, 16, 32), replications=20)
     report = lln_experiment(two_segments(), cfg)
-    assert len(report.records) == 20 * 3
-    for n in (8, 16, 32):
-        assert sum(1 for _, size, _ in report.records if size == n) == 20
+    assert report.records.shape == (20, 3, 1)
 
 
 def test_reports_are_deterministic_given_seed():
     cfg = ExperimentConfig(master_seed=9, sample_sizes=(16, 64), replications=25)
     a = lln_experiment(two_segments(), cfg)
     b = lln_experiment(two_segments(), cfg)
-    assert a.records == b.records
+    assert np.array_equal(a.records, b.records)
     c = lln_experiment(two_segments(),
                        ExperimentConfig(master_seed=10, sample_sizes=(16, 64), replications=25))
-    assert a.records != c.records
+    assert not np.array_equal(a.records, c.records)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +156,7 @@ def test_reports_are_deterministic_given_seed():
 def test_lln_single_atom_zero_distance():
     cfg = ExperimentConfig(master_seed=3, sample_sizes=(1, 4, 16), replications=10)
     report = lln_experiment(single_atom(), cfg)
-    assert all(stat[0] <= 1e-12 for _, _, stat in report.records)
+    assert (report.records <= 1e-12).all()
 
 
 def test_lln_two_segments_single_draw_distance():
@@ -169,7 +167,7 @@ def test_lln_two_segments_single_draw_distance():
     assert hausdorff(y.bodies[1], ey) == pytest.approx(0.5)
     cfg = ExperimentConfig(master_seed=3, sample_sizes=(1,), replications=40)
     report = lln_experiment(y, cfg, median_max=0.6)
-    assert all(stat[0] == pytest.approx(0.5, abs=1e-12) for _, _, stat in report.records)
+    assert report.records == pytest.approx(0.5, abs=1e-12)
 
 
 def test_lln_medians_decrease_and_records_bounded():
@@ -180,7 +178,7 @@ def test_lln_medians_decrease_and_records_bounded():
     report = lln_experiment(y, cfg)
     medians = [row["median"] for row in report.moments["median_by_size"]]
     assert medians[-1] < medians[0]
-    assert all(stat[0] <= worst + 1e-9 for _, _, stat in report.records)
+    assert (report.records <= worst + 1e-9).all()
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +187,14 @@ def test_lln_medians_decrease_and_records_bounded():
 def test_clt_hausdorff_single_atom_all_zero():
     cfg = ExperimentConfig(master_seed=13, sample_sizes=(25, 100), replications=30)
     report = clt_hausdorff_experiment(single_atom(), cfg)
-    assert all(stat[0] == 0.0 for _, _, stat in report.records)
+    assert (report.records == 0.0).all()
     assert report.passed()
 
 
 def test_clt_hausdorff_records_nonnegative():
     cfg = ExperimentConfig(master_seed=13, sample_sizes=(25, 100), replications=50)
     report = clt_hausdorff_experiment(two_segments(), cfg)
-    assert all(stat[0] >= 0.0 for _, _, stat in report.records)
+    assert (report.records >= 0.0).all()
 
 
 def test_clt_hausdorff_needs_two_sizes():
@@ -213,8 +211,8 @@ def test_clt_exposed_single_atom_records_zero():
     sq = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
     law = DiscreteRandomSet(weights=[1.0], bodies=(sq,))
     report = clt_exposed_experiment(law, (1, 1), cfg)
-    assert all(np.allclose(stat, 0.0) for _, _, stat in report.records)
-    assert report.discarded == 0
+    assert report.records.shape == (30, 1, 2)   # every replication is recorded
+    assert np.allclose(report.records, 0.0)
 
 
 def test_clt_exposed_not_exposed_direction():
@@ -226,7 +224,7 @@ def test_clt_exposed_not_exposed_direction():
 def test_clt_exposed_null_projection_is_degenerate():
     cfg = ExperimentConfig(master_seed=19, sample_sizes=(256,), replications=200)
     report = clt_exposed_experiment(two_segments(), np.array([1, 1]) / SQ2, cfg)
-    records = np.array([stat for _, _, stat in report.records])
+    records = report.records[:, 0]
     proj = records @ (np.array([1.0, 1.0]) / SQ2)
     assert np.abs(proj).max() <= 1e-9
     # empirical mean near zero at moderate scale
@@ -241,7 +239,7 @@ def test_clt_exposed_null_projection_is_degenerate():
 def test_clt_tangent_equal_supports_all_zero():
     cfg = ExperimentConfig(master_seed=23, sample_sizes=(128,), replications=40)
     report = clt_tangent_experiment(two_segments(), np.array([1, 1]) / SQ2, cfg)
-    assert all(abs(stat[0]) <= 1e-9 for _, _, stat in report.records)
+    assert (np.abs(report.records) <= 1e-9).all()
     assert report.verdicts["variance"]["pass"]
 
 
@@ -258,7 +256,7 @@ def test_clt_tangent_face_gap_shrinks():
 def test_clt_facet_single_atom_records_zero():
     cfg = ExperimentConfig(master_seed=31, sample_sizes=(64,), replications=30)
     report = clt_facet_experiment(single_atom(), (0.25, -1.0), cfg)
-    assert all(stat[0] == pytest.approx(0.0, abs=1e-9) for _, _, stat in report.records)
+    assert (np.abs(report.records) <= 1e-9).all()
 
 
 def test_clt_facet_rejects_point_inside():
@@ -291,11 +289,11 @@ def test_facet_frequency_extremes():
     # p_facet = 1: every atom is a segment with the queried facet direction
     y_all = DiscreteRandomSet(weights=[1.0], bodies=(hull([(0, 0), (1, 0)]),))
     report = facet_frequency_experiment(y_all, (0, -1), cfg)
-    assert all(stat[0] == 1.0 for _, _, stat in report.records)
+    assert (report.records == 1.0).all()
     # p_facet = 0: singleton atoms never carry a facet
     y_none = DiscreteRandomSet(weights=[1.0], bodies=(hull([(0.5, 0.5)]),))
     report = facet_frequency_experiment(y_none, (0, -1), cfg)
-    assert all(stat[0] == 0.0 for _, _, stat in report.records)
+    assert (report.records == 0.0).all()
 
 
 def test_facet_frequency_matches_formula_at_moderate_scale():

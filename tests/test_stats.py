@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from oracles import normal_cdf
 from setmeans.stats import (
     binomial_band,
     kolmogorov_sf,
@@ -11,7 +12,6 @@ from setmeans.stats import (
     ks_two_sample,
     loglog_slope,
     mean_and_covariance,
-    normal_cdf,
 )
 
 
@@ -60,6 +60,19 @@ def test_normal_cdf_against_scipy():
 
 # ---------------------------------------------------------------------------
 # one-sample KS
+
+def test_ks_normal_statistic_equals_the_loop_over_sorted_values():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        n = int(rng.integers(20, 300))
+        xs = np.round(rng.normal(size=n), int(rng.integers(1, 4)))   # ties too
+        mu, sigma = float(rng.normal(0.0, 0.3)), float(rng.uniform(0.5, 2.0))
+        d = 0.0
+        for i, x in enumerate(sorted(xs.tolist())):
+            cdf = normal_cdf(x, mu, sigma)
+            d = max(d, cdf - i / n, (i + 1) / n - cdf)
+        assert ks_test_normal(xs, mu, sigma)[0] == d
+
 
 def test_ks_normal_quantile_sample_minimizes_d():
     n = 100
