@@ -5,8 +5,9 @@ experiment preconditions, a malformed replay manifest and a replayed
 scene that no longer matches its manifest), 2 when the experiment ran
 but an acceptance verdict inside the report failed, 3 when an internal
 invariant broke (a solver did not converge, a face failed the
-commutation check, the normal-fan distance disagreed with its oracle, or
-a replay wrote records whose digest differs from the manifest's).
+commutation check, a count kernel disagreed with its oracle, a sample
+mean left the hull of the atoms, or a replay wrote records whose digest
+differs from the manifest's).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import sys
 import time
 from typing import Optional
@@ -96,6 +98,12 @@ _INTERNAL_ERRORS = (ConvergenceError, CommutationError, OracleMismatch, ReplayMi
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a token matching this as a value, not an option; its own
+        # pattern takes plain negative numbers only, not vectors such as -1,0 or -.5,1
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # argparse would sys.exit(2); keep 1 for usage errors
         raise UsageError(message)
 

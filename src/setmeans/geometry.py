@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -234,10 +234,6 @@ def hull(points) -> ConvexBody:
     Idempotent: ``hull(body.vertices)`` reproduces the body.
     """
     P = _dedup(_as_points(points))
-    if P.shape[1] == 1:
-        lo, hi = float(P.min()), float(P.max())
-        V = np.array([[lo]]) if lo == hi else np.array([[lo], [hi]])
-        return ConvexBody(V)
     return ConvexBody(_canonical(P[_extreme_indices(P)]))
 
 
@@ -424,30 +420,22 @@ def hausdorff(a: ConvexBody, b: ConvexBody) -> float:
     return max(deviation(a, b), deviation(b, a))
 
 
-@lru_cache(maxsize=32)
-def _sphere_grid_cached(dim: int, m: int) -> np.ndarray:
-    if dim == 1:
-        grid = np.array([[1.0], [-1.0]])
-    elif dim == 2:
-        theta = 2.0 * np.pi * np.arange(m) / m
-        grid = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    elif dim == 3:
-        k = np.arange(m)
-        z = 1.0 - (2.0 * k + 1.0) / m
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        golden = np.pi * (3.0 - np.sqrt(5.0))
-        grid = np.stack([r * np.cos(golden * k), r * np.sin(golden * k), z], axis=1)
-    else:
-        raise GeometryError(f"direction grids are only generated for dimension <= 3, got {dim}")
-    grid.setflags(write=False)
-    return grid
-
-
 def sphere_grid(dim: int, m: int) -> np.ndarray:
     """Deterministic unit-direction grid: uniform angles (2-D), Fibonacci sphere (3-D)."""
     if m < 1:
         raise GeometryError("grid size must be positive")
-    return _sphere_grid_cached(int(dim), int(m))
+    if dim == 1:
+        return np.array([[1.0], [-1.0]])
+    if dim == 2:
+        theta = 2.0 * np.pi * np.arange(m) / m
+        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    if dim == 3:
+        k = np.arange(m)
+        z = 1.0 - (2.0 * k + 1.0) / m
+        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        golden = np.pi * (3.0 - np.sqrt(5.0))
+        return np.stack([r * np.cos(golden * k), r * np.sin(golden * k), z], axis=1)
+    raise GeometryError(f"direction grids are only generated for dimension <= 3, got {dim}")
 
 
 def hausdorff_via_support(a: ConvexBody, b: ConvexBody, m: int) -> float:

@@ -39,7 +39,6 @@ from . import stats
 from .geometry import (
     FACET_REL_MARGIN,
     REL_TOL,
-    GeometryError,
     _fold,
     _in_facet,
     hausdorff,
@@ -69,6 +68,14 @@ DRAW_BUDGET = 2 ** 15          # draws per block of replications drawn by `_coun
 ORACLE_REPS = 3                # replications recomputed along the body path at every size
 GUARD_REL = 1e-8               # half-width of clt-facet's guard band, relative (see `tolerance`)
 
+# Verdict thresholds; every report echoes the ones it uses in its ``config``.
+MEDIAN_MAX = 0.05              # lln: largest median distance at the final size
+SLOPE_RANGE = (-0.65, -0.35)   # lln: log-log slope of the medians (the rate is N^-1/2)
+KS_ALPHA = 0.01                # level of every KS test
+COV_ATOL = 0.03                # clt-exposed: largest entrywise covariance error
+VARIANCE_RTOL = 0.10           # clt-tangent, clt-facet: largest relative variance error
+DEGENERATE_ATOL = 1e-3         # clt-facet: largest variance when the predicted one is 0
+
 
 class IncompatibleSelection(ValueError):
     """Nearest-point selection mean disagrees with the projected expectation."""
@@ -83,7 +90,8 @@ class InsideBody(ValueError):
 
 
 class OracleMismatch(RuntimeError):
-    """A count kernel disagrees with the body path (fold the mean, then measure it)."""
+    """A count kernel disagrees with the body path (fold the mean, then measure
+    it), or a sample mean's distance breaks the convexity bound."""
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +141,38 @@ class ExperimentReport:
         return [name for name, v in self.verdicts.items() if not v["pass"]]
 
 
-def _config_echo(config: ExperimentConfig, **extra) -> dict:
-    echo = {
-        "master_seed": config.master_seed,
-        "sample_sizes": list(config.sample_sizes),
-        "replications": config.replications,
+def _report(kind: str, config: ExperimentConfig, t0: float, records: np.ndarray,
+            moments: dict, verdicts: dict, **echo) -> ExperimentReport:
+    """The report of a ``kind`` run started at ``t0``; its ``config``
+    echoes ``config`` followed by ``echo`` (the vector and thresholds)."""
+    return ExperimentReport(
+        experiment=kind,
+        config={"master_seed": config.master_seed, "sample_sizes": list(config.sample_sizes),
+                "replications": config.replications, **echo},
+        records=records,
+        moments=moments,
+        verdicts=verdicts,
+        duration_seconds=time.perf_counter() - t0,
+    )
+
+
+def _normal_limit(final: np.ndarray, variance: float, tol: float, zero_bound: float,
+                  **zero_echo) -> dict:
+    """``variance`` and ``ks_normality`` verdicts of the sample ``final``
+    against its limit N(0, variance).  A variance of at most ``tol ** 2``
+    (``tol`` the law's round-off) is 0: then only ``variance`` is judged,
+    the empirical variance must stay within ``zero_bound``, and
+    ``zero_echo`` joins the verdict."""
+    emp_var = float(final.var(ddof=1))
+    if variance <= tol * tol:
+        return {"variance": {"pass": emp_var <= zero_bound, "observed": emp_var,
+                             "expected": 0.0, **zero_echo}}
+    D, p = stats.ks_test_normal(final, 0.0, float(np.sqrt(variance)))
+    return {
+        "variance": {"pass": abs(emp_var - variance) <= VARIANCE_RTOL * variance,
+                     "observed": emp_var, "expected": variance, "rtol": VARIANCE_RTOL},
+        "ks_normality": {"pass": p > KS_ALPHA, "D": D, "p": p, "alpha": KS_ALPHA},
     }
-    echo.update(extra)
-    return echo
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +252,9 @@ def _distances(y: DiscreteRandomSet, config: ExperimentConfig) -> np.ndarray:
 
     In 2-D the distance comes straight from the draw counts through the
     atoms' normal fan, with replication 0 as the oracle (fold the mean,
-    then Wolfe).  Other dimensions take the body path everywhere.  No
-    distance may exceed the largest atom-to-expectation distance.
+    then Wolfe).  Other dimensions take the body path everywhere.  A
+    distance beyond the largest atom-to-expectation distance, which
+    convexity rules out, raises :class:`OracleMismatch`.
     """
     ey = expectation(y)
     fan = normal_fan(y.bodies) if y.dim == 2 else None
@@ -242,7 +275,7 @@ def _distances(y: DiscreteRandomSet, config: ExperimentConfig) -> np.ndarray:
         max_atom_dist = float(fan.hausdorff(units, y.weights).max())
     dist = _statistic(y, config, kernel, body, oracle_reps=1)
     if (dist > max_atom_dist + tol).any():
-        raise GeometryError("sample mean left the hull of the atoms")
+        raise OracleMismatch("sample mean left the hull of the atoms")
     return dist
 
 
@@ -378,15 +411,13 @@ def _facet_kernel(counts: np.ndarray, facet_atoms: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # experiments
 
-def lln_experiment(y: DiscreteRandomSet, config: ExperimentConfig, *,
-                   median_max: float = 0.05,
-                   slope_range: tuple[float, float] = (-0.65, -0.35)) -> ExperimentReport:
+def lln_experiment(y: DiscreteRandomSet, config: ExperimentConfig) -> ExperimentReport:
     """Distance of the sample mean to the expectation, with rate check.
 
     Records H(mean_N, E) per replication and size; verdicts: the median
-    at the largest size stays below ``median_max`` and (with at least
+    at the largest size stays below ``MEDIAN_MAX`` and (with at least
     three sizes) the log-log slope of the medians falls in
-    ``slope_range``.
+    ``SLOPE_RANGE``.
     """
     t0 = time.perf_counter()
     records = _distances(y, config)
@@ -395,9 +426,9 @@ def lln_experiment(y: DiscreteRandomSet, config: ExperimentConfig, *,
     moments = {"median_by_size": [{"N": n, "median": m} for n, m in zip(sizes, medians)]}
     verdicts = {}
     verdicts["final_median"] = {
-        "pass": medians[-1] <= median_max,
+        "pass": medians[-1] <= MEDIAN_MAX,
         "observed": medians[-1],
-        "threshold": median_max,
+        "threshold": MEDIAN_MAX,
         "N": sizes[-1],
     }
     if len(sizes) >= 3 and all(m > 0.0 for m in medians):
@@ -405,27 +436,21 @@ def lln_experiment(y: DiscreteRandomSet, config: ExperimentConfig, *,
         moments["slope"] = slope
         moments["intercept"] = intercept
         verdicts["slope"] = {
-            "pass": slope_range[0] <= slope <= slope_range[1],
+            "pass": SLOPE_RANGE[0] <= slope <= SLOPE_RANGE[1],
             "observed": slope,
-            "range": list(slope_range),
+            "range": list(SLOPE_RANGE),
         }
-    return ExperimentReport(
-        experiment="lln",
-        config=_config_echo(config, median_max=median_max, slope_range=list(slope_range)),
-        records=records,
-        moments=moments,
-        verdicts=verdicts,
-        duration_seconds=time.perf_counter() - t0,
-    )
+    return _report("lln", config, t0, records, moments, verdicts,
+                   median_max=MEDIAN_MAX, slope_range=list(SLOPE_RANGE))
 
 
-def clt_hausdorff_experiment(y: DiscreteRandomSet, config: ExperimentConfig, *,
-                             ks_alpha: float = 0.01) -> ExperimentReport:
+def clt_hausdorff_experiment(y: DiscreteRandomSet, config: ExperimentConfig) -> ExperimentReport:
     """Scaled distance sqrt(N)*H(mean_N, E), checked for stability across sizes.
 
     The limiting law has no closed form, so the testable consequence is
     distributional stability: a two-sample KS test between consecutive
-    sizes must not reject at level ``ks_alpha``.
+    sizes must not reject at level ``KS_ALPHA``.  Records within their
+    round-off, ``sqrt(N)`` times the law's tolerance, count as ties.
     """
     if len(config.sample_sizes) < 2:
         raise ValueError("stability check needs at least two sample sizes")
@@ -433,9 +458,10 @@ def clt_hausdorff_experiment(y: DiscreteRandomSet, config: ExperimentConfig, *,
     sizes = config.sample_sizes
     records = np.sqrt(sizes)[:, None] * _distances(y, config)
     by_size = records[..., 0].T
+    ties = np.sqrt(sizes[-1]) * tolerance(REL_TOL, y.box)
     pairs = []
     for s in range(1, len(sizes)):
-        d, p = stats.ks_two_sample(by_size[s - 1], by_size[s])
+        d, p = stats.ks_two_sample(by_size[s - 1], by_size[s], ties)
         pairs.append({"sizes": [sizes[s - 1], sizes[s]], "D": d, "p": p})
     moments = {
         "mean_by_size": [{"N": n, "mean": float(x.mean())} for n, x in zip(sizes, by_size)],
@@ -443,29 +469,21 @@ def clt_hausdorff_experiment(y: DiscreteRandomSet, config: ExperimentConfig, *,
     }
     verdicts = {
         "ks_stability": {
-            "pass": all(pair["p"] > ks_alpha for pair in pairs),
-            "alpha": ks_alpha,
+            "pass": all(pair["p"] > KS_ALPHA for pair in pairs),
+            "alpha": KS_ALPHA,
             "pairs": pairs,
         }
     }
-    return ExperimentReport(
-        experiment="clt-hausdorff",
-        config=_config_echo(config, ks_alpha=ks_alpha),
-        records=records,
-        moments=moments,
-        verdicts=verdicts,
-        duration_seconds=time.perf_counter() - t0,
-    )
+    return _report("clt-hausdorff", config, t0, records, moments, verdicts, ks_alpha=KS_ALPHA)
 
 
-def clt_exposed_experiment(y: DiscreteRandomSet, direction, config: ExperimentConfig, *,
-                           cov_atol: float = 0.03,
-                           ks_alpha: float = 0.01) -> ExperimentReport:
+def clt_exposed_experiment(y: DiscreteRandomSet, direction,
+                           config: ExperimentConfig) -> ExperimentReport:
     """Fluctuation of the exposed point of the sample mean around its limit.
 
     Records sqrt(N) * (exposed point of mean_N - exposed point of E).
     Verdicts (on the largest size): empirical covariance within
-    ``cov_atol`` entrywise of the analytic selection covariance, KS
+    ``COV_ATOL`` entrywise of the analytic selection covariance, KS
     normality per non-degenerate coordinate, and near-zero empirical
     mean.  Every atom face is a point, so no mean's face is tied.
     """
@@ -490,9 +508,9 @@ def clt_exposed_experiment(y: DiscreteRandomSet, direction, config: ExperimentCo
     cov_err = float(np.abs(emp_cov - sigma).max())
     verdicts = {
         "covariance": {
-            "pass": cov_err <= cov_atol,
+            "pass": cov_err <= COV_ATOL,
             "max_abs_error": cov_err,
-            "tolerance": cov_atol,
+            "tolerance": COV_ATOL,
         }
     }
     mean_bound = 4.0 * float(np.sqrt(np.trace(sigma) / len(final)))
@@ -511,24 +529,17 @@ def clt_exposed_experiment(y: DiscreteRandomSet, direction, config: ExperimentCo
     moments["ks_by_axis"] = ks
     if ks:
         verdicts["ks_normality"] = {
-            "pass": all(entry["p"] > ks_alpha for entry in ks),
-            "alpha": ks_alpha,
+            "pass": all(entry["p"] > KS_ALPHA for entry in ks),
+            "alpha": KS_ALPHA,
             "axes": ks,
         }
-    return ExperimentReport(
-        experiment="clt-exposed",
-        config=_config_echo(config, direction=list(np.asarray(direction, dtype=float)),
-                            cov_atol=cov_atol, ks_alpha=ks_alpha),
-        records=records,
-        moments=moments,
-        verdicts=verdicts,
-        duration_seconds=time.perf_counter() - t0,
-    )
+    return _report("clt-exposed", config, t0, records, moments, verdicts,
+                   direction=list(np.asarray(direction, dtype=float)),
+                   cov_atol=COV_ATOL, ks_alpha=KS_ALPHA)
 
 
-def clt_tangent_experiment(y: DiscreteRandomSet, direction, config: ExperimentConfig, *,
-                           variance_rtol: float = 0.10,
-                           ks_alpha: float = 0.01) -> ExperimentReport:
+def clt_tangent_experiment(y: DiscreteRandomSet, direction,
+                           config: ExperimentConfig) -> ExperimentReport:
     """Fluctuation of the averaged support values in one direction.
 
     Records (1/sqrt(N)) * sum_i (s_{Y_i}(u) - s_E(u)); the analytic limit
@@ -546,54 +557,28 @@ def clt_tangent_experiment(y: DiscreteRandomSet, direction, config: ExperimentCo
     records = ((totals - sizes * s_expected) / np.sqrt(sizes))[..., None]
 
     final_n = config.sample_sizes[-1]
-    final = records[:, -1, 0]
-    emp_var = float(final.var(ddof=1))
+    tol = tolerance(REL_TOL, y.box)   # a support value's round-off; records are sqrt(N) times it
+    verdicts = _normal_limit(records[:, -1, 0], sigma2, tol, final_n * tol * tol)
     gap_means = [float(np.mean(gap)) for gap in gaps.T]
     moments = {
         "final_N": final_n,
-        "empirical_variance": emp_var,
+        "empirical_variance": verdicts["variance"]["observed"],
         "analytic_variance": sigma2,
         "face_gap_by_size": [{"N": n, "mean_gap": m}
                              for n, m in zip(config.sample_sizes, gap_means)],
     }
-    verdicts = {}
-    tol = tolerance(REL_TOL, y.box)   # a support value's round-off; records are sqrt(N) times it
-    if sigma2 > tol * tol:
-        verdicts["variance"] = {
-            "pass": abs(emp_var - sigma2) <= variance_rtol * sigma2,
-            "observed": emp_var,
-            "expected": sigma2,
-            "rtol": variance_rtol,
-        }
-        D, p = stats.ks_test_normal(final, 0.0, float(np.sqrt(sigma2)))
-        verdicts["ks_normality"] = {"pass": p > ks_alpha, "D": D, "p": p, "alpha": ks_alpha}
-    else:
-        verdicts["variance"] = {
-            "pass": emp_var <= final_n * tol * tol,
-            "observed": emp_var,
-            "expected": 0.0,
-        }
     gap_threshold = 4.0 * y.envelope / np.sqrt(final_n)
     verdicts["face_gap"] = {
         "pass": gap_means[-1] <= gap_threshold,
         "observed": gap_means[-1],
         "threshold": float(gap_threshold),
     }
-    return ExperimentReport(
-        experiment="clt-tangent",
-        config=_config_echo(config, direction=list(np.asarray(direction, dtype=float)),
-                            variance_rtol=variance_rtol, ks_alpha=ks_alpha),
-        records=records,
-        moments=moments,
-        verdicts=verdicts,
-        duration_seconds=time.perf_counter() - t0,
-    )
+    return _report("clt-tangent", config, t0, records, moments, verdicts,
+                   direction=list(np.asarray(direction, dtype=float)),
+                   variance_rtol=VARIANCE_RTOL, ks_alpha=KS_ALPHA)
 
 
-def clt_facet_experiment(y: DiscreteRandomSet, point, config: ExperimentConfig, *,
-                         variance_rtol: float = 0.10,
-                         degenerate_atol: float = 1e-3,
-                         ks_alpha: float = 0.01) -> ExperimentReport:
+def clt_facet_experiment(y: DiscreteRandomSet, point, config: ExperimentConfig) -> ExperimentReport:
     """Fluctuation of the distance from an outside point to the sample mean.
 
     Requires: the point outside the expectation, the nearest-point
@@ -607,8 +592,9 @@ def clt_facet_experiment(y: DiscreteRandomSet, point, config: ExperimentConfig, 
     t0 = time.perf_counter()
     ey = expectation(y)
     x = np.asarray(point, dtype=float).reshape(-1)
+    tol = tolerance(REL_TOL, y.box)
     base_distance = point_distance(ey, x)
-    if base_distance <= tolerance(REL_TOL, y.box):
+    if base_distance <= tol:
         raise InsideBody("query point lies inside the expectation")
     k = nearest_point(ey, x)
     outward = norm_gradient(k - x)
@@ -625,45 +611,20 @@ def clt_facet_experiment(y: DiscreteRandomSet, point, config: ExperimentConfig, 
 
     values = _facet_values(y, x, facet_functional, config)
     records = (np.sqrt(config.sample_sizes) * (values[..., 0] - base_distance))[..., None]
-    excursions = int(values[..., 1].sum())
 
-    final_n = config.sample_sizes[-1]
-    final = records[:, -1, 0]
-    emp_var = float(final.var(ddof=1))
+    verdicts = _normal_limit(records[:, -1, 0], predicted_var, tol, DEGENERATE_ATOL,
+                             tolerance=DEGENERATE_ATOL)
     moments = {
-        "final_N": final_n,
-        "empirical_variance": emp_var,
+        "final_N": config.sample_sizes[-1],
+        "empirical_variance": verdicts["variance"]["observed"],
         "predicted_variance": predicted_var,
         "base_distance": float(base_distance),
         "nearest_point": k.tolist(),
-        "excursions": excursions,
+        "excursions": int(values[..., 1].sum()),
     }
-    verdicts = {}
-    if predicted_var > tolerance(REL_TOL, y.box) ** 2:
-        verdicts["variance"] = {
-            "pass": abs(emp_var - predicted_var) <= variance_rtol * predicted_var,
-            "observed": emp_var,
-            "expected": predicted_var,
-            "rtol": variance_rtol,
-        }
-        D, p = stats.ks_test_normal(final, 0.0, float(np.sqrt(predicted_var)))
-        verdicts["ks_normality"] = {"pass": p > ks_alpha, "D": D, "p": p, "alpha": ks_alpha}
-    else:
-        verdicts["variance"] = {
-            "pass": emp_var <= degenerate_atol,
-            "observed": emp_var,
-            "expected": 0.0,
-            "tolerance": degenerate_atol,
-        }
-    return ExperimentReport(
-        experiment="clt-facet",
-        config=_config_echo(config, point=list(x), variance_rtol=variance_rtol,
-                            degenerate_atol=degenerate_atol, ks_alpha=ks_alpha),
-        records=records,
-        moments=moments,
-        verdicts=verdicts,
-        duration_seconds=time.perf_counter() - t0,
-    )
+    return _report("clt-facet", config, t0, records, moments, verdicts, point=list(x),
+                   variance_rtol=VARIANCE_RTOL, degenerate_atol=DEGENERATE_ATOL,
+                   ks_alpha=KS_ALPHA)
 
 
 def facet_frequency_experiment(y: DiscreteRandomSet, direction,
@@ -695,11 +656,5 @@ def facet_frequency_experiment(y: DiscreteRandomSet, direction,
         })
     moments = {"p_facet": p_facet, "frequency_by_size": per_size}
     verdicts = {"binomial_band": {"pass": all_in_band, "per_size": per_size}}
-    return ExperimentReport(
-        experiment="facet-freq",
-        config=_config_echo(config, direction=list(np.asarray(direction, dtype=float))),
-        records=records,
-        moments=moments,
-        verdicts=verdicts,
-        duration_seconds=time.perf_counter() - t0,
-    )
+    return _report("facet-freq", config, t0, records, moments, verdicts,
+                   direction=list(np.asarray(direction, dtype=float)))

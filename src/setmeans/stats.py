@@ -65,30 +65,34 @@ def ks_test_normal(values, mu: float, sigma: float):
     return d, _ks_p_value(d, n)
 
 
-def _snap_ties(xs: np.ndarray, ys: np.ndarray):
-    """Map values that differ only by round-off onto shared representatives.
+def _snap_ties(xs: np.ndarray, ys: np.ndarray, tol: float):
+    """Map each run of sorted values whose consecutive gaps are at most
+    ``tol`` onto its smallest member.
 
     Lattice-valued statistics computed along different floating-point
-    paths land within ~1e-15 of each other; without snapping such
+    paths land within round-off of each other; without snapping such
     mathematical ties, the two-sample statistic is measured mid-jump and
     inflated.
     """
     pooled = np.sort(np.concatenate([xs, ys]))
-    tol = 1e-12 * (1.0 + float(np.abs(pooled).max()))
     gaps = np.diff(pooled) > tol
     reps = pooled[np.concatenate([[True], gaps])]
     snap = lambda v: reps[np.clip(np.searchsorted(reps, v, side="right") - 1, 0, len(reps) - 1)]
     return snap(xs), snap(ys)
 
 
-def ks_two_sample(a, b):
-    """Two-sample two-sided KS statistic and asymptotic p-value."""
+def ks_two_sample(a, b, tie_tol: float = 0.0):
+    """Two-sample two-sided KS statistic and asymptotic p-value.
+
+    Values within ``tie_tol`` of each other (the samples' round-off, in
+    their units) are ties; by default only equal values are.
+    """
     xs = np.sort(np.asarray(a, dtype=float))
     ys = np.sort(np.asarray(b, dtype=float))
     n1, n2 = len(xs), len(ys)
     if n1 < 20 or n2 < 20:
         raise ValueError("two-sample KS needs at least 20 observations per sample")
-    xs, ys = _snap_ties(xs, ys)
+    xs, ys = _snap_ties(xs, ys, tie_tol)
     pooled = np.concatenate([xs, ys])
     cdf1 = np.searchsorted(xs, pooled, side="right") / n1
     cdf2 = np.searchsorted(ys, pooled, side="right") / n2

@@ -397,6 +397,28 @@ def test_face_and_nearest_commands(tmp_path, capsys):
     assert "nearest 0.5 0.5" in out
 
 
+def test_negative_vectors_are_values_not_options(tmp_path, capsys):
+    two_segments, stacked = str(SCENES / "two_segments.json"), str(SCENES / "stacked_squares.json")
+    assert run_command(["face", "--scene", two_segments, "--dir", "-1,0"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("direction -1.0 0.0\n")
+    assert "is_exposed false" in out
+    assert run_command(["nearest", "--scene", stacked, "--point", "-1,0.5"]) == 0
+    assert capsys.readouterr().out == "nearest 0.0 0.5\ndistance 1.0\n"
+    assert run_command(["nearest", "--scene", stacked, "--point", "-.5,-1"]) == 0
+    assert capsys.readouterr().out.startswith("nearest 0.0 0.5\n")
+    out_dir = tmp_path / "exposed"
+    assert run_command(["simulate", "clt-exposed", "--scene", two_segments, "--dir", "-1,1",
+                        "--seed", "1", "--reps", "30", "--sizes", "4,16",
+                        "--out", str(out_dir)]) in (0, 2)
+    capsys.readouterr()
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["config"]["direction"] == [-1.0, 1.0]
+    # an option with its value left out is still a usage error
+    assert run_command(["face", "--scene", two_segments, "--dir"]) == 1
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_shipped_scene_fixtures_parse():
     for name in ("two_segments.json", "stacked_squares.json", "side_by_side_squares.json"):
         y = parse_scene((SCENES / name).read_text())
@@ -524,6 +546,18 @@ def _off_at_the_last_size(kernel):
     return off
 
 
+def _off_beyond_the_oracle(kernel):
+    """``kernel`` with 10 added from replication 1 on of each ``(B, S, ...)``
+    block: the oracle checks replication 0 only, so the distances must
+    break the convexity bound (no mean is farther from E than an atom)."""
+    def off(*args):
+        out = kernel(*args)
+        if np.ndim(out) >= 2:
+            out[1:] += 10.0
+        return out
+    return off
+
+
 _fan_point_distance = NormalFan.point_distance
 
 
@@ -556,6 +590,10 @@ _fan_point_distance = NormalFan.point_distance
     (["simulate", "clt-exposed", "--scene", "{scene}", "--dir", "1,1", "--seed", "1",
       "--reps", "3", "--sizes", "4,16", "--out", "{out}"],
      "setmeans.simulate._fold", _off_at_the_last_size(_fold), "OracleMismatch"),
+    (["simulate", "lln", "--scene", "{scene}", "--seed", "1", "--reps", "30",
+      "--sizes", "16,64", "--out", "{out}"],
+     "setmeans.geometry.NormalFan.hausdorff", _off_beyond_the_oracle(_fan_hausdorff),
+     "OracleMismatch"),
 ])
 def test_broken_internal_invariants_exit_three_without_traceback(
         tmp_path, capsys, monkeypatch, argv, target, value, error):
@@ -570,6 +608,35 @@ def test_broken_internal_invariants_exit_three_without_traceback(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {error}: ")
     assert "Traceback" not in err
+
+
+THRESHOLDS = {
+    "lln": {"median_max": 0.05, "slope_range": [-0.65, -0.35]},
+    "clt-hausdorff": {"ks_alpha": 0.01},
+    "clt-exposed": {"direction": [1.0, 1.0], "cov_atol": 0.03, "ks_alpha": 0.01},
+    "clt-tangent": {"direction": [1.0, 0.0], "variance_rtol": 0.1, "ks_alpha": 0.01},
+    "clt-facet": {"point": [0.5, -1.0], "variance_rtol": 0.1, "degenerate_atol": 1e-3,
+                  "ks_alpha": 0.01},
+    "facet-freq": {"direction": [0.0, -1.0]},
+}
+
+
+@pytest.mark.parametrize("kind, scene, extra", [
+    ("lln", "two_segments", []),
+    ("clt-hausdorff", "two_segments", []),
+    ("clt-exposed", "two_segments", ["--dir", "1,1"]),
+    ("clt-tangent", "two_segments", ["--dir", "1,0"]),
+    ("clt-facet", "stacked_squares", ["--point", "0.5,-1"]),
+    ("facet-freq", "two_segments", ["--dir", "0,-1"]),
+])
+def test_reports_echo_the_verdict_thresholds(kind, scene, extra, tmp_path, capsys):
+    out = tmp_path / kind
+    code = run_command(["simulate", kind, "--scene", str(SCENES / f"{scene}.json"), "--seed", "4",
+                        "--reps", "30", "--sizes", "4,16,64", "--out", str(out), *extra])
+    assert code in (0, 2), capsys.readouterr().err
+    config = json.loads((out / "report.json").read_text())["config"]
+    assert config == {"master_seed": 4, "sample_sizes": [4, 16, 64], "replications": 30,
+                      **THRESHOLDS[kind]}
 
 
 # ---------------------------------------------------------------------------

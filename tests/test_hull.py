@@ -92,3 +92,20 @@ def test_dedup_matches_the_dense_oracle(kind, seed, n, dim):
         i = rng.permutation(n)
         P = starts[i % groups] + (i // groups)[:, None] * steps[i % groups]
     assert np.array_equal(_dedup(P), dense_dedup(P))
+
+
+@PROPERTY
+@given(st.sampled_from(["gaussian", "lattice", "far", "near-duplicates"]),
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 40))
+def test_hull_of_points_on_a_line_is_their_interval(kind, seed, n):
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        P = rng.normal(size=(n, 1)) * 10.0 ** rng.integers(-8, 9)
+    elif kind == "lattice":  # integers with repeats
+        P = rng.integers(-3, 4, size=(n, 1)).astype(float)
+    elif kind == "far":  # a spread of 2e-4 around 1e6
+        P = 1e6 + 1e-4 * rng.uniform(-1.0, 1.0, size=(n, 1))
+    else:  # pairs of points 1e-12 apart
+        P = np.repeat(rng.normal(size=(n, 1)), 2, axis=0) + 1e-12 * rng.normal(size=(2 * n, 1))
+    kept = dense_dedup(P)[:, 0]
+    assert np.array_equal(hull(P).vertices, np.unique([kept.min(), kept.max()])[:, None])

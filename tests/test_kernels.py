@@ -338,7 +338,7 @@ def test_facet_experiment_counts_the_excursions_of_the_body_path():
     y = DiscreteRandomSet(weights=[0.5, 0.5],
                           bodies=(hull([[0.0, 0.0], [1.0, 0.0]]), hull([[0.0, -1.0], [1.0, -1.0]])))
     config = ExperimentConfig(master_seed=1, sample_sizes=(1, 2, 4), replications=30)
-    report = clt_facet_experiment(y, [0.5, -1.0], config, variance_rtol=10.0)
+    report = clt_facet_experiment(y, [0.5, -1.0], config)
     body = body_values("facet", y, (np.array([0.5, -1.0]), DOWN), config)
     assert report.moments["excursions"] == sum(int(v[1]) for v in body.values()) > 0
 

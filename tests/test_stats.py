@@ -140,7 +140,7 @@ def test_ks_two_sample_round_off_ties_are_merged():
     k = np.arange(40.0)
     a = k / 20.0
     b = (k / 400.0) * 20.0
-    D, p = ks_two_sample(a, b)
+    D, p = ks_two_sample(a, b, 1e-12)
     assert D == 0.0 and p == 1.0
 
 
