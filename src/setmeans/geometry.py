@@ -92,6 +92,10 @@ def _canonical(V: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # core types
 
+# columns: the margins x0 - min0, max0 - x0, x1 - min1, max1 - x1 of a 2-D box
+_BOX_FORMS = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
+
+
 @dataclass(frozen=True, eq=False)
 class ConvexBody:
     """Compact convex polytope given by its minimal extreme-vertex list.
@@ -128,6 +132,35 @@ class ConvexBody:
     def box(self) -> tuple[float, float]:
         """``(extent, magnitude)`` of the vertices, see :func:`tolerance`."""
         return box_of(self.vertices)
+
+    @cached_property
+    def _ring(self) -> tuple[np.ndarray, ...]:
+        """2-D only: ``(vertices, edges, lengths2, centre, forms, offsets)``.
+
+        ``vertices`` lists the vertices counterclockwise: those of a
+        polygon are all extreme, so sorting them by angle about their
+        centroid lists them so; one or two vertices are their own ring.
+        ``edges[i] = vertices[i + 1] - vertices[i]`` (wrapping around, so a
+        segment has two antiparallel edges) and ``lengths2`` are their
+        squared lengths (1 for a zero edge).  At ``y = x - centre``,
+        ``y[0] * forms[0] + y[1] * forms[1] - offsets`` evaluates, in this
+        order, the ``m`` edge cross products ``edges[i] x (x - vertices[i])``,
+        the four margins of ``x`` inside the bounding box and the ``m`` dot
+        products ``edges[i] . (x - vertices[i])``.
+        """
+        V = self.vertices
+        centre = V.sum(axis=0) / len(V)
+        C = V - centre
+        if len(V) > 2:
+            order = np.argsort(np.arctan2(C[:, 1], C[:, 0]))
+            V, C = V[order], C[order]
+        E = np.concatenate([V[1:], V[:1]]) - V
+        L = (E * E).sum(axis=1)
+        forms = np.concatenate([[-E[:, 1], E[:, 0]], _BOX_FORMS, E.T], axis=1)
+        zero = np.concatenate([C, [C.min(axis=0), C.max(axis=0)] * 2, C])   # where each form is 0
+        # the products a query takes, so that a vertex or a box corner gives exactly 0
+        offsets = zero[:, 0] * forms[0] + zero[:, 1] * forms[1]
+        return V, E, np.where(L > 0.0, L, 1.0), centre, forms, offsets
 
     @cached_property
     def diameter(self) -> float:
@@ -391,18 +424,47 @@ def _min_norm_point(P: np.ndarray) -> np.ndarray:
     raise ConvergenceError(f"min-norm solver did not converge within {cap} iterations")
 
 
+def _nearest_offsets(a: ConvexBody, X: np.ndarray) -> np.ndarray:
+    """``nearest_point(a, X[i]) - X[i]`` for every row of the ``(n, d)``
+    array ``X``: the nearest points are ``X + Z``, the distances the row
+    norms of ``Z``, which keeps them exact far from the origin.
+
+    In 2-D this is closed form on the counterclockwise ring of the body
+    (:attr:`ConvexBody._ring`).  A query is inside when no edge has it
+    on its right (every edge cross product is >= 0) and it lies in the
+    body's bounding box; the box keeps out a point beyond the end of a
+    flat ring, where every cross product is round-off.  Otherwise its
+    nearest point is the closest of its projections onto the edges, each
+    clamped to its segment.  Other dimensions run Wolfe's solver on each
+    row.
+    """
+    if a.dim != 2:
+        return np.array([_min_norm_point(a.vertices - x) for x in X])
+    V, E, L, centre, forms, offsets = a._ring
+    m = len(V)
+    Y = X - centre
+    A = Y[:, :1] * forms[0] + Y[:, 1:] * forms[1] - offsets
+    t = np.minimum(np.maximum(A[:, m + 4:] / L, 0.0), 1.0)
+    D = V - X[:, None, :] + t[..., None] * E               # (n, m, 2): query to each edge's nearest point
+    Z = D[np.arange(len(X)), np.hypot(D[..., 0], D[..., 1]).argmin(axis=1)]
+    Z[(A[:, :m + 4] >= 0.0).all(axis=1)] = 0.0
+    return Z
+
+
+def _lengths(Z: np.ndarray) -> np.ndarray:
+    return np.sqrt((Z * Z).sum(axis=1))
+
+
 def nearest_point(a: ConvexBody, x) -> np.ndarray:
     """Euclidean projection of x onto the body (unique by strict convexity)."""
     x = _as_vector(x, a.dim)
-    z = _min_norm_point(a.vertices - x)
-    return x + z
+    return x + _nearest_offsets(a, x[None])[0]
 
 
 def point_distance(a: ConvexBody, x) -> float:
     """Distance from x to the body; zero iff x lies inside."""
     x = _as_vector(x, a.dim)
-    z = _min_norm_point(a.vertices - x)
-    return float(np.linalg.norm(z))
+    return float(_lengths(_nearest_offsets(a, x[None]))[0])
 
 
 def deviation(a: ConvexBody, b: ConvexBody) -> float:
@@ -412,7 +474,7 @@ def deviation(a: ConvexBody, b: ConvexBody) -> float:
     """
     if a.dim != b.dim:
         raise DimensionMismatch("deviation requires equal dimensions")
-    return max(point_distance(b, v) for v in a.vertices)
+    return float(_lengths(_nearest_offsets(b, a.vertices)).max())
 
 
 def hausdorff(a: ConvexBody, b: ConvexBody) -> float:
@@ -541,19 +603,14 @@ class NormalFan:
         return float(out) if out.ndim == 0 else out
 
 
-def _normal_angles(V: np.ndarray) -> np.ndarray:
-    """Angles of the outer edge normals of a minimal 2-D vertex list.
+def _normal_angles(a: ConvexBody) -> np.ndarray:
+    """Angles of the outer edge normals of a 2-D body, from its ring.
 
-    A point has none and a segment has two antipodal ones.  The vertices
-    of a polygon are all extreme, so sorting them by angle about their
-    centroid lists them counterclockwise.
+    A point has none and a segment has two antipodal ones.
     """
-    if len(V) == 1:
+    if a.vertex_count == 1:
         return np.empty(0)
-    if len(V) > 2:
-        C = V - V.mean(axis=0)
-        V = V[np.argsort(np.arctan2(C[:, 1], C[:, 0]))]
-    E = np.roll(V, -1, axis=0) - V
+    E = a._ring[1]
     return np.arctan2(-E[:, 0], E[:, 1])  # E rotated clockwise: outward for a CCW ring
 
 
@@ -569,7 +626,7 @@ def normal_fan(bodies: Sequence[ConvexBody]) -> NormalFan:
         raise GeometryError("need at least one body")
     if any(body.dim != 2 for body in bodies):
         raise GeometryError("normal fans are built for 2-D bodies only")
-    angles = np.unique(np.concatenate([_normal_angles(body.vertices) for body in bodies]))
+    angles = np.unique(np.concatenate([_normal_angles(body) for body in bodies]))
     if len(angles) == 0:
         angles = np.zeros(1)
     mids = angles + np.diff(angles, append=angles[0] + 2.0 * np.pi) / 2.0

@@ -20,8 +20,8 @@ from .geometry import (
     ConvexBody,
     DimensionMismatch,
     box_of,
+    deviation,
     nearest_point,
-    point_distance,
     support,
     support_face,
     tolerance,
@@ -152,7 +152,7 @@ def check_face_commutation(body: ConvexBody, atom_faces: Sequence[ConvexBody], c
     """
     face = weighted_sum(atom_faces, coefs)
     gap = abs(support(body, f) - float((face.vertices @ f).max()))
-    off = max(point_distance(body, v) for v in face.vertices)
+    off = deviation(face, body)
     if max(gap, off) > tolerance(COMMUTATION_TOL, body.box):
         raise CommutationError(f"the mean of the atom faces misses the body's support by "
                                f"{gap:.3e} and lies {off:.3e} off the body")

@@ -156,6 +156,14 @@ def _report(kind: str, config: ExperimentConfig, t0: float, records: np.ndarray,
     )
 
 
+def _check_ks_sample(config: ExperimentConfig, ks: bool) -> None:
+    """Reject, before any draw, a run whose KS verdict (``ks``) would get
+    fewer than ``stats.KS_MIN_OBSERVATIONS`` replications per size."""
+    if ks and config.replications < stats.KS_MIN_OBSERVATIONS:
+        raise ValueError(f"the KS verdict needs at least {stats.KS_MIN_OBSERVATIONS} "
+                         f"replications, got {config.replications}")
+
+
 def _normal_limit(final: np.ndarray, variance: float, tol: float, zero_bound: float,
                   **zero_echo) -> dict:
     """``variance`` and ``ks_normality`` verdicts of the sample ``final``
@@ -252,7 +260,7 @@ def _distances(y: DiscreteRandomSet, config: ExperimentConfig) -> np.ndarray:
 
     In 2-D the distance comes straight from the draw counts through the
     atoms' normal fan, with replication 0 as the oracle (fold the mean,
-    then Wolfe).  Other dimensions take the body path everywhere.  A
+    then ``hausdorff``).  Other dimensions take the body path everywhere.  A
     distance beyond the largest atom-to-expectation distance, which
     convexity rules out, raises :class:`OracleMismatch`.
     """
@@ -454,6 +462,7 @@ def clt_hausdorff_experiment(y: DiscreteRandomSet, config: ExperimentConfig) -> 
     """
     if len(config.sample_sizes) < 2:
         raise ValueError("stability check needs at least two sample sizes")
+    _check_ks_sample(config, True)
     t0 = time.perf_counter()
     sizes = config.sample_sizes
     records = np.sqrt(sizes)[:, None] * _distances(y, config)
@@ -491,7 +500,9 @@ def clt_exposed_experiment(y: DiscreteRandomSet, direction,
     selection = exposed_selection(y, direction)  # raises NotExposed if blocked
     target = selection.mean
     sigma = selection.covariance
-    d = y.dim
+    ks_axes = [axis for axis in range(y.dim)
+               if np.sqrt(sigma[axis, axis]) > tolerance(REL_TOL, y.box)]
+    _check_ks_sample(config, bool(ks_axes))
 
     points = _exposed_points(y, norm_gradient(direction), config)
     records = np.sqrt(config.sample_sizes)[:, None] * (points - target)
@@ -520,11 +531,8 @@ def clt_exposed_experiment(y: DiscreteRandomSet, direction,
         "threshold": mean_bound,
     }
     ks = []
-    for axis in range(d):
-        sd = float(np.sqrt(sigma[axis, axis]))
-        if sd <= tolerance(REL_TOL, y.box):
-            continue
-        D, p = stats.ks_test_normal(final[:, axis], 0.0, sd)
+    for axis in ks_axes:
+        D, p = stats.ks_test_normal(final[:, axis], 0.0, float(np.sqrt(sigma[axis, axis])))
         ks.append({"axis": axis, "D": D, "p": p})
     moments["ks_by_axis"] = ks
     if ks:
@@ -552,12 +560,13 @@ def clt_tangent_experiment(y: DiscreteRandomSet, direction,
     sigma2 = tangent_variance(y, u)
     s_expected = support(expectation(y), u)
     sizes = np.array(config.sample_sizes)
+    tol = tolerance(REL_TOL, y.box)   # a support value's round-off; records are sqrt(N) times it
+    _check_ks_sample(config, sigma2 > tol * tol)
 
     totals, gaps = _tangent_values(y, u, config)
     records = ((totals - sizes * s_expected) / np.sqrt(sizes))[..., None]
 
     final_n = config.sample_sizes[-1]
-    tol = tolerance(REL_TOL, y.box)   # a support value's round-off; records are sqrt(N) times it
     verdicts = _normal_limit(records[:, -1, 0], sigma2, tol, final_n * tol * tol)
     gap_means = [float(np.mean(gap)) for gap in gaps.T]
     moments = {
@@ -608,6 +617,7 @@ def clt_facet_experiment(y: DiscreteRandomSet, point, config: ExperimentConfig) 
     if not is_facet_at(ey, k, facet_functional):
         raise NoFacet("nearest point of the expectation is not interior to a facet")
     predicted_var = float(outward @ selection.covariance @ outward)
+    _check_ks_sample(config, predicted_var > tol * tol)
 
     values = _facet_values(y, x, facet_functional, config)
     records = (np.sqrt(config.sample_sizes) * (values[..., 0] - base_distance))[..., None]

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+KS_MIN_OBSERVATIONS = 20   # smallest sample (per sample) the KS tests accept
+
 
 def mean_and_covariance(values):
     """Sample mean and unbiased covariance of an (n,) or (n, d) sample."""
@@ -56,8 +58,8 @@ def ks_test_normal(values, mu: float, sigma: float):
         raise ValueError("sigma must be positive")
     xs = np.sort(np.asarray(values, dtype=float))
     n = len(xs)
-    if n < 20:
-        raise ValueError("one-sample KS needs at least 20 observations")
+    if n < KS_MIN_OBSERVATIONS:
+        raise ValueError(f"one-sample KS needs at least {KS_MIN_OBSERVATIONS} observations")
     z = (xs - mu) / (sigma * math.sqrt(2.0))
     cdf = 0.5 * (1.0 + np.array([math.erf(v) for v in z.tolist()]))
     i = np.arange(n)
@@ -90,8 +92,8 @@ def ks_two_sample(a, b, tie_tol: float = 0.0):
     xs = np.sort(np.asarray(a, dtype=float))
     ys = np.sort(np.asarray(b, dtype=float))
     n1, n2 = len(xs), len(ys)
-    if n1 < 20 or n2 < 20:
-        raise ValueError("two-sample KS needs at least 20 observations per sample")
+    if min(n1, n2) < KS_MIN_OBSERVATIONS:
+        raise ValueError(f"two-sample KS needs at least {KS_MIN_OBSERVATIONS} observations per sample")
     xs, ys = _snap_ties(xs, ys, tie_tol)
     pooled = np.concatenate([xs, ys])
     cdf1 = np.searchsorted(xs, pooled, side="right") / n1

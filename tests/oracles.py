@@ -12,6 +12,13 @@ reference for the blocked count kernels of ``setmeans.simulate``.
 ``exact_support_face`` decides the support face of a Minkowski
 combination in exact rational arithmetic over every combination of atom
 vertices, without face commutation: the reference for the face rule.
+``exact_nearest`` is the exact-rational 2-D nearest point and distance,
+the reference for the closed-form kernel behind ``nearest_point``,
+``point_distance`` and ``hausdorff``; ``wolfe_point_distance`` and
+``wolfe_hausdorff`` measure with Wolfe's min-norm solver in every
+dimension, the reference the normal fan is checked against.
+``FAR_POLYGON`` and ``FAR_QUERY`` pin a small polygon far from the
+origin on which Wolfe's solver ran out of iterations.
 ``translate``, ``serialize_scene``, ``sample``, ``uniform`` and
 ``normal_cdf`` are test-only helpers; ``uniform`` recomputes one
 splitmix64 draw with Python integers.
@@ -34,6 +41,7 @@ from setmeans.geometry import (
     DimensionMismatch,
     _as_vector,
     _canonical,
+    _min_norm_point,
     box_of,
     hausdorff,
     is_facet_at,
@@ -262,3 +270,63 @@ def exact_support_face(bodies, coefs, u) -> np.ndarray:
 
     ends = {min(face, key=along), max(face, key=along)}
     return np.array(sorted({(float(x), float(y)) for x, y in ends}))
+
+
+FAR_POLYGON = [[12037.51731517066, -5884.016698305081], [12037.517365170661, -5884.016848305081],
+               [12037.51741517066, -5884.016848305081], [12037.51746517066, -5884.016498305081],
+               [12037.51751517066, -5884.0167983050815], [12037.51751517066, -5884.016598305081],
+               [12037.51756517066, -5884.016698305081]]
+FAR_QUERY = (12037.517578659275, -5884.016641976418)
+
+
+def exact_nearest(vertices, x) -> tuple[Fraction, tuple[Fraction, Fraction]]:
+    """Squared distance from the 2-D point ``x`` to the convex hull of the
+    rows of ``vertices``, and the nearest point, in exact rational
+    arithmetic on the floats as given.
+
+    The hull is Andrew's monotone chain with exact orientation signs
+    (collinear points dropped).  ``x`` is inside when no edge of a ring
+    of three or more vertices has it strictly on its right; otherwise
+    the nearest point is the closest of the exact projections onto the
+    ring's edges (a single point is its own edge).
+    """
+    q = tuple(Fraction(c) for c in np.asarray(x, dtype=float).tolist())
+    pts = sorted({(Fraction(a), Fraction(b)) for a, b in np.asarray(vertices, dtype=float).tolist()})
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    ring = half(pts)[:-1] + half(pts[::-1])[:-1] if len(pts) > 1 else pts
+    edges = list(zip(ring, ring[1:] + ring[:1]))
+    if len(ring) >= 3 and all(cross(a, b, q) >= 0 for a, b in edges):
+        return Fraction(0), q
+    best = None
+    for a, b in edges:
+        e = (b[0] - a[0], b[1] - a[1])
+        w = (q[0] - a[0], q[1] - a[1])
+        ee = e[0] * e[0] + e[1] * e[1]
+        t = min(Fraction(1), max(Fraction(0), (w[0] * e[0] + w[1] * e[1]) / ee)) if ee else 0
+        p = (a[0] + t * e[0], a[1] + t * e[1])
+        d2 = (q[0] - p[0]) ** 2 + (q[1] - p[1]) ** 2
+        if best is None or d2 < best[0]:
+            best = (d2, p)
+    return best
+
+
+def wolfe_point_distance(a: ConvexBody, x) -> float:
+    """Distance from ``x`` to ``a`` by Wolfe's min-norm solver, in any dimension."""
+    return float(np.linalg.norm(_min_norm_point(a.vertices - _as_vector(x, a.dim))))
+
+
+def wolfe_hausdorff(a: ConvexBody, b: ConvexBody) -> float:
+    """Hausdorff distance from per-vertex Wolfe solves, in any dimension."""
+    return max(max(wolfe_point_distance(b, v) for v in a.vertices),
+               max(wolfe_point_distance(a, v) for v in b.vertices))

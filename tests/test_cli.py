@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import serialize_scene
+from oracles import FAR_POLYGON, FAR_QUERY, exact_nearest, serialize_scene
 from setmeans.cli import (
     SceneError,
     entry,
@@ -18,7 +18,16 @@ from setmeans.cli import (
     run_command,
     write_report,
 )
-from setmeans.geometry import ConvergenceError, NormalFan, _fold, hull
+from setmeans.geometry import (
+    REL_TOL,
+    ROUNDOFF,
+    ConvergenceError,
+    NormalFan,
+    _fold,
+    box_of,
+    hull,
+    tolerance,
+)
 from setmeans import simulate
 from setmeans.randomsets import DiscreteRandomSet
 from setmeans.simulate import ExperimentConfig, lln_experiment
@@ -32,6 +41,14 @@ TWO_SEGMENTS = json.dumps({
         {"weight": 0.5, "vertices": [[0.0, 0.0], [1.0, 0.0]]},
         {"weight": 0.5, "vertices": [[0.0, 0.0], [0.0, 1.0]]},
     ],
+})
+
+
+CUBE = json.dumps({
+    "version": 1,
+    "dim": 3,
+    "atoms": [{"weight": 1.0, "vertices": [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0)
+                                           for z in (0.0, 1.0)]}],
 })
 
 
@@ -372,6 +389,20 @@ def test_sfs_bound_command(tmp_path, capsys):
     assert "within_bound true" in out
 
 
+@pytest.mark.parametrize("factor", [1e-13, 1.0])
+def test_sfs_bound_reports_a_gap_one_percent_over_the_bound(tmp_path, capsys, monkeypatch, factor):
+    from setmeans import cli, geometry
+
+    def over(sets):
+        _, bound = geometry.shapley_folkman_gap(sets)
+        return 1.01 * bound, bound
+
+    monkeypatch.setattr(cli, "shapley_folkman_gap", over)
+    scene = write_scene(tmp_path, scaled_scene(TWO_SEGMENTS, factor))
+    assert run_command(["sfs-bound", "--scene", scene, "--repeat", "2"]) == 0
+    assert "within_bound false" in capsys.readouterr().out
+
+
 def test_sfs_bound_on_a_3d_scene_exits_one(tmp_path, capsys):
     scene = write_scene(tmp_path, json.dumps({
         "version": 1,
@@ -395,6 +426,47 @@ def test_face_and_nearest_commands(tmp_path, capsys):
     assert run_command(["nearest", "--scene", scene, "--point", "2,2"]) == 0
     out = capsys.readouterr().out
     assert "nearest 0.5 0.5" in out
+
+
+def test_nearest_on_a_small_polygon_far_from_the_origin(tmp_path, capsys):
+    # Wolfe's solver ran out of iterations on this scene (exit 3)
+    scene = write_scene(tmp_path, json.dumps({"version": 1, "dim": 2, "atoms": [
+        {"weight": 1.0, "vertices": FAR_POLYGON}]}))
+    point = ",".join(repr(c) for c in FAR_QUERY)
+    assert run_command(["nearest", "--scene", scene, "--point", point]) == 0
+    lines = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    d2, p = exact_nearest(FAR_POLYGON, FAR_QUERY)
+    tol = tolerance(REL_TOL, box_of(np.array(FAR_POLYGON))) + ROUNDOFF * max(map(abs, FAR_QUERY))
+    assert abs(float(lines["distance"]) - np.sqrt(float(d2))) <= tol
+    assert np.allclose([float(c) for c in lines["nearest"].split()], np.array(p, dtype=float),
+                       rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("kind, extra", [
+    ("clt-exposed", ["--dir", "1,1"]),
+    ("clt-tangent", ["--dir", "1,0"]),
+    ("clt-facet", ["--point", "0.5,-1"]),
+    ("clt-hausdorff", []),
+])
+def test_too_few_replications_for_a_ks_verdict_fail_before_drawing(
+        tmp_path, capsys, monkeypatch, kind, extra):
+    def no_draws(*args):
+        raise AssertionError("drew before checking --reps")
+
+    monkeypatch.setattr(simulate, "_count_blocks", no_draws)
+    scene = SCENES / ("stacked_squares.json" if kind == "clt-facet" else "two_segments.json")
+    assert run_command(["simulate", kind, "--scene", str(scene), "--seed", "1", "--reps", "19",
+                        "--sizes", "4,16", "--out", str(tmp_path / "out"), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: ValueError: the KS verdict needs at least 20 replications, got 19\n"
+
+
+def test_few_replications_are_fine_without_a_ks_verdict(tmp_path, capsys):
+    # both atoms have support 0 in direction (-1, -1): the predicted variance is 0
+    assert run_command(["simulate", "clt-tangent", "--scene", str(SCENES / "two_segments.json"),
+                        "--dir", "-1,-1", "--seed", "1", "--reps", "3", "--sizes", "4,16",
+                        "--out", str(tmp_path / "out")]) == 0
+    assert "verdict variance: pass" in capsys.readouterr().out
 
 
 def test_negative_vectors_are_values_not_options(tmp_path, capsys):
@@ -562,7 +634,7 @@ _fan_point_distance = NormalFan.point_distance
 
 
 @pytest.mark.parametrize("argv, target, value, error", [
-    (["nearest", "--scene", "{scene}", "--point", "2,2"],
+    (["nearest", "--scene", "{cube}", "--point", "2,2,2"],
      "setmeans.geometry._min_norm_point", _not_converging, "ConvergenceError"),
     (["simulate", "clt-exposed", "--scene", "{scene}", "--dir", "1,1", "--seed", "1",
       "--reps", "3", "--sizes", "4", "--out", "{out}"],
@@ -571,13 +643,13 @@ _fan_point_distance = NormalFan.point_distance
       "--sizes", "16,64", "--out", "{out}"],
      "setmeans.geometry.NormalFan.hausdorff", _fan_off_by_1e6, "OracleMismatch"),
     (["simulate", "clt-exposed", "--scene", "{scene}", "--dir", "1,1", "--seed", "1",
-      "--reps", "3", "--sizes", "4", "--out", "{out}"],
+      "--reps", "20", "--sizes", "4", "--out", "{out}"],
      "setmeans.simulate._fold", _off_by_1e6(_fold), "OracleMismatch"),
     (["simulate", "clt-tangent", "--scene", "{scene}", "--dir", "1,0", "--seed", "1",
-      "--reps", "3", "--sizes", "4", "--out", "{out}"],
+      "--reps", "20", "--sizes", "4", "--out", "{out}"],
      "setmeans.simulate._fold", _off_by_1e6(_fold), "OracleMismatch"),
     (["simulate", "clt-facet", "--scene", "{stacked}", "--point", "0.5,-1", "--seed", "1",
-      "--reps", "3", "--sizes", "4", "--out", "{out}"],
+      "--reps", "20", "--sizes", "4", "--out", "{out}"],
      "setmeans.geometry.NormalFan.point_distance", _off_by_1e6(_fan_point_distance),
      "OracleMismatch"),
     (["simulate", "facet-freq", "--scene", "{scene}", "--dir", "0,-1", "--seed", "1",
@@ -588,7 +660,7 @@ _fan_point_distance = NormalFan.point_distance
      "setmeans.geometry.NormalFan.hausdorff", _off_at_the_last_size(_fan_hausdorff),
      "OracleMismatch"),
     (["simulate", "clt-exposed", "--scene", "{scene}", "--dir", "1,1", "--seed", "1",
-      "--reps", "3", "--sizes", "4,16", "--out", "{out}"],
+      "--reps", "20", "--sizes", "4,16", "--out", "{out}"],
      "setmeans.simulate._fold", _off_at_the_last_size(_fold), "OracleMismatch"),
     (["simulate", "lln", "--scene", "{scene}", "--seed", "1", "--reps", "30",
       "--sizes", "16,64", "--out", "{out}"],
@@ -598,8 +670,9 @@ _fan_point_distance = NormalFan.point_distance
 def test_broken_internal_invariants_exit_three_without_traceback(
         tmp_path, capsys, monkeypatch, argv, target, value, error):
     scene = write_scene(tmp_path, TWO_SEGMENTS)
-    argv = [a.format(scene=scene, stacked=SCENES / "stacked_squares.json", out=tmp_path / "out")
-            for a in argv]
+    cube = write_scene(tmp_path, CUBE, "cube.json")   # Wolfe's solver runs off 2-D only
+    argv = [a.format(scene=scene, cube=cube, stacked=SCENES / "stacked_squares.json",
+                     out=tmp_path / "out") for a in argv]
     monkeypatch.setattr(target, value)
     monkeypatch.setattr(sys, "argv", ["setmeans", *argv])
     with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,8 @@
-"""Property tests for the 2-D normal-fan Hausdorff kernel ``normal_fan``."""
+"""Property tests for the 2-D normal-fan Hausdorff kernel ``normal_fan``.
+
+The fan is checked against Wolfe's min-norm solver
+(``oracles.wolfe_hausdorff``): ``geometry.hausdorff`` is closed form in
+2-D, so Wolfe keeps the fan's reference independent of both."""
 
 import json
 
@@ -7,11 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import checkpoints, translate
+from oracles import checkpoints, translate, wolfe_hausdorff
 from setmeans.cli import parse_scene
 from setmeans.geometry import (
     GeometryError,
-    hausdorff,
     hull,
     normal_fan,
     weighted_sum,
@@ -69,7 +72,7 @@ def test_fan_matches_wolfe_at_every_scale(combination, k):
     s = 10.0 ** k
     unit = [hull(P) for P in family]
     fan = normal_fan([hull(s * P) for P in family])
-    exact = s * hausdorff(weighted_sum(unit, coefs), weighted_sum(unit, ref))
+    exact = s * wolfe_hausdorff(weighted_sum(unit, coefs), weighted_sum(unit, ref))
     assert abs(fan.hausdorff(coefs, ref) - exact) <= 1e-12 * (1.0 + s * size(unit, coefs, ref))
 
 
@@ -135,7 +138,7 @@ def test_experiments_match_the_body_path_record_for_record(experiment, scaled):
     config = ExperimentConfig(master_seed=3, sample_sizes=(4, 16, 64), replications=20)
     records = experiment(y, config).records
     ey = weighted_sum(y.bodies, y.weights)
-    expected = [(rep, n, hausdorff(weighted_sum(y.bodies, counts / n), ey))
+    expected = [(rep, n, wolfe_hausdorff(weighted_sum(y.bodies, counts / n), ey))
                 for rep, n, counts in checkpoints(y, config)]
     assert records.shape == (20, 3, 1)
     for rep, n, dist in expected:

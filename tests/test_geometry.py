@@ -1,11 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import same_body, translate
+from oracles import FAR_POLYGON, FAR_QUERY, exact_nearest, same_body, translate
 from setmeans.geometry import (
+    REL_TOL,
+    ROUNDOFF,
     ConvexBody,
     DimensionMismatch,
     GeometryError,
+    _canonical,
     deviation,
     hausdorff,
     hausdorff_via_support,
@@ -20,6 +27,7 @@ from setmeans.geometry import (
     sphere_grid,
     support,
     support_face,
+    tolerance,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -307,6 +315,83 @@ def test_point_distance_examples():
     assert point_distance(triangle(), (1, 1)) == pytest.approx(SQ2 / 2)
 
 
+# derandomized, so a tier-1 run is reproducible; no example database on disk
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+COORD = st.integers(-8, 8).map(lambda k: k / 4.0)
+POINT = st.tuples(COORD, COORD)
+
+
+@st.composite
+def placed_bodies(draw):
+    """A 2-D body at scale 10^k, k in [-6, 6], moved by up to 1e6: a point,
+    a segment, collinear points (hulled, or kept whole as a flat ring the
+    way a support face can hold them) or a polygon."""
+    kind = draw(st.sampled_from(["point", "segment", "collinear", "flat", "polygon"]))
+    if kind == "point":
+        P = np.array([draw(POINT)])
+    elif kind == "segment":
+        P = np.array(draw(st.lists(POINT, min_size=2, max_size=2, unique=True)))
+    elif kind in ("collinear", "flat"):
+        a, b = np.array(draw(POINT)), np.array(draw(st.tuples(st.integers(1, 4), st.integers(-4, 4))))
+        steps = draw(st.lists(st.integers(-3, 3), min_size=3, max_size=5, unique=True))
+        P = a + np.array(steps, dtype=float)[:, None] * b / 4.0
+    else:
+        P = np.array(draw(st.lists(POINT, min_size=3, max_size=8)))
+    s = 10.0 ** draw(st.integers(-6, 6))
+    shift = np.array(draw(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))))
+    P = shift + s * P
+    return (ConvexBody(_canonical(P)) if kind == "flat" else hull(P)), s
+
+
+@st.composite
+def queries(draw, body, s):
+    """A query inside, on a vertex, on an edge or (mostly) outside the body
+    placed at scale ``s``."""
+    ring = body._ring[0]
+    i = draw(st.integers(0, len(ring) - 1))
+    where = draw(st.sampled_from(["inside", "vertex", "edge", "outside"]))
+    if where == "vertex":
+        return ring[i]
+    if where == "edge":
+        return ring[i] + draw(st.floats(0.0, 1.0)) * (ring[(i + 1) % len(ring)] - ring[i])
+    if where == "inside":
+        w = np.array(draw(st.lists(st.integers(0, 4), min_size=len(ring), max_size=len(ring))),
+                     dtype=float) + 0.5
+        return (w / w.sum()) @ ring
+    return ring[i] + s * draw(st.sampled_from([1e-6, 1.0, 1e3])) * np.array(draw(POINT))
+
+
+def exact_tolerance(body, x):
+    return tolerance(REL_TOL, body.box) + ROUNDOFF * float(np.abs(x).max())
+
+
+@PROPERTY
+@given(st.data())
+def test_nearest_points_match_exact_rational_distances(data):
+    body, s = data.draw(placed_bodies())
+    x = data.draw(queries(body, s))
+    d2, p = exact_nearest(body.vertices, x)
+    tol = exact_tolerance(body, x)
+    assert abs(point_distance(body, x) - math.sqrt(d2)) <= tol
+    assert np.linalg.norm(nearest_point(body, x) - np.array(p, dtype=float)) <= tol
+    # deviation takes every vertex of a body at once, with the same answers
+    probe = hull(np.vstack([x, body.vertices[:1]]))
+    want = max(math.sqrt(exact_nearest(body.vertices, v)[0]) for v in probe.vertices)
+    assert abs(deviation(probe, body) - want) <= exact_tolerance(body, probe.vertices)
+
+
+def test_far_small_polygon_has_exact_distances():
+    body = hull(FAR_POLYGON)
+    d2, p = exact_nearest(body.vertices, FAR_QUERY)
+    tol = exact_tolerance(body, FAR_QUERY)
+    assert abs(point_distance(body, FAR_QUERY) - math.sqrt(d2)) <= tol
+    assert np.linalg.norm(nearest_point(body, FAR_QUERY) - np.array(p, dtype=float)) <= tol
+    # H(body, {x}) is the larger of d(x, body) and the farthest vertex from x
+    far = max(math.sqrt(exact_nearest([FAR_QUERY], v)[0]) for v in body.vertices)
+    assert abs(hausdorff(body, hull([FAR_QUERY])) - max(math.sqrt(d2), far)) <= tol
+
+
 def test_deviation_examples():
     a = square()
     assert deviation(a, a) == pytest.approx(0.0, abs=1e-12)
@@ -324,7 +409,7 @@ def test_hausdorff_examples():
 @pytest.mark.parametrize("k", range(-12, 13))
 def test_distances_are_equivariant_under_scaling(k):
     # vertex arrays taken as they are (no hull, no dedup), so only the
-    # min-norm solver's own tolerances meet the scale
+    # distance kernel's own arithmetic meets the scale
     rng = np.random.default_rng(3)
     s = 10.0 ** k
     for _ in range(8):

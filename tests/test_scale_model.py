@@ -186,7 +186,7 @@ def test_face_rule_equals_the_exact_face(atoms, u, data):
 
 
 # ---------------------------------------------------------------------------
-# Wolfe's Hausdorff distance is a metric
+# the exact Hausdorff distance (closed form in 2-D, Wolfe's solver in 3-D) is a metric
 
 @st.composite
 def body_triples(draw):
