@@ -92,10 +92,6 @@ def _canonical(V: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # core types
 
-# columns: the margins x0 - min0, max0 - x0, x1 - min1, max1 - x1 of a 2-D box
-_BOX_FORMS = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
-
-
 @dataclass(frozen=True, eq=False)
 class ConvexBody:
     """Compact convex polytope given by its minimal extreme-vertex list.
@@ -135,32 +131,25 @@ class ConvexBody:
 
     @cached_property
     def _ring(self) -> tuple[np.ndarray, ...]:
-        """2-D only: ``(vertices, edges, lengths2, centre, forms, offsets)``.
+        """2-D only: ``(vertices, edges, lengths2, lo, hi)``.
 
-        ``vertices`` lists the vertices counterclockwise: those of a
-        polygon are all extreme, so sorting them by angle about their
-        centroid lists them so; one or two vertices are their own ring.
-        ``edges[i] = vertices[i + 1] - vertices[i]`` (wrapping around, so a
-        segment has two antiparallel edges) and ``lengths2`` are their
-        squared lengths (1 for a zero edge).  At ``y = x - centre``,
-        ``y[0] * forms[0] + y[1] * forms[1] - offsets`` evaluates, in this
-        order, the ``m`` edge cross products ``edges[i] x (x - vertices[i])``,
-        the four margins of ``x`` inside the bounding box and the ``m`` dot
-        products ``edges[i] . (x - vertices[i])``.
+        ``vertices`` lists the vertices counterclockwise, as complex
+        numbers: those of a polygon are all extreme, so sorting them by
+        angle about their centroid lists them so; one or two vertices are
+        their own ring.  ``edges[i] = vertices[i + 1] - vertices[i]``
+        (wrapping around, so a segment has two antiparallel edges),
+        ``lengths2`` are their squared lengths (1 for a zero edge) and
+        ``lo``, ``hi`` are the corners of the bounding box.
         """
         V = self.vertices
-        centre = V.sum(axis=0) / len(V)
-        C = V - centre
-        if len(V) > 2:
-            order = np.argsort(np.arctan2(C[:, 1], C[:, 0]))
-            V, C = V[order], C[order]
-        E = np.concatenate([V[1:], V[:1]]) - V
-        L = (E * E).sum(axis=1)
-        forms = np.concatenate([[-E[:, 1], E[:, 0]], _BOX_FORMS, E.T], axis=1)
-        zero = np.concatenate([C, [C.min(axis=0), C.max(axis=0)] * 2, C])   # where each form is 0
-        # the products a query takes, so that a vertex or a box corner gives exactly 0
-        offsets = zero[:, 0] * forms[0] + zero[:, 1] * forms[1]
-        return V, E, np.where(L > 0.0, L, 1.0), centre, forms, offsets
+        z = V.view(complex)[:, 0]
+        if len(z) > 2:
+            c = z - np.add.reduce(z) / len(z)
+            z = z[np.argsort(np.arctan2(c.imag, c.real))]
+        E = np.concatenate((z[1:], z[:1])) - z
+        L = (E * E.conj()).real
+        L[L == 0.0] = 1.0
+        return z, E, L, np.minimum.reduce(V), np.maximum.reduce(V)
 
     @cached_property
     def diameter(self) -> float:
@@ -430,29 +419,27 @@ def _nearest_offsets(a: ConvexBody, X: np.ndarray) -> np.ndarray:
     norms of ``Z``, which keeps them exact far from the origin.
 
     In 2-D this is closed form on the counterclockwise ring of the body
-    (:attr:`ConvexBody._ring`).  A query is inside when no edge has it
-    on its right (every edge cross product is >= 0) and it lies in the
-    body's bounding box; the box keeps out a point beyond the end of a
-    flat ring, where every cross product is round-off.  Otherwise its
-    nearest point is the closest of its projections onto the edges, each
-    clamped to its segment.  Other dimensions run Wolfe's solver on each
-    row.
+    (:attr:`ConvexBody._ring`), with points as complex numbers, so that one
+    product gives a query's dot and cross product with an edge.  A query
+    is inside when no edge has it on its right (every edge cross product
+    is >= 0) and it lies in the body's bounding box; the box keeps out a
+    point beyond the end of a flat ring, where every cross product is
+    round-off.  Otherwise its nearest point is the closest of its
+    projections onto the edges, each clamped to its segment.  Other
+    dimensions run Wolfe's solver on each row.
     """
     if a.dim != 2:
         return np.array([_min_norm_point(a.vertices - x) for x in X])
-    V, E, L, centre, forms, offsets = a._ring
-    m = len(V)
-    Y = X - centre
-    A = Y[:, :1] * forms[0] + Y[:, 1:] * forms[1] - offsets
-    t = np.minimum(np.maximum(A[:, m + 4:] / L, 0.0), 1.0)
-    D = V - X[:, None, :] + t[..., None] * E               # (n, m, 2): query to each edge's nearest point
-    Z = D[np.arange(len(X)), np.hypot(D[..., 0], D[..., 1]).argmin(axis=1)]
-    Z[(A[:, :m + 4] >= 0.0).all(axis=1)] = 0.0
-    return Z
-
-
-def _lengths(Z: np.ndarray) -> np.ndarray:
-    return np.sqrt((Z * Z).sum(axis=1))
+    V, E, L, lo, hi = a._ring
+    X = np.ascontiguousarray(X)
+    W = X.view(complex) - V                         # (n, m): each vertex to each query
+    p = W * E.conj()                                # real part: edge dot, imaginary: edge cross
+    t = np.minimum(np.maximum(p.real / L, 0.0), 1.0)
+    D = t * E - W                                   # query to each edge's nearest point
+    Z = D[np.arange(len(X)), np.abs(D).argmin(axis=1)]
+    Z[np.logical_and.reduce(p.imag >= 0.0, axis=1)
+      & np.logical_and.reduce((X >= lo) & (X <= hi), axis=1)] = 0.0
+    return Z[:, None].view(float)
 
 
 def nearest_point(a: ConvexBody, x) -> np.ndarray:
@@ -461,10 +448,17 @@ def nearest_point(a: ConvexBody, x) -> np.ndarray:
     return x + _nearest_offsets(a, x[None])[0]
 
 
-def point_distance(a: ConvexBody, x) -> float:
-    """Distance from x to the body; zero iff x lies inside."""
-    x = _as_vector(x, a.dim)
-    return float(_lengths(_nearest_offsets(a, x[None]))[0])
+def point_distance(a: ConvexBody, x):
+    """Distance from x to the body; zero iff x lies inside.
+
+    An ``(n, d)`` array of points gets the array of their ``n`` distances.
+    """
+    X = _as_points(x) if np.ndim(x) == 2 else _as_vector(x, a.dim)[None]
+    if X.shape[1] != a.dim:
+        raise DimensionMismatch(f"expected points of dimension {a.dim}, got {X.shape[1]}")
+    Z = _nearest_offsets(a, X)
+    r = np.sqrt(np.add.reduce(Z * Z, axis=1))
+    return r if np.ndim(x) == 2 else float(r[0])
 
 
 def deviation(a: ConvexBody, b: ConvexBody) -> float:
@@ -474,7 +468,7 @@ def deviation(a: ConvexBody, b: ConvexBody) -> float:
     """
     if a.dim != b.dim:
         raise DimensionMismatch("deviation requires equal dimensions")
-    return float(_lengths(_nearest_offsets(b, a.vertices)).max())
+    return float(point_distance(b, a.vertices).max())
 
 
 def hausdorff(a: ConvexBody, b: ConvexBody) -> float:
@@ -611,7 +605,7 @@ def _normal_angles(a: ConvexBody) -> np.ndarray:
     if a.vertex_count == 1:
         return np.empty(0)
     E = a._ring[1]
-    return np.arctan2(-E[:, 0], E[:, 1])  # E rotated clockwise: outward for a CCW ring
+    return np.arctan2(-E.real, E.imag)  # E rotated clockwise: outward for a CCW ring
 
 
 def normal_fan(bodies: Sequence[ConvexBody]) -> NormalFan:

@@ -164,15 +164,21 @@ def _check_ks_sample(config: ExperimentConfig, ks: bool) -> None:
                          f"replications, got {config.replications}")
 
 
+def _normal_ks(variance: float, tol: float) -> bool:
+    """Whether a normal limit of ``variance`` gets a KS verdict: a variance
+    of at most ``tol ** 2`` (``tol`` the law's round-off) is 0."""
+    return variance > tol * tol
+
+
 def _normal_limit(final: np.ndarray, variance: float, tol: float, zero_bound: float,
                   **zero_echo) -> dict:
     """``variance`` and ``ks_normality`` verdicts of the sample ``final``
-    against its limit N(0, variance).  A variance of at most ``tol ** 2``
-    (``tol`` the law's round-off) is 0: then only ``variance`` is judged,
+    against its limit N(0, variance).  A variance that gets no KS verdict
+    (:func:`_normal_ks`) is 0: then only ``variance`` is judged,
     the empirical variance must stay within ``zero_bound``, and
     ``zero_echo`` joins the verdict."""
     emp_var = float(final.var(ddof=1))
-    if variance <= tol * tol:
+    if not _normal_ks(variance, tol):
         return {"variance": {"pass": emp_var <= zero_bound, "observed": emp_var,
                              "expected": 0.0, **zero_echo}}
     D, p = stats.ks_test_normal(final, 0.0, float(np.sqrt(variance)))
@@ -561,7 +567,7 @@ def clt_tangent_experiment(y: DiscreteRandomSet, direction,
     s_expected = support(expectation(y), u)
     sizes = np.array(config.sample_sizes)
     tol = tolerance(REL_TOL, y.box)   # a support value's round-off; records are sqrt(N) times it
-    _check_ks_sample(config, sigma2 > tol * tol)
+    _check_ks_sample(config, _normal_ks(sigma2, tol))
 
     totals, gaps = _tangent_values(y, u, config)
     records = ((totals - sizes * s_expected) / np.sqrt(sizes))[..., None]
@@ -617,7 +623,7 @@ def clt_facet_experiment(y: DiscreteRandomSet, point, config: ExperimentConfig) 
     if not is_facet_at(ey, k, facet_functional):
         raise NoFacet("nearest point of the expectation is not interior to a facet")
     predicted_var = float(outward @ selection.covariance @ outward)
-    _check_ks_sample(config, predicted_var > tol * tol)
+    _check_ks_sample(config, _normal_ks(predicted_var, tol))
 
     values = _facet_values(y, x, facet_functional, config)
     records = (np.sqrt(config.sample_sizes) * (values[..., 0] - base_distance))[..., None]

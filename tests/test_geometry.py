@@ -348,7 +348,8 @@ def placed_bodies(draw):
 def queries(draw, body, s):
     """A query inside, on a vertex, on an edge or (mostly) outside the body
     placed at scale ``s``."""
-    ring = body._ring[0]
+    z = body._ring[0]
+    ring = np.column_stack([z.real, z.imag])
     i = draw(st.integers(0, len(ring) - 1))
     where = draw(st.sampled_from(["inside", "vertex", "edge", "outside"]))
     if where == "vertex":
@@ -379,6 +380,17 @@ def test_nearest_points_match_exact_rational_distances(data):
     probe = hull(np.vstack([x, body.vertices[:1]]))
     want = max(math.sqrt(exact_nearest(body.vertices, v)[0]) for v in probe.vertices)
     assert abs(deviation(probe, body) - want) <= exact_tolerance(body, probe.vertices)
+
+
+def test_point_distance_takes_an_array_of_points():
+    rng = np.random.default_rng(5)
+    for body in (square(), hull(rng.normal(size=(12, 3)))):
+        X = rng.normal(scale=2.0, size=(9, body.dim))
+        want = [point_distance(body, x) for x in X]
+        assert point_distance(body, X).tolist() == want
+        assert point_distance(body, np.asfortranarray(X)).tolist() == want
+    with pytest.raises(DimensionMismatch):
+        point_distance(square(), np.zeros((3, 3)))
 
 
 def test_far_small_polygon_has_exact_distances():
