@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -89,6 +89,18 @@ def _canonical(V: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(V[order])
 
 
+def _ring_arrays(z: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:attr:`ConvexBody._ring` of the vertices ``V`` from their
+    counterclockwise ring ``z``: ``edges[i] = z[i + 1] - z[i]`` (wrapping
+    around, so a segment has two antiparallel edges), ``lengths2`` their
+    squared lengths (1 for a zero edge) and ``lo``, ``hi`` the corners of
+    the bounding box."""
+    E = np.concatenate((z[1:], z[:1])) - z
+    L = (E * E.conj()).real
+    L[L == 0.0] = 1.0
+    return z, E, L, np.minimum.reduce(V), np.maximum.reduce(V)
+
+
 # ---------------------------------------------------------------------------
 # core types
 
@@ -133,23 +145,20 @@ class ConvexBody:
     def _ring(self) -> tuple[np.ndarray, ...]:
         """2-D only: ``(vertices, edges, lengths2, lo, hi)``.
 
-        ``vertices`` lists the vertices counterclockwise, as complex
-        numbers: those of a polygon are all extreme, so sorting them by
-        angle about their centroid lists them so; one or two vertices are
-        their own ring.  ``edges[i] = vertices[i + 1] - vertices[i]``
-        (wrapping around, so a segment has two antiparallel edges),
-        ``lengths2`` are their squared lengths (1 for a zero edge) and
-        ``lo``, ``hi`` are the corners of the bounding box.
+        ``vertices`` lists the vertices counterclockwise as complex
+        numbers, starting at ``self.vertices[0]``: those of a polygon are
+        all extreme, so sorting them by angle about their centroid lists
+        them so; one or two vertices are their own ring.  The rest is
+        :func:`_ring_arrays`.  :func:`minkowski_sum` and :func:`scale`
+        fill it from the ring they built or carried, which sorts nothing.
         """
         V = self.vertices
         z = V.view(complex)[:, 0]
         if len(z) > 2:
             c = z - np.add.reduce(z) / len(z)
-            z = z[np.argsort(np.arctan2(c.imag, c.real))]
-        E = np.concatenate((z[1:], z[:1])) - z
-        L = (E * E.conj()).real
-        L[L == 0.0] = 1.0
-        return z, E, L, np.minimum.reduce(V), np.maximum.reduce(V)
+            angle = np.arctan2(c.imag, c.real)
+            z = z[np.argsort((angle - angle[0]) % (2.0 * np.pi), kind="stable")]
+        return _ring_arrays(z, V)
 
     @cached_property
     def diameter(self) -> float:
@@ -259,46 +268,126 @@ def hull(points) -> ConvexBody:
     return ConvexBody(_canonical(P[_extreme_indices(P)]))
 
 
+def _normal_angles(a: ConvexBody) -> np.ndarray:
+    """Angles of the outer edge normals of a 2-D body, in ring order: the
+    angles of its ring's edges minus pi/2.
+
+    A point has none and a segment has two antipodal ones.
+    """
+    if a.vertex_count == 1:
+        return np.empty(0)
+    E = a._ring[1]
+    return np.arctan2(-E.real, E.imag)  # E rotated clockwise: outward for a CCW ring
+
+
+def _with_ring(z: np.ndarray) -> ConvexBody:
+    """Body of the counterclockwise ring ``z`` of a polygon's vertices,
+    which may start anywhere: the vertices in canonical order, with the
+    body's ring filled from ``z``, rotated to start at the first vertex."""
+    V = z.view(float).reshape(-1, 2)
+    order = np.lexsort(V.T[::-1])
+    body = ConvexBody(V[order])
+    s = int(order[0])
+    body.__dict__["_ring"] = _ring_arrays(np.concatenate((z[s:], z[:s])), body.vertices)
+    return body
+
+
+def _merged_sum(a: ConvexBody, b: ConvexBody):
+    """``a + b`` for 2-D polygons by merging their edge rings, or None
+    where the merge is not certified.
+
+    Each ring starts at its edge of smallest outer-normal angle; merging
+    the two sorted angle lists walks the boundary of the sum
+    counterclockwise (de Berg et al., *Computational Geometry*, 13.3).
+    Vertex ``k`` is ``a_ring[i_k] + b_ring[j_k]``, with ``i_k`` and
+    ``j_k`` the edges of ``a`` and ``b`` walked before it: the same float
+    sum the pairwise cloud of :func:`minkowski_sum` holds.  The vertex
+    between two edges of exactly equal angle is dropped.  The merge is
+    certified when both rings turn one way, the sum has three or more
+    vertices and every vertex lies more than ``tolerance(REL_TOL, box)``
+    to the outside of the chord of its two neighbours (so every edge is
+    longer than that too); then it is the body :func:`hull` gives.
+    """
+    if a.vertex_count == 1 or b.vertex_count == 1:
+        return None
+    rings, angles = [], []
+    for body in (a, b):
+        z, phi = body._ring[0], _normal_angles(body)
+        s = int(np.argmin(phi))
+        phi = np.concatenate((phi[s:], phi[:s]))
+        if (phi[1:] < phi[:-1]).any():
+            return None
+        rings.append(np.concatenate((z[s:], z[:s], z[s:s + 1])))  # closed by a copy of the start
+        angles.append(phi)
+    phi = np.concatenate(angles)
+    order = np.argsort(phi, kind="stable")
+    from_a = order < len(angles[0])
+    i = np.cumsum(from_a) - from_a
+    z = rings[0][i] + rings[1][np.arange(len(order)) - i]
+    phi = phi[order]
+    z = z[np.concatenate(([True], phi[1:] != phi[:-1]))]
+    if len(z) < 3:
+        return None
+    V = z.view(float).reshape(-1, 2)
+    box = box_of(V)
+    tol = tolerance(REL_TOL, box)
+    E = np.concatenate((z[1:], z[:1])) - z
+    before = np.concatenate((E[-1:], E[:-1]))
+    if ((before.conj() * E).imag <= tol * np.abs(before + E)).any():
+        return None
+    body = _with_ring(z)
+    body.__dict__["box"] = box
+    return body
+
+
 def minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
-    """Minkowski sum; support functions add: s_{A+B} = s_A + s_B."""
+    """Minkowski sum; support functions add: s_{A+B} = s_A + s_B.
+
+    In 2-D, a certified merge of the two edge rings (:func:`_merged_sum`);
+    otherwise, and in other dimensions, :func:`hull` of all pairwise sums.
+    """
     if a.dim != b.dim:
         raise DimensionMismatch(f"cannot add bodies of dimension {a.dim} and {b.dim}")
+    if a.dim == 2:
+        merged = _merged_sum(a, b)
+        if merged is not None:
+            return merged
     sums = (a.vertices[:, None, :] + b.vertices[None, :, :]).reshape(-1, a.dim)
     return hull(sums)
 
 
 def scale(a: ConvexBody, lam: float) -> ConvexBody:
-    """Scale a body by a nonnegative factor; lam = 0 gives the origin."""
+    """Scale a body by a nonnegative factor; lam = 0 gives the origin.
+
+    A cached 2-D ring is carried over as ``lam`` times the ring.
+    """
     lam = float(lam)
     if lam < 0.0:
         raise GeometryError("negative scale factors (reflections) are not supported")
     if lam == 0.0:
         return ConvexBody(np.zeros((1, a.dim)))
-    return ConvexBody(_canonical(lam * a.vertices))  # the merge tolerance scales along
+    ring = vars(a).get("_ring")
+    if ring is None:
+        return ConvexBody(_canonical(lam * a.vertices))  # the merge tolerance scales along
+    return _with_ring((lam * ring[0].view(float)).view(complex))
 
 
 def weighted_sum(bodies: Sequence[ConvexBody], coefs) -> ConvexBody:
     """Minkowski combination sum_j coefs[j] * bodies[j] with coefs >= 0.
 
-    Folds ``minkowski_sum`` over the scaled vertex lists in input order
-    and skips zero coefficients; an all-zero combination is the origin.
-    The pieces are not pruned on their own, since the hull of each sum
-    prunes them; a lone nonzero term is ``scale(body, c)``.
+    Folds ``minkowski_sum`` over the bodies scaled by ``scale``, in input
+    order, and skips zero coefficients; an all-zero combination is the
+    origin.
+    The pieces are not pruned on their own, since each sum prunes them.
     """
     if len(bodies) == 0 or len(bodies) != len(coefs):
         raise GeometryError("need one coefficient per body and at least one body")
     if any(c < 0 for c in coefs):
         raise GeometryError("negative scale factors (reflections) are not supported")
-    terms = [(body, c) for body, c in zip(bodies, coefs) if c != 0]
+    terms = [scale(body, c) for body, c in zip(bodies, coefs) if c != 0]
     if not terms:
         return ConvexBody(np.zeros((1, bodies[0].dim)))
-    (body, c), *rest = terms
-    if not rest:
-        return scale(body, c)
-    acc = ConvexBody(c * body.vertices)
-    for body, c in rest:
-        acc = minkowski_sum(acc, ConvexBody(c * body.vertices))
-    return acc
+    return reduce(minkowski_sum, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -595,17 +684,6 @@ class NormalFan:
         inside = (np.arctan2(D[..., 1], D[..., 0]) - self._angles) % (2.0 * np.pi) <= self._spans
         out = np.maximum(np.where(inside, np.hypot(D[..., 0], D[..., 1]), ends).max(axis=-1), 0.0)
         return float(out) if out.ndim == 0 else out
-
-
-def _normal_angles(a: ConvexBody) -> np.ndarray:
-    """Angles of the outer edge normals of a 2-D body, from its ring.
-
-    A point has none and a segment has two antipodal ones.
-    """
-    if a.vertex_count == 1:
-        return np.empty(0)
-    E = a._ring[1]
-    return np.arctan2(-E.real, E.imag)  # E rotated clockwise: outward for a CCW ring
 
 
 def normal_fan(bodies: Sequence[ConvexBody]) -> NormalFan:

@@ -15,11 +15,14 @@ a replication only through its per-atom draw counts.  One function,
 (``_count_blocks``) and hands them to the experiment's count kernel,
 which maps the block to its statistic with array operations, at a cost
 per checkpoint independent of the sample size; it fills one ``(R, S, k)``
-array, the report's records.  The body path (fold the mean body, then
-measure it) stays as the oracle: it recomputes replications
-``0 .. ORACLE_REPS - 1`` at every size, and it decides the checkpoints a
-kernel cannot (clt-facet's near a threshold, and those of kernels that
-need the 2-D fan on other dimensions).
+array, the report's records.  The body path (fold the mean body with
+``weighted_sum``, then measure it) stays as the oracle: in 2-D the fold
+merges edge rings, with qhull where a merge is not certified.  It shares
+only the edge-angle helper with the normal fan, and a misordered merge
+fails its certificate and falls back to qhull.  It recomputes
+replications ``0 .. ORACLE_REPS - 1`` at every size, and it decides the
+checkpoints a kernel cannot (clt-facet's near a threshold, and those of
+kernels that need the 2-D fan on other dimensions).
 
 Faces follow the face rule: each atom's support face ``F_j`` is decided
 once per law, and the face of a mean is ``sum_j (c_j / N) F_j`` by

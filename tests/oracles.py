@@ -17,6 +17,8 @@ the reference for the closed-form kernel behind ``nearest_point``,
 ``point_distance`` and ``hausdorff``; ``wolfe_point_distance`` and
 ``wolfe_hausdorff`` measure with Wolfe's min-norm solver in every
 dimension, the reference the normal fan is checked against.
+``qhull_minkowski_sum`` is ``hull`` of all pairwise vertex sums, the
+reference for the 2-D ring merge behind ``minkowski_sum``.
 ``FAR_POLYGON`` and ``FAR_QUERY`` pin a small polygon far from the
 origin on which Wolfe's solver ran out of iterations.
 ``translate``, ``serialize_scene``, ``sample``, ``uniform`` and
@@ -44,6 +46,7 @@ from setmeans.geometry import (
     _min_norm_point,
     box_of,
     hausdorff,
+    hull,
     is_facet_at,
     minkowski_sum,
     nearest_point,
@@ -126,6 +129,11 @@ def mean_process_mean(state: MeanProcessState) -> ConvexBody:
     if state.count < 1 or state.running_sum is None:
         raise ValueError("mean of an empty process is undefined")
     return scale(state.running_sum, 1.0 / state.count)
+
+
+def qhull_minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
+    """``a + b`` as ``hull`` of all pairwise vertex sums."""
+    return hull((a.vertices[:, None, :] + b.vertices[None, :, :]).reshape(-1, a.dim))
 
 
 def same_body(a: ConvexBody, b: ConvexBody, tol: float = 1e-9) -> bool:

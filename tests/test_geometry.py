@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import FAR_POLYGON, FAR_QUERY, exact_nearest, same_body, translate
+from oracles import (
+    FAR_POLYGON,
+    FAR_QUERY,
+    exact_nearest,
+    qhull_minkowski_sum,
+    same_body,
+    translate,
+)
 from setmeans.geometry import (
     REL_TOL,
     ROUNDOFF,
@@ -13,6 +20,8 @@ from setmeans.geometry import (
     DimensionMismatch,
     GeometryError,
     _canonical,
+    _merged_sum,
+    _nearest_offsets,
     deviation,
     hausdorff,
     hausdorff_via_support,
@@ -28,6 +37,7 @@ from setmeans.geometry import (
     support,
     support_face,
     tolerance,
+    weighted_sum,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -442,6 +452,121 @@ def test_metric_axioms_on_random_triples():
         assert abs(hausdorff(a, b) - hausdorff(b, a)) <= 1e-9
         assert hausdorff(a, c) <= hausdorff(a, b) + hausdorff(b, c) + 1e-9
         assert deviation(a, c) <= deviation(a, b) + deviation(b, c) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Minkowski sums by ring merge
+
+@st.composite
+def generic_pairs(draw):
+    """Two hulls of 3..8 Gaussian points from one random stream (generic:
+    no parallel edges, no three points on a line), each at scale 10^k,
+    k in [-6, 6], and moved by up to 1e6."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    pair = []
+    for _ in range(2):
+        s = 10.0 ** draw(st.integers(-6, 6))
+        shift = np.array(draw(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))))
+        pair.append(hull(shift + s * rng.normal(size=(draw(st.integers(3, 8)), 2))))
+    return pair
+
+
+@st.composite
+def summands(draw, a):
+    """A second summand for ``a``: any placed body, or one sharing edge
+    directions with ``a`` (a scaled copy: parallel edges; a reflected copy:
+    antiparallel ones), or ``a`` with a vertex doubled at a distance of
+    1e-12..1e-7 of its extent."""
+    kind = draw(st.sampled_from(["placed", "scaled", "reflected", "near-duplicate"]))
+    if kind == "placed":
+        return draw(placed_bodies())[0]
+    if kind == "scaled":
+        return scale(a, draw(st.sampled_from([1e-6, 0.5, 1.0, 3.0, 1e6])))
+    if kind == "reflected":
+        return ConvexBody(_canonical(-a.vertices))
+    i = draw(st.integers(0, a.vertex_count - 1))
+    step = (draw(st.sampled_from([1e-12, 1e-9, 3e-9, 1e-7])) * max(a.box[0], 1.0)
+            * np.array(draw(POINT)))
+    return hull(np.vstack([a.vertices, a.vertices[i] + step]))
+
+
+@PROPERTY
+@given(st.data())
+def test_ring_merge_gives_the_qhull_sum_byte_for_byte(data):
+    a, b = data.draw(generic_pairs())
+    want = qhull_minkowski_sum(a, b).vertices.tobytes()
+    assert minkowski_sum(a, b).vertices.tobytes() == want
+
+
+@PROPERTY
+@given(st.data())
+def test_degenerate_sums_stay_within_tolerance_of_the_qhull_sum(data):
+    a, _ = data.draw(placed_bodies())
+    b = data.draw(summands(a))
+    got, want = minkowski_sum(a, b), qhull_minkowski_sum(a, b)
+    assert hausdorff(got, want) <= tolerance(REL_TOL, want.box)
+    if _merged_sum(a, b) is None:
+        assert got.vertices.tobytes() == want.vertices.tobytes()
+    else:  # certified: every vertex is extreme, so hull keeps them all
+        assert np.array_equal(hull(got.vertices).vertices, got.vertices)
+
+
+def test_edges_of_equal_angle_merge_into_one():
+    hexagon = hull([(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2)])
+    flat = ConvexBody(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))  # as a support face holds it
+    for a, b in [(square(), square()), (square(), hull([(0, 0), (3, 0)])),
+                 (hexagon, scale(hexagon, 0.5)), (flat, triangle())]:
+        merged = _merged_sum(a, b)
+        assert merged is not None
+        assert merged.vertices.tobytes() == qhull_minkowski_sum(a, b).vertices.tobytes()
+    assert _merged_sum(square(), square()).vertices.tolist() == [[0, 0], [0, 2], [2, 0], [2, 2]]
+
+
+def test_an_uncertified_merge_falls_back_to_the_qhull_sum():
+    cases = [
+        (hull([(0, 0), (1, 0)]), hull([(2, 0), (3, 0)])),        # collinear: a segment
+        (triangle(), hull([(0.5, 0.25)])),                         # a one-vertex operand
+        (triangle(), hull([(0, 0), (1, 1e-13)])),                # a vertex on a chord
+        (triangle(), hull([(0, 0), (1e-12, 1), (1, 0)])),        # an edge below tolerance
+        # rings that do not turn one way: each has a vertex that is not extreme
+        (ConvexBody(np.array([[-1.03, -1.37], [-1.01, 0.49], [-0.8, 0.12], [-0.01, -0.35],
+                              [0.08, 1.34]])),
+         ConvexBody(np.array([[-1.59, -0.73], [0.12, -0.65], [0.77, 0.25], [0.99, -0.63]]))),
+    ]
+    cube = hull(np.array(np.meshgrid([0, 1], [0, 1], [0, 1])).reshape(3, -1).T)
+    for a, b in cases + [(cube, cube)]:
+        if a.dim == 2:
+            assert _merged_sum(a, b) is None
+        assert minkowski_sum(a, b).vertices.tobytes() == qhull_minkowski_sum(a, b).vertices.tobytes()
+
+
+def test_merged_and_scaled_bodies_carry_the_ring_a_fresh_sort_gives():
+    rng = np.random.default_rng(19)
+    for _ in range(30):
+        a = hull(rng.normal(size=(7, 2)) + rng.uniform(-1e3, 1e3, size=2))
+        a._ring  # cached, so scale carries it
+        bodies = [minkowski_sum(a, hull(rng.normal(size=(5, 2)))),
+                  scale(a, rng.uniform(1e-3, 1e3)),
+                  minkowski_sum(square(), a)]   # the merge starts atop the square's left edge
+        for body in bodies:
+            assert "_ring" in vars(body)
+            fresh = ConvexBody(body.vertices.copy())
+            for got, want in zip(body._ring, fresh._ring):
+                assert got.tobytes() == want.tobytes()
+            V = body.vertices
+            X = np.vstack([V, (V + np.roll(V, 1, axis=0)) / 2,
+                           V.mean(axis=0) + rng.normal(size=(40, 2))])
+            assert _nearest_offsets(body, X).tobytes() == _nearest_offsets(fresh, X).tobytes()
+
+
+def test_weighted_sum_does_not_depend_on_cached_rings():
+    rng = np.random.default_rng(29)
+    atoms = [hull(rng.normal(size=(6, 2)) + rng.normal(size=2)) for _ in range(5)]
+    coefs = rng.uniform(0.1, 1.0, size=5)
+    before = weighted_sum(atoms, coefs)
+    for atom in atoms:
+        atom._ring
+    assert weighted_sum(atoms, coefs).vertices.tobytes() == before.vertices.tobytes()
 
 
 # ---------------------------------------------------------------------------
