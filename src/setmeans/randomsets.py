@@ -224,6 +224,11 @@ def facet_inheritance(y: DiscreteRandomSet, f, n: int) -> tuple[float, float]:
 
 def sample_many(y: DiscreteRandomSet, u: np.ndarray) -> np.ndarray:
     """Atom indices of uniforms ``u`` in [0, 1), by inverse CDF over the
-    cumulative weights."""
+    cumulative weights: ``u`` draws atom ``#{k : cw[k] <= u}``.
+
+    The per-draw oracle: ``simulate._count_blocks`` counts draws by
+    thresholding the uniforms instead, and the benchmark's gate and the
+    tests recompute those counts through this function.
+    """
     idx = np.searchsorted(y.cumulative_weights, np.asarray(u, dtype=float), side="right")
     return np.minimum(idx, y.atom_count - 1)

