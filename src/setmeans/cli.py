@@ -255,28 +255,15 @@ def _json_default(obj):
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _parse_numbers(text: str, what: str) -> list[float]:
+def _parse_numbers(text: str, what: str, kind=float) -> list:
+    """The comma-separated ``kind`` values of ``text``; empty parts are skipped."""
     try:
-        values = [float(part) for part in text.split(",") if part != ""]
+        values = [kind(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
         raise UsageError(f"invalid {what}: {text!r}") from exc
     if not values:
         raise UsageError(f"empty {what}")
     return values
-
-
-def _parse_sizes(text: str) -> tuple[int, ...]:
-    sizes = []
-    for part in text.split(","):
-        if part == "":
-            continue
-        try:
-            sizes.append(int(part))
-        except ValueError as exc:
-            raise UsageError(f"invalid sample size {part!r}") from exc
-    if not sizes:
-        raise UsageError("empty size list")
-    return tuple(sizes)
 
 
 def build_parser() -> _Parser:
@@ -326,7 +313,7 @@ def _print_body(body: ConvexBody, file=None):
 
 
 def _run_simulate(kind: str, scene_path: str, seed: int, reps: int,
-                  sizes: tuple[int, ...], direction, point, out_dir: str,
+                  sizes: list[int], direction, point, out_dir: str,
                   recorded: Optional[dict] = None) -> int:
     """Run one experiment and write its artifacts.  ``recorded`` is the
     manifest of a run being replayed: its scene digest must match before
@@ -481,19 +468,18 @@ def run_command(argv) -> int:
             return 0
 
         if args.command == "simulate":
-            if args.reps < 1:
-                raise UsageError("--reps must be positive")
             direction = _parse_numbers(args.dir, "direction") if args.dir is not None else None
             point = _parse_numbers(args.point, "point") if args.point is not None else None
             return _run_simulate(args.kind, args.scene, args.seed, args.reps,
-                                 _parse_sizes(args.sizes), direction, point, args.out)
+                                 _parse_numbers(args.sizes, "sample sizes", int), direction,
+                                 point, args.out)
 
         if args.command == "replay":
             with open(args.manifest, "r", encoding="utf-8") as fh:
                 manifest = json.load(fh)
             cfg = _replay_config(manifest)
             return _run_simulate(manifest["kind"], cfg["scene"], cfg["seed"], cfg["reps"],
-                                 tuple(cfg["sizes"]), cfg.get("dir"), cfg.get("point"),
+                                 cfg["sizes"], cfg.get("dir"), cfg.get("point"),
                                  args.out, recorded=manifest)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -77,7 +77,7 @@ def tolerance(rel: float, box: tuple[float, float]) -> float:
     invariant under translation and equivariant under scaling, and box
     widths add under Minkowski sums; the magnitude term only covers the
     round-off of coordinates far from the origin.  Every geometric
-    threshold of the library is one of these.
+    threshold of the library but :func:`_affine_frame`'s rank cut is one.
     """
     extent, magnitude = box
     return rel * extent + ROUNDOFF * magnitude
@@ -245,14 +245,11 @@ def _qhull(coords: np.ndarray) -> _Qhull:
 
 def _extreme_indices(P: np.ndarray) -> np.ndarray:
     """Indices of the extreme points of P (deduplicated input)."""
-    if len(P) <= 2:
-        return np.arange(len(P))
     _, U, _, _ = _affine_frame(P)  # extreme points are invariant under affine maps
     if U.shape[1] == 0:
         return np.array([0])
     if U.shape[1] == 1:
-        lo, hi = int(np.argmin(U[:, 0])), int(np.argmax(U[:, 0]))
-        return np.array([lo]) if lo == hi else np.array([lo, hi])
+        return np.array([np.argmin(U[:, 0]), np.argmax(U[:, 0])])
     return _qhull(U).vertices
 
 
@@ -455,9 +452,10 @@ def _min_norm_point(P: np.ndarray) -> np.ndarray:
 
     Terminates when the duality gap ||x||^2 - min_p <x, p> drops below
     ``MIN_NORM_GAP_TOL * max_p |p|^2``, a tolerance relative to the
-    scale of P (so distances are equivariant under scaling); the
-    iteration cap is
-    10 * n * d, exceeding it raises :class:`ConvergenceError`.
+    scale of P (so distances are equivariant under scaling), or when a
+    major cycle fails to lower ``x @ x``, a round-off stall; the
+    iteration cap is 10 * n * d, exceeding it raises
+    :class:`ConvergenceError`.
     """
     n, d = P.shape
     norms2 = (P ** 2).sum(axis=1)
@@ -471,8 +469,8 @@ def _min_norm_point(P: np.ndarray) -> np.ndarray:
     for _ in range(cap):
         dots = P @ x
         j = int(np.argmin(dots))
-        gap = float(x @ x - dots[j])
-        if gap <= gap_tol or j in corral:
+        xx = float(x @ x)
+        if xx - dots[j] <= gap_tol or j in corral:
             return x
         corral.append(j)
         lam = np.append(lam, 0.0)
@@ -499,6 +497,8 @@ def _min_norm_point(P: np.ndarray) -> np.ndarray:
             lam = lam[keep]
             lam = lam / lam.sum()
             x = P[corral].T @ lam
+        if x @ x >= xx:   # exact arithmetic lowers |x| in every major cycle
+            return x
     raise ConvergenceError(f"min-norm solver did not converge within {cap} iterations")
 
 
@@ -652,38 +652,41 @@ class NormalFan:
         combination is among them."""
         return _fold(self._coefficients(coefs), self._by_body)
 
+    def _arc_sup(self, D: np.ndarray, signed: bool):
+        """``max(0, sup g(<u, D[..., i, :]>))`` over the cells ``i`` and the
+        unit ``u`` on their arcs, with ``g`` the identity when ``signed``
+        and ``abs`` otherwise: ``(...)`` for ``D`` of shape ``(..., m, 2)``.
+        On an arc it is ``|D|`` when ``D`` (or, for ``abs``, ``-D``) points
+        into the arc, and otherwise the larger endpoint value."""
+        starts, ends = (D * self.directions).sum(axis=-1), (D * self._ends).sum(axis=-1)
+        if not signed:
+            starts, ends = np.abs(starts), np.abs(ends)
+        # the angle of D from the arc's start, modulo 2 pi (pi to admit -D), within the span
+        period = 2.0 * np.pi if signed else np.pi
+        inside = (np.arctan2(D[..., 1], D[..., 0]) - self._angles) % period <= self._spans
+        out = np.where(inside, np.hypot(D[..., 0], D[..., 1]), np.maximum(starts, ends))
+        out = np.maximum(out.max(axis=-1), 0.0)
+        return float(out) if out.ndim == 0 else out
+
     def hausdorff(self, coefs, ref):
         """Exact ``H(sum_j coefs[j] * K_j, sum_j ref[j] * K_j)`` for coefficients >= 0.
 
-        ``H(A, B) = sup_{|u|=1} |h_A(u) - h_B(u)|``.  On a cell that
-        difference is ``<u, D>`` with ``D = (coefs - ref) @ vertices[i]``,
-        whose largest absolute value on the arc is ``|D|`` when ``D`` or
-        ``-D`` points into the arc, and otherwise the larger of the two
-        endpoint values.  ``coefs`` and ``ref`` may carry leading batch
-        axes ``(..., J)``; the result then has shape ``(...)``.
+        ``H(A, B) = sup_{|u|=1} |h_A(u) - h_B(u)|``, and on cell ``i`` that
+        difference is ``<u, D>`` with ``D = (coefs - ref) @ vertices[i]``.
+        ``coefs`` and ``ref`` may carry leading batch axes ``(..., J)``;
+        the result then has shape ``(...)``.
         """
         D = _fold(self._coefficients(coefs) - self._coefficients(ref), self._by_body)
-        ends = np.maximum(np.abs((D * self.directions).sum(axis=-1)),
-                          np.abs((D * self._ends).sum(axis=-1)))
-        # D or -D lies in the arc iff its angle from the start, modulo pi, is within the span
-        inside = (np.arctan2(D[..., 1], D[..., 0]) - self._angles) % np.pi <= self._spans
-        out = np.where(inside, np.hypot(D[..., 0], D[..., 1]), ends).max(axis=-1)
-        return float(out) if out.ndim == 0 else out
+        return self._arc_sup(D, signed=False)
 
     def point_distance(self, coefs, x):
         """Exact distance from the point ``x`` to ``sum_j coefs[j] * K_j``.
 
-        ``d(x, K) = max(0, sup_{|u|=1} <u, x> - h_K(u))``.  On a cell
-        that difference is ``<u, D>`` with ``D = x - coefs @ vertices[i]``,
-        whose largest value on the arc is ``|D|`` when ``D`` points into
-        the arc, and otherwise the larger endpoint value.  Batched like
-        :meth:`hausdorff`.
+        ``d(x, K) = max(0, sup_{|u|=1} <u, x> - h_K(u))``, and on cell
+        ``i`` that difference is ``<u, D>`` with ``D = x - coefs @
+        vertices[i]``.  Batched like :meth:`hausdorff`.
         """
-        D = np.asarray(x, dtype=float) - self.support_points(coefs)
-        ends = np.maximum((D * self.directions).sum(axis=-1), (D * self._ends).sum(axis=-1))
-        inside = (np.arctan2(D[..., 1], D[..., 0]) - self._angles) % (2.0 * np.pi) <= self._spans
-        out = np.maximum(np.where(inside, np.hypot(D[..., 0], D[..., 1]), ends).max(axis=-1), 0.0)
-        return float(out) if out.ndim == 0 else out
+        return self._arc_sup(np.asarray(x, dtype=float) - self.support_points(coefs), signed=True)
 
 
 def normal_fan(bodies: Sequence[ConvexBody]) -> NormalFan:

@@ -397,7 +397,7 @@ def _facet_values(y: DiscreteRandomSet, x: np.ndarray, f: np.ndarray,
         if fan is None:
             return np.zeros(counts.shape[:2] + (2,)), np.ones(counts.shape[:2], dtype=bool)
         dist = fan.point_distance(coefs, x)
-        a, b = _fold(coefs, ends[:, 0]), _fold(coefs, ends[:, 1])
+        a, b = np.moveaxis(_fold(coefs, ends), -2, 0)
         length = ((b - a) * along).sum(axis=-1)
         offset = ((x - a) * along).sum(axis=-1)      # projection of x along the facet
         height = ((x - a) * f).sum(axis=-1)          # beyond the facet's line when > 0
@@ -522,8 +522,7 @@ def clt_exposed_experiment(y: DiscreteRandomSet, direction,
     selection = exposed_selection(y, direction)  # raises NotExposed if blocked
     target = selection.mean
     sigma = selection.covariance
-    ks_axes = [axis for axis in range(y.dim)
-               if np.sqrt(sigma[axis, axis]) > tolerance(REL_TOL, y.box)]
+    ks_axes = [a for a in range(y.dim) if _normal_ks(sigma[a, a], tolerance(REL_TOL, y.box))]
     _check_ks_sample(config, bool(ks_axes))
 
     points = _exposed_points(y, norm_gradient(direction), config)

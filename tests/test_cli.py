@@ -442,6 +442,36 @@ def test_nearest_on_a_small_polygon_far_from_the_origin(tmp_path, capsys):
                        rtol=0, atol=tol)
 
 
+FAR_POLYTOPE = [[17414.816850227584, 64309.299865368994, -70952.84394554459],
+                [17414.81748952428, 64309.301143962395, -70952.84394554459],
+                [17414.81812882098, 64309.301143962395, -70952.84458484128],
+                [17414.81876811768, 64309.299865368994, -70952.84458484128],
+                [17414.81876811768, 64309.301143962395, -70952.84522413799]]
+FAR_POLYTOPE_QUERY = "17414.818074140145,64309.30113113589,-70952.84474386563"
+# the distance in exact rational arithmetic on these floats: the least over the
+# vertex subsets whose affine min-norm point has nonnegative weights
+FAR_POLYTOPE_DISTANCE = 1.38194616977073014855e-4
+
+
+def test_nearest_on_a_small_polytope_far_from_the_origin(tmp_path, capsys):
+    # Wolfe's solver cycled on a round-off stall here and ran out of iterations (exit 3)
+    scene = write_scene(tmp_path, json.dumps({"version": 1, "dim": 3, "atoms": [
+        {"weight": 1.0, "vertices": FAR_POLYTOPE}]}))
+    assert run_command(["nearest", "--scene", scene, "--point", FAR_POLYTOPE_QUERY]) == 0
+    lines = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    tol = tolerance(REL_TOL, box_of(np.array(FAR_POLYTOPE)))
+    assert abs(float(lines["distance"]) - FAR_POLYTOPE_DISTANCE) <= tol
+
+
+@pytest.mark.parametrize("sizes", ["16,x", ","])
+def test_malformed_sample_sizes_are_one_usage_error_line(tmp_path, capsys, sizes):
+    assert run_command(["simulate", "lln", "--scene", str(SCENES / "two_segments.json"),
+                        "--seed", "1", "--reps", "3", "--sizes", sizes,
+                        "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "sample sizes" in err[0]
+
+
 @pytest.mark.parametrize("kind, extra", [
     ("clt-exposed", ["--dir", "1,1"]),
     ("clt-tangent", ["--dir", "1,0"]),
