@@ -77,7 +77,7 @@ def tolerance(rel: float, box: tuple[float, float]) -> float:
     invariant under translation and equivariant under scaling, and box
     widths add under Minkowski sums; the magnitude term only covers the
     round-off of coordinates far from the origin.  Every geometric
-    threshold of the library but :func:`_affine_frame`'s rank cut is one.
+    threshold of the library is one.
     """
     extent, magnitude = box
     return rel * extent + ROUNDOFF * magnitude
@@ -224,14 +224,21 @@ def _affine_frame(P: np.ndarray):
     """SVD of the centred rows of P, truncated to their affine rank.
 
     Returns ``(centroid, U, s, Vt)`` with ``P - centroid ~= U @ diag(s) @ Vt``
-    and ``len(s)`` the affine rank.  ``U * s`` are Euclidean coordinates in
-    the affine hull; ``U`` itself is an affine image of them with unit
-    spread along every axis, which keeps thin slivers well conditioned.
+    and ``len(s)`` the affine rank: the fewest leading axes that leave
+    every point within ``tolerance(8 n eps, box_of(P))`` of its projection
+    (``n = max(P.shape)``), so the round-off of centring points far from
+    the origin is never read as another dimension.  ``U * s`` are
+    Euclidean coordinates in the affine hull; ``U`` itself is an affine
+    image of them with unit spread along every axis, which keeps thin
+    slivers well conditioned.
     """
     centroid = P.mean(axis=0)
     U, s, Vt = np.linalg.svd(P - centroid, full_matrices=False)
-    rank = int((s > s[0] * max(P.shape) * np.finfo(float).eps * 8.0).sum())
-    rank = min(rank, len(P) - 1)  # n points span at most n - 1 dimensions; the rest is rounding
+    W2 = (U * s) ** 2
+    # residual[r]: the largest distance of a point from its projection onto axes 0 .. r-1
+    residual = np.sqrt(np.cumsum(W2[:, ::-1], axis=1)[:, ::-1].max(axis=0))
+    cut = tolerance(8.0 * max(P.shape) * float(np.finfo(float).eps), box_of(P))
+    rank = int((residual > cut).sum())
     return centroid, U[:, :rank], s[:rank], Vt[:rank]
 
 
@@ -299,39 +306,45 @@ def _merged_sum(a: ConvexBody, b: ConvexBody):
     Vertex ``k`` is ``a_ring[i_k] + b_ring[j_k]``, with ``i_k`` and
     ``j_k`` the edges of ``a`` and ``b`` walked before it: the same float
     sum the pairwise cloud of :func:`minkowski_sum` holds.  The vertex
-    between two edges of exactly equal angle is dropped.  The merge is
-    certified when both rings turn one way, the sum has three or more
-    vertices and every vertex lies more than ``tolerance(REL_TOL, box)``
-    to the outside of the chord of its two neighbours (so every edge is
-    longer than that too); then it is the body :func:`hull` gives.
+    between two edges of exactly equal angle is dropped.  A one-vertex
+    operand translates the other's ring, by the same float sums.  The
+    merge is certified when both rings turn one way and every vertex of
+    the sum lies more than ``tolerance(REL_TOL, box)`` to the outside of
+    the chord of its two neighbours (so every edge is longer than that
+    too); a translate of fewer than three vertices needs only its
+    vertices that far apart.  Then it is the body :func:`hull` gives.
     """
     if a.vertex_count == 1 or b.vertex_count == 1:
-        return None
-    rings, angles = [], []
-    for body in (a, b):
-        z, phi = body._ring[0], _normal_angles(body)
-        s = int(np.argmin(phi))
-        phi = np.concatenate((phi[s:], phi[:s]))
-        if (phi[1:] < phi[:-1]).any():
+        z = a._ring[0] + b._ring[0]
+    else:
+        rings, angles = [], []
+        for body in (a, b):
+            z, phi = body._ring[0], _normal_angles(body)
+            s = int(np.argmin(phi))
+            phi = np.concatenate((phi[s:], phi[:s]))
+            if (phi[1:] < phi[:-1]).any():
+                return None
+            rings.append(np.concatenate((z[s:], z[:s], z[s:s + 1])))  # closed by a copy of the start
+            angles.append(phi)
+        phi = np.concatenate(angles)
+        order = np.argsort(phi, kind="stable")
+        from_a = order < len(angles[0])
+        i = np.cumsum(from_a) - from_a
+        z = rings[0][i] + rings[1][np.arange(len(order)) - i]
+        phi = phi[order]
+        z = z[np.concatenate(([True], phi[1:] != phi[:-1]))]
+        if len(z) < 3:
             return None
-        rings.append(np.concatenate((z[s:], z[:s], z[s:s + 1])))  # closed by a copy of the start
-        angles.append(phi)
-    phi = np.concatenate(angles)
-    order = np.argsort(phi, kind="stable")
-    from_a = order < len(angles[0])
-    i = np.cumsum(from_a) - from_a
-    z = rings[0][i] + rings[1][np.arange(len(order)) - i]
-    phi = phi[order]
-    z = z[np.concatenate(([True], phi[1:] != phi[:-1]))]
-    if len(z) < 3:
-        return None
     V = z.view(float).reshape(-1, 2)
     box = box_of(V)
     tol = tolerance(REL_TOL, box)
-    E = np.concatenate((z[1:], z[:1])) - z
-    before = np.concatenate((E[-1:], E[:-1]))
-    if ((before.conj() * E).imag <= tol * np.abs(before + E)).any():
+    if len(z) == 2 and abs(z[1] - z[0]) <= tol:
         return None
+    if len(z) > 2:
+        E = np.concatenate((z[1:], z[:1])) - z
+        before = np.concatenate((E[-1:], E[:-1]))
+        if ((before.conj() * E).imag <= tol * np.abs(before + E)).any():
+            return None
     body = _with_ring(z)
     body.__dict__["box"] = box
     return body

@@ -12,12 +12,14 @@ copies of an atom equals the atom scaled by ``c``, so the mean of ``N``
 draws is ``weighted_sum(atoms, counts / N)``: every statistic depends on
 a replication only through its per-atom draw counts.  One function,
 ``_statistic``, draws the counts of a block of replications at once
-(``_count_blocks``, which thresholds the block's uniforms at the
-cumulative weights: the draws on atoms ``0 .. j`` are those below
-``cw[j]``, the same counts as a per-draw inverse CDF, bit for bit) and
-hands them to the experiment's count kernel, which maps the block to its
-statistic with array operations, at a cost per checkpoint independent of
-the sample size; it fills one ``(R, S, k)`` array, the report's records.
+(``_count_blocks``, which sizes a block by its kernel values and draws it
+in chunks of at most ``DRAW_BUDGET`` draws, thresholding each chunk's
+uniforms at the cumulative weights: the draws on atoms ``0 .. j`` are
+those below ``cw[j]``, the same counts as a per-draw inverse CDF, bit for
+bit) and hands them to the experiment's count kernel, which maps the
+block to its statistic with array operations, at a cost per checkpoint
+independent of the sample size; it fills one ``(R, S, k)`` array, the
+report's records.
 The body path (fold the mean body with ``weighted_sum``, then measure
 it) stays as the oracle: in 2-D the fold merges edge rings, with qhull
 where a merge is not certified.  It shares only the edge-angle helper
@@ -69,7 +71,7 @@ from .randomsets import (
 )
 from .rng import uniforms
 
-DRAW_BUDGET = 2 ** 15          # draws per block of replications drawn by `_count_blocks`
+DRAW_BUDGET = 2 ** 15          # `_count_blocks`: kernel values per block, draws per `uniforms` call
 ORACLE_REPS = 3                # replications recomputed along the body path at every size
 GUARD_REL = 1e-8               # half-width of clt-facet's guard band, relative (see `tolerance`)
 
@@ -204,10 +206,16 @@ def _count_blocks(y: DiscreteRandomSet,
     Yields ``(reps, counts)``: the replication indices of a block and an
     ``(len(reps), S, J)`` int array whose entry ``[r, s, j]`` counts the
     draws of atom ``j`` among the first ``sizes[s]`` draws of replication
-    ``reps[r]``.  A block holds about ``DRAW_BUDGET`` draws, and the
-    kernels about as many values per atom vertex (at least one per atom
-    and fan cell) and size, so memory stays flat whatever the replication
-    count; records never depend on the block size.
+    ``reps[r]``.  A block is sized by its kernel values: it holds
+    ``DRAW_BUDGET // (S * vertices)`` replications (at least one), with
+    ``vertices`` the atoms' total vertex count, since the kernels hold
+    about one value per atom vertex (at least one per atom and fan cell)
+    and size.  Its counts are drawn in chunks of at most ``DRAW_BUDGET``
+    draws (``DRAW_BUDGET // N`` replications, at least one, one
+    ``uniforms`` call each), so the uniform stream stays cache-sized
+    and memory stays flat whatever the replication count.  Each
+    replication's counts come from its own stream, so records never
+    depend on the block or chunk size.
 
     The counts come straight from the uniforms, with no per-draw atom
     index.  :func:`~setmeans.randomsets.sample_many` maps a uniform ``u``
@@ -216,7 +224,7 @@ def _count_blocks(y: DiscreteRandomSet,
     ``0 .. j`` are exactly those with ``u < cw[j]``, and the last atom
     takes the rest.  Thresholding each size increment at every ``cw[j]``
     and differencing over ``j`` gives the same counts bit for bit.  It
-    costs one pass over the block per atom: per 2**15-draw block on a
+    costs one pass over the chunk per atom: per 2**15-draw chunk on a
     2-vCPU Xeon it took 0.04, 0.16, 0.64, 1.4 and 3.6 ms at 2, 8, 32, 64
     and 128 atoms, against 0.45, 0.77, 1.4, 1.6 and 2.3 ms for
     ``searchsorted`` plus a keyed ``bincount``: it loses only at 128.
@@ -227,14 +235,18 @@ def _count_blocks(y: DiscreteRandomSet,
     starts = np.array((0,) + sizes[:-1])        # first draw of each size increment
     increments = np.diff((0,) + sizes)          # its draws, all on atoms 0 .. J-1
     vertices = sum(body.vertex_count for body in y.bodies)
-    per_block = max(1, DRAW_BUDGET // max(sizes[-1], len(sizes) * vertices))
+    per_block = max(1, DRAW_BUDGET // (len(sizes) * vertices))
+    per_chunk = max(1, DRAW_BUDGET // sizes[-1])
     for start in range(0, config.replications, per_block):
         reps = np.arange(start, min(start + per_block, config.replications))
-        u = uniforms(config.master_seed, reps, sizes[-1]).reshape(len(reps), -1)
         # below[r, s, j]: draws of size increment s on atoms 0 .. j
         below = np.empty((len(reps), len(sizes), atoms), dtype=np.int64)
-        for j in range(atoms - 1):
-            below[:, :, j] = np.add.reduceat(u < cw[j], starts, axis=1, dtype=np.int64)
+        for lo in range(0, len(reps), per_chunk):
+            chunk = reps[lo:lo + per_chunk]
+            u = uniforms(config.master_seed, chunk, sizes[-1]).reshape(len(chunk), -1)
+            for j in range(atoms - 1):
+                below[lo:lo + len(chunk), :, j] = np.add.reduceat(u < cw[j], starts, axis=1,
+                                                                  dtype=np.int64)
         below[:, :, -1] = increments
         yield reps, np.diff(np.cumsum(below, axis=1), axis=2, prepend=0)
 

@@ -522,10 +522,24 @@ def test_edges_of_equal_angle_merge_into_one():
     assert _merged_sum(square(), square()).vertices.tolist() == [[0, 0], [0, 2], [2, 0], [2, 2]]
 
 
+def test_a_one_vertex_operand_translates_the_other_body():
+    point = hull([(0.5, 0.25)])
+    for a, b in [(triangle(), point), (point, square()), (point, hull([(3, -4)])),
+                 (hull([(0, 0), (1, 1)]), point), (square(), hull([(1e6, -1e6)]))]:
+        merged = _merged_sum(a, b)
+        assert merged is not None
+        assert merged.vertices.tobytes() == qhull_minkowski_sum(a, b).vertices.tobytes()
+        fresh = ConvexBody(merged.vertices.copy())
+        for got, want in zip(merged._ring, fresh._ring):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_an_uncertified_merge_falls_back_to_the_qhull_sum():
+    flat = ConvexBody(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]]))
     cases = [
         (hull([(0, 0), (1, 0)]), hull([(2, 0), (3, 0)])),        # collinear: a segment
-        (triangle(), hull([(0.5, 0.25)])),                         # a one-vertex operand
+        (hull([(0, 0), (1e-9, 0)]), hull([(1e6, 0)])),            # a translate within tolerance
+        (flat, hull([(0.5, 0.25)])),                               # a translate of a flat vertex
         (triangle(), hull([(0, 0), (1, 1e-13)])),                # a vertex on a chord
         (triangle(), hull([(0, 0), (1e-12, 1), (1, 0)])),        # an edge below tolerance
         # rings that do not turn one way: each has a vertex that is not extreme

@@ -2,6 +2,7 @@
 for its near-duplicate merge against the all-pairs oracle."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -109,3 +110,47 @@ def test_hull_of_points_on_a_line_is_their_interval(kind, seed, n):
         P = np.repeat(rng.normal(size=(n, 1)), 2, axis=0) + 1e-12 * rng.normal(size=(2 * n, 1))
     kept = dense_dedup(P)[:, 0]
     assert np.array_equal(hull(P).vertices, np.unique([kept.min(), kept.max()])[:, None])
+
+
+# ---------------------------------------------------------------------------
+# rank decisions far from the origin
+
+def collinear_cloud(shape: str, seed: int, scale: float, shift: float) -> np.ndarray:
+    """Seeded points on one line: ``scale`` times a pattern along a unit
+    direction (the first axis for even seeds, a random one for odd
+    seeds), translated by ``shift`` in a random direction."""
+    rng = np.random.default_rng(seed)
+    if shape == "three":     # two ends and a point between them
+        t = np.array([-0.5, 0.0, 0.25])
+    elif shape == "even":    # evenly spaced, ends included
+        t = np.linspace(-1.0, 1.0, 9)
+    else:                    # uniform on an interval
+        t = rng.uniform(-1.0, 1.0, 20)
+    angle = rng.uniform(0.0, 2.0 * np.pi) if seed % 2 else 0.0
+    offset = rng.uniform(0.0, 2.0 * np.pi)
+    along = np.array([np.cos(angle), np.sin(angle)])
+    return shift * np.array([np.cos(offset), np.sin(offset)]) + scale * t[:, None] * along
+
+
+@pytest.mark.parametrize("shape", ["three", "even", "random"])
+def test_hull_of_collinear_points_is_a_segment_at_every_scale_and_place(shape):
+    for scale in 10.0 ** np.arange(-6, 7):
+        for shift in (0.0, 1e2, 1e4, 1e6):
+            for seed in range(4):
+                P = collinear_cloud(shape, seed, scale, shift)
+                body = hull(P)
+                assert body.vertex_count == 2, (shape, scale, shift, seed)
+                assert hull(body.vertices).vertices.tobytes() == body.vertices.tobytes()
+
+
+def test_hull_far_from_the_origin_cases():
+    # three points on a vertical line far out: qhull saw a flat simplex
+    body = hull([[699051.4307437737, 0], [699051.4307437737, 1], [699051.4307437737, 0.5]])
+    assert body.vertices.tolist() == [[699051.4307437737, 0.0], [699051.4307437737, 1.0]]
+    # exactly collinear points: the middle one is not extreme
+    ring = np.array([[-0.5, 153.0], [0.0, 153.5], [0.25, 153.75]])
+    assert hull(ring).vertices.tolist() == [[-0.5, 153.0], [0.25, 153.75]]
+    # the pairwise sums of that ring and the ring scaled by 1e-6
+    body = hull((ring[:, None, :] + 1e-6 * ring[None, :, :]).reshape(-1, 2))
+    assert body.vertex_count == 2
+    assert hull(body.vertices).vertices.tobytes() == body.vertices.tobytes()

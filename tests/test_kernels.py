@@ -30,6 +30,7 @@ from setmeans.geometry import (
     weighted_sum,
 )
 from setmeans.randomsets import DiscreteRandomSet, expectation, sample_many
+from setmeans.rng import uniforms
 from setmeans.simulate import (
     ExperimentConfig,
     _exposed_points,
@@ -359,7 +360,8 @@ SIX_KINDS = [
 @pytest.mark.parametrize("kind, name, extra", SIX_KINDS)
 def test_records_do_not_depend_on_the_block_size(kind, name, extra, tmp_path, monkeypatch, capsys):
     written = []
-    for budget in (1, 2 ** 22):
+    # one replication a block; several blocks of several chunks; one block, one chunk
+    for budget in (1, 200, 2 ** 22):
         monkeypatch.setattr(simulate, "DRAW_BUDGET", budget)
         out = tmp_path / str(budget)
         code = run_command(["simulate", kind, "--scene", str(SCENES / f"{name}.json"),
@@ -368,16 +370,28 @@ def test_records_do_not_depend_on_the_block_size(kind, name, extra, tmp_path, mo
         assert code in (0, 2)
         written.append((out / "records.csv").read_bytes())
     capsys.readouterr()
-    assert written[0] == written[1]
+    assert written[0] == written[1] == written[2]
     assert len(written[0].splitlines()) > 1
 
 
 def test_block_budget_bounds_the_replications_per_block(monkeypatch):
-    y = scene("two_segments")
+    y = scene("two_segments")   # 4 atom vertices
     config = ExperimentConfig(master_seed=3, sample_sizes=(10, 100), replications=7)
-    monkeypatch.setattr(simulate, "DRAW_BUDGET", 250)   # 100 draws a replication
+    budget = 250
+    monkeypatch.setattr(simulate, "DRAW_BUDGET", budget)
+    drawn = []
+
+    def recorded_uniforms(master_seed, replication, n):
+        drawn.append(np.atleast_1d(replication).tolist())
+        return uniforms(master_seed, replication, n)
+
+    monkeypatch.setattr(simulate, "uniforms", recorded_uniforms)
     blocks = list(simulate._count_blocks(y, config))
-    assert [b[0].tolist() for b in blocks] == [[0, 1], [2, 3], [4, 5], [6]]
+    # 250 // (2 sizes * 4 vertices) = 31 replications a block: one block of 7
+    assert [b[0].tolist() for b in blocks] == [list(range(7))]
+    # 250 // 100 draws = 2 replications a uniforms call, in order
+    assert all(len(chunk) <= max(1, budget // 100) for chunk in drawn)
+    assert [rep for chunk in drawn for rep in chunk] == list(range(7))
     for reps, counts in blocks:
         assert counts.shape == (len(reps), 2, 2)
         assert (counts.sum(axis=-1) == [10, 100]).all()
@@ -407,7 +421,7 @@ def assert_blocks_match_checkpoints(y, config):
 @given(st.lists(st.floats(-9.0, 0.0).map(lambda e: 10.0 ** e), min_size=1, max_size=40),
        st.lists(st.integers(1, 60), max_size=3), st.integers(1, 30),
        st.integers(0, 2 ** 64 - 1), st.sampled_from([1, 250, simulate.DRAW_BUDGET]))
-@example([1.0, 1e-9], [99], 7, 42, 250)   # 2 replications a block: blocks of 2, 2, 2, 1
+@example([1.0, 1e-9], [99], 7, 42, 250)   # one block of 7, drawn in chunks of 2, 2, 2, 1
 def test_count_blocks_match_the_per_draw_checkpoints(raw, steps, reps, seed, budget):
     sizes = tuple(np.cumsum([1, *steps]).tolist())
     config = ExperimentConfig(master_seed=seed, sample_sizes=sizes, replications=reps)
