@@ -13,6 +13,7 @@ differs from the manifest's).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -192,32 +193,55 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
+def _records_csv(records: np.ndarray, sizes) -> bytes:
+    """The ``records.csv`` bytes of an ``(R, S, k)`` records array (see ``write_report``)."""
+    R, S, width = records.shape
+    header = "replication,N,stat" if width == 1 else \
+        "replication,N," + ",".join(f"stat_{i}" for i in range(width))
+    # Most statistics are functions of a few draw counts, so few values are
+    # distinct: repr each distinct bit pattern once (bits keep -0.0 apart from 0.0).
+    bits, which = np.unique(np.ascontiguousarray(records, dtype=float).ravel().view(np.int64),
+                            return_inverse=True)
+    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    # row r, s: "r," "N," value "," ... value "\n"
+    cells = np.empty((R, S, 2 * width + 2), dtype=object)
+    cells[:, :, 0] = np.array([f"{rep}," for rep in range(R)], dtype=object)[:, None]
+    cells[:, :, 1] = np.array([f"{n}," for n in sizes], dtype=object)
+    cells[:, :, 2::2] = text[which].reshape(R, S, width)
+    cells[:, :, 3::2] = ","
+    cells[:, :, -1] = "\n"
+    return (header + "\n" + "".join(cells.ravel().tolist())).encode("utf-8")
+
+
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n")
+
+
 def write_report(report: ExperimentReport, out_dir: str,
                  manifest: Optional[dict] = None) -> dict:
     """Write report JSON, records CSV and (optionally) a manifest.
 
-    The CSV is byte-stable for a fixed report: one row per checkpoint
-    ``report.records[r, s]``, in that order, with header
-    ``replication,N,stat`` (scalar) or ``replication,N,stat_0..``.
-    ``report.json`` keeps a ``discarded`` key, always 0, for its readers.
+    The CSV is byte-stable for a fixed report: header
+    ``replication,N,stat`` (scalar) or ``replication,N,stat_0,..``, then
+    one row per checkpoint ``report.records[r, s]``, replication-major,
+    then by size, each value Python's shortest round-trip ``repr`` of
+    the float64, every row ending in ``\n``, the last one included.
+    The manifest's ``records_sha256`` is the digest of exactly those
+    bytes.  ``report.json`` keeps a ``discarded`` key, always 0, for its
+    readers.  Returns the paths written, by artifact name.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "report": os.path.join(out_dir, "report.json"),
         "records": os.path.join(out_dir, "records.csv"),
     }
-    width = report.records.shape[-1]
-    header = "replication,N,stat" if width == 1 else \
-        "replication,N," + ",".join(f"stat_{i}" for i in range(width))
-    lines = [header]
-    for rep, per_size in enumerate(report.records.tolist()):
-        for n, stat in zip(report.config["sample_sizes"], per_size):
-            lines.append(f"{rep},{n}," + ",".join(_format_float(s) for s in stat))
-    text = "\n".join(lines) + "\n"
-    with open(paths["records"], "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    data = _records_csv(report.records, report.config["sample_sizes"])
+    with open(paths["records"], "wb") as fh:
+        fh.write(data)
 
-    doc = {
+    R, S = report.records.shape[:2]
+    _write_json(paths["report"], {
         "experiment": report.experiment,
         "config": report.config,
         "moments": report.moments,
@@ -225,22 +249,17 @@ def write_report(report: ExperimentReport, out_dir: str,
         "discarded": 0,
         "duration_seconds": report.duration_seconds,
         "passed": report.passed(),
-        "record_count": len(lines) - 1,
-    }
-    with open(paths["report"], "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        "record_count": R * S,
+    })
 
     if manifest is not None:
         paths["manifest"] = os.path.join(out_dir, "manifest.json")
         manifest = dict(manifest)
         manifest["artifacts"] = ["report.json", "records.csv"]
-        manifest["records_sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        manifest["records_sha256"] = hashlib.sha256(data).hexdigest()
         manifest["versions"] = {"python": platform.python_version(), "numpy": np.__version__,
                                 "scipy": scipy.__version__, "setmeans": __version__}
-        with open(paths["manifest"], "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True, default=_json_default)
-            fh.write("\n")
+        _write_json(paths["manifest"], manifest)
     return paths
 
 
@@ -409,11 +428,17 @@ def _replay_config(manifest) -> dict:
     return cfg
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The one parser of the process, built on first use; each
+    ``parse_args`` call returns a fresh namespace, so no call sees another's."""
+    return build_parser()
+
+
 def run_command(argv) -> int:
     """Execute one CLI invocation; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,6 +19,8 @@ the reference for the closed-form kernel behind ``nearest_point``,
 dimension, the reference the normal fan is checked against.
 ``qhull_minkowski_sum`` is ``hull`` of all pairwise vertex sums, the
 reference for the 2-D ring merge behind ``minkowski_sum``.
+``records_csv`` formats a records array one value and one row at a
+time, the reference for the bytes ``write_report`` writes.
 ``FAR_POLYGON`` and ``FAR_QUERY`` pin a small polygon far from the
 origin on which Wolfe's solver ran out of iterations.
 ``translate``, ``serialize_scene``, ``sample``, ``uniform`` and
@@ -36,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from setmeans.cli import SCENE_VERSION
+from setmeans.cli import SCENE_VERSION, _format_float
 from setmeans.geometry import (
     REL_TOL,
     ConvexBody,
@@ -134,6 +136,18 @@ def mean_process_mean(state: MeanProcessState) -> ConvexBody:
 def qhull_minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
     """``a + b`` as ``hull`` of all pairwise vertex sums."""
     return hull((a.vertices[:, None, :] + b.vertices[None, :, :]).reshape(-1, a.dim))
+
+
+def records_csv(records, sizes) -> str:
+    """The ``records.csv`` text of an ``(R, S, k)`` records array at ``sizes``, value by value."""
+    width = records.shape[-1]
+    header = "replication,N,stat" if width == 1 else \
+        "replication,N," + ",".join(f"stat_{i}" for i in range(width))
+    lines = [header]
+    for rep, per_size in enumerate(records.tolist()):
+        for n, stat in zip(sizes, per_size):
+            lines.append(f"{rep},{n}," + ",".join(_format_float(s) for s in stat))
+    return "\n".join(lines) + "\n"
 
 
 def same_body(a: ConvexBody, b: ConvexBody, tol: float = 1e-9) -> bool:

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from oracles import FAR_POLYGON, FAR_QUERY, exact_nearest, serialize_scene
+from oracles import FAR_POLYGON, FAR_QUERY, exact_nearest, records_csv, serialize_scene
 from setmeans.cli import (
     SceneError,
     entry,
@@ -28,9 +29,9 @@ from setmeans.geometry import (
     hull,
     tolerance,
 )
-from setmeans import simulate
+from setmeans import cli, simulate
 from setmeans.randomsets import DiscreteRandomSet
-from setmeans.simulate import ExperimentConfig, lln_experiment
+from setmeans.simulate import ExperimentConfig, ExperimentReport, lln_experiment
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -756,3 +757,55 @@ def test_write_report_csv_shape_and_stability(tmp_path):
     lines = b1.decode().splitlines()
     assert lines[0] == "replication,N,stat"
     assert len(lines) == 1 + 10 * 2
+
+
+# Values whose shortest round-trip repr a fixed-precision format gets wrong:
+# the sign of zero, the least subnormal, the switch to exponent notation
+# below 1e-4 and from 1e16 on.
+REPR_EDGES = [-0.0, 0.0, 5e-324, 1e-05, 0.0001, 1e16, 9999999999999998.0]
+
+
+@st.composite
+def records_and_sizes(draw):
+    shape = (draw(st.integers(1, 50)), draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    values = st.one_of(st.floats(width=64), st.sampled_from(REPR_EDGES))
+    records = draw(hnp.arrays(np.float64, shape, elements=values))
+    sizes = draw(st.lists(st.integers(1, 10 ** 9), min_size=shape[1], max_size=shape[1]))
+    return records, sizes
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(records_and_sizes())
+@example((np.array(REPR_EDGES).reshape(1, 7, 1), list(range(1, 8))))
+@example((np.array(REPR_EDGES[:6]).reshape(2, 1, 3), [5]))
+@example((np.array(REPR_EDGES * 2).reshape(7, 2, 1), [1, 10 ** 9]))
+def test_write_report_records_are_the_value_by_value_oracle(tmp_path_factory, case):
+    records, sizes = case
+    report = ExperimentReport(experiment="lln", config={"sample_sizes": sizes}, records=records,
+                              moments={}, verdicts={})
+    out = tmp_path_factory.mktemp("report")
+    paths = write_report(report, str(out), manifest={"command": "simulate"})
+    data = Path(paths["records"]).read_bytes()
+    assert data == records_csv(records, sizes).encode("utf-8")
+    doc = json.loads(Path(paths["report"]).read_text())
+    assert doc["record_count"] == records.shape[0] * records.shape[1] == data.count(b"\n") - 1
+    manifest = json.loads(Path(paths["manifest"]).read_text())
+    assert manifest["records_sha256"] == hashlib.sha256(data).hexdigest()
+
+
+def test_calls_through_the_shared_parser_are_independent(tmp_path, capsys):
+    cli._parser.cache_clear()
+    scene = write_scene(tmp_path, TWO_SEGMENTS)
+    assert run_command(["expectation", "--scene", scene]) == 0
+    first = capsys.readouterr().out
+    assert run_command(["simulate", "clt-exposed", "--scene", scene, "--dir", "1,1",
+                        "--seed", "42", "--reps", "60", "--sizes", "200",
+                        "--out", str(tmp_path / "exposed")]) == 0
+    assert run_command(["simulate", "lln", "--scene", scene, "--seed", "7",
+                        "--reps", "5", "--sizes", "16,64", "--out", str(tmp_path / "lln")]) == 0
+    manifest = json.loads((tmp_path / "lln" / "manifest.json").read_text())
+    assert manifest["config"]["dir"] is None
+    assert run_command(["expectation", "--scene", scene, "--bogus"]) == 1
+    capsys.readouterr()
+    assert run_command(["expectation", "--scene", scene]) == 0
+    assert capsys.readouterr().out == first
