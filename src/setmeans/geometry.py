@@ -4,6 +4,11 @@ Bodies are compact convex polytopes stored as minimal extreme-vertex
 arrays in lexicographic order.  That representation keeps Minkowski
 sums, scalar scaling and support queries exact up to floating-point
 round-off, which is what the sample-mean experiments need.
+
+Hulls of affine rank 2 (every 2-D body and planar 3-D clouds) come from
+a monotone chain in numpy and Python; qhull (``scipy.spatial``) is
+loaded only for rank-3 hulls and the covering radius of
+:func:`shapley_folkman_gap`, so a 2-D run never imports it.
 """
 
 from __future__ import annotations
@@ -14,13 +19,13 @@ from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import ConvexHull as _Qhull
-from scipy.spatial import QhullError, Voronoi, cKDTree
 
 REL_TOL = 1e-9            # vertex merges, face and membership decisions, times the extent
 ROUNDOFF = 32 * float(np.finfo(float).eps)  # round-off of a coordinate, times its magnitude
 FACET_REL_MARGIN = 1e-6   # relative-interior margin, scaled by diameter
 MIN_NORM_GAP_TOL = 1e-12  # duality-gap threshold for the min-norm solver
+
+_OCTAGON = np.exp(-0.25j * np.pi * np.arange(8))  # conjugates of the directions k * 45 degrees
 
 
 class GeometryError(ValueError):
@@ -193,13 +198,35 @@ def _dedup(P: np.ndarray) -> np.ndarray:
 
     Clusters are formed from the pairwise proximity graph, so the result
     does not depend on input order; each cluster is represented by its
-    lexicographically smallest member.
+    lexicographically smallest member.  The close pairs are found by a
+    sweep: the points are sorted along the direction ``(sqrt 2, sqrt 3,
+    2, ...)``, which no nonzero integer vector of up to six dimensions is
+    orthogonal to, so the points of a lattice get distinct sweep
+    coordinates.  Each point is compared exactly with the points whose
+    sweep coordinate is at most ``2 tol`` above its own (one more
+    tolerance covers the rounding of the projection), visited one offset
+    of the sorted order at a time: memory stays O(n), and time is O(n)
+    plus the number of points in those windows.
     """
     n = len(P)
     if n == 1:
         return P
     tol = tolerance(REL_TOL, box_of(P))
-    pairs = cKDTree(P).query_pairs(tol, output_type="ndarray")
+    u = np.sqrt(np.arange(2.0, P.shape[1] + 2.0))
+    x = P @ (u / np.linalg.norm(u))
+    order = np.argsort(x, kind="stable")
+    x = x[order]
+    pairs = []
+    m = np.arange(n - 1)  # the points whose window reaches the offset k
+    for k in range(1, n):
+        m = m[m + k < n]
+        m = m[x[m + k] - x[m] <= 2.0 * tol]
+        if len(m) == 0:
+            break
+        pi, pj = order[m], order[m + k]
+        close = ((P[pi] - P[pj]) ** 2).sum(axis=1) <= tol * tol
+        pairs.append(np.stack((pi[close], pj[close]), axis=1))
+    pairs = np.concatenate(pairs) if pairs else np.empty((0, 2), dtype=int)
     if len(pairs) == 0:
         return P
 
@@ -220,43 +247,148 @@ def _dedup(P: np.ndarray) -> np.ndarray:
     return P[np.sort(order[first])]
 
 
+def _rank_cut(P: np.ndarray) -> float:
+    """``tolerance(8 n eps, box_of(P))`` with ``n = max(P.shape)``: how far
+    a point may lie from a line or plane and still count as on it, so
+    that the round-off of points far from the origin is never read as
+    another dimension."""
+    return tolerance(8.0 * max(P.shape) * float(np.finfo(float).eps), box_of(P))
+
+
 def _affine_frame(P: np.ndarray):
     """SVD of the centred rows of P, truncated to their affine rank.
 
     Returns ``(centroid, U, s, Vt)`` with ``P - centroid ~= U @ diag(s) @ Vt``
     and ``len(s)`` the affine rank: the fewest leading axes that leave
-    every point within ``tolerance(8 n eps, box_of(P))`` of its projection
-    (``n = max(P.shape)``), so the round-off of centring points far from
-    the origin is never read as another dimension.  ``U * s`` are
-    Euclidean coordinates in the affine hull; ``U`` itself is an affine
-    image of them with unit spread along every axis, which keeps thin
-    slivers well conditioned.
+    every point within :func:`_rank_cut` of its projection.  ``U * s``
+    are Euclidean coordinates in the affine hull; ``U`` itself is an
+    affine image of them with unit spread along every axis, which keeps
+    thin slivers well conditioned.
     """
     centroid = P.mean(axis=0)
     U, s, Vt = np.linalg.svd(P - centroid, full_matrices=False)
     W2 = (U * s) ** 2
     # residual[r]: the largest distance of a point from its projection onto axes 0 .. r-1
     residual = np.sqrt(np.cumsum(W2[:, ::-1], axis=1)[:, ::-1].max(axis=0))
-    cut = tolerance(8.0 * max(P.shape) * float(np.finfo(float).eps), box_of(P))
-    rank = int((residual > cut).sum())
+    rank = int((residual > _rank_cut(P)).sum())
     return centroid, U[:, :rank], s[:rank], Vt[:rank]
 
 
-def _qhull(coords: np.ndarray) -> _Qhull:
+def _depths(ring: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``(m, n)`` distances of the complex points ``z`` to the left of
+    each edge of the closed counterclockwise ``ring`` of ``m`` complex
+    vertices, each distinct from the next: positive inside."""
+    E = np.concatenate((ring[1:], ring[:1])) - ring
+    return (E.conj()[:, None] * (z - ring[:, None])).imag / np.abs(E)[:, None]
+
+
+def _chain(z: np.ndarray, cut: float, order: np.ndarray) -> np.ndarray:
+    """Indices of the vertices of the planar points ``z`` (as complex
+    numbers), counterclockwise from the first in ``order``; two indices
+    when they are all on a line.  Of coincident points, one is kept.
+
+    Andrew's monotone chain (*Inf. Process. Lett.* 9, 1979) on the
+    points swept in ``order``, the order of a linear functional with its
+    ties broken by another: a middle point that lies within ``cut`` of
+    the chord of its neighbours, or beyond it, is popped.  ``z`` must be
+    Euclidean coordinates, so that ``cut`` is a distance.  Points inside
+    the octagon of the axis and diagonal extremes by more than ``cut``
+    are no vertices; they are dropped first, in one vectorised step,
+    which leaves the Python loop only the points near the boundary.  The
+    octagon is taken on the swept points, so ties pick the same extremes
+    whatever the input order.
+    """
+    z = z[order]
+    O = z[np.argmax((_OCTAGON[:, None] * z).real, axis=1)]  # counterclockwise
+    O = O[np.concatenate((O[1:], O[:1])) != O]
+    near = ~(_depths(O, z) > cut).all(axis=0)
+    order = order[near]
+    pts = z[near].tolist()
+
+    def half(seq):
+        out = []
+        for k in seq:
+            p = pts[k]
+            while len(out) >= 2:
+                o = pts[out[-2]]
+                d = p - o
+                if ((pts[out[-1]] - o).conjugate() * d).imag > cut * abs(d):
+                    break
+                out.pop()
+            out.append(k)
+        return out[:-1]
+
+    m = len(pts)
+    return order[half(range(m)) + half(range(m - 1, -1, -1))]
+
+
+def _planar_extremes(W: np.ndarray, P: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Indices of the extreme points of the distinct points ``P`` of
+    affine rank 2, given as Euclidean coordinates ``W`` in their plane
+    and swept in ``order`` (see :func:`_chain`).
+
+    The ring of :func:`_chain` with ``cut = _rank_cut(P)``, unless it is
+    no wider than ``2 cut``: then every point lies within ``cut`` of the
+    middle line of its narrowest strip, which is the rank-1 rule of
+    :func:`_rank_cut`, and the points are the segment between the two
+    ring vertices farthest apart.
+    """
+    cut = _rank_cut(P)
+    z = np.ascontiguousarray(W).view(complex)[:, 0]
+    ring = _chain(z, cut, order)
+    z = z[ring]
+    if len(ring) > 2 and _depths(z, z).max(axis=1).min() > 2.0 * cut:
+        return ring
+    i, j = divmod(int(np.abs(z[:, None] - z).argmax()), len(ring))
+    return ring[[i, j]]
+
+
+def _qhull(coords: np.ndarray):
     """Qhull of full-rank coordinates (2-D vertices come counterclockwise)."""
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
-        return _Qhull(coords)
+        return ConvexHull(coords)
     except QhullError as exc:  # pragma: no cover - rank reduction should prevent this
         raise GeometryError(f"hull construction failed: {exc}") from exc
 
 
 def _extreme_indices(P: np.ndarray) -> np.ndarray:
-    """Indices of the extreme points of P (deduplicated input)."""
-    _, U, _, _ = _affine_frame(P)  # extreme points are invariant under affine maps
-    if U.shape[1] == 0:
+    """Indices of the extreme points of P (deduplicated input).
+
+    2-D points go to :func:`_planar_extremes` on their own coordinates,
+    swept in their lexicographic order.  In other dimensions, extreme
+    points are invariant under affine maps, so they are found in the
+    frame of :func:`_affine_frame`: the two ends of a rank-1 frame, and
+    qhull on ``U`` of a rank-3 frame.  A rank-2 frame is charted by the
+    two coordinates ``(i, j)`` of its largest Plücker coordinate (in 3-D,
+    the axes other than that of the normal's largest coordinate).  Each
+    point is moved along the other axes into the plane, where its
+    Euclidean coordinates are an affine image of ``P[:, [i, j]]``, and
+    the chain sweeps the points in the lexicographic order of that chart,
+    then of the other coordinates, which follows the plane even where one
+    coordinate varies across it by round-off only.  The chart is
+    oriented by the sign of that Plücker coordinate.  Neither depends on
+    the frame the SVD picks, which changes with the input order.  All
+    use the cut of :func:`_rank_cut`.
+    """
+    if len(P) == 1:
         return np.array([0])
+    if P.shape[1] == 2:
+        return _planar_extremes(P, P, np.lexsort(P.T[::-1]))
+    centroid, U, s, Vt = _affine_frame(P)
+    if U.shape[1] == 0:  # one point up to round-off: the lexicographically smallest
+        return np.lexsort(P.T[::-1])[:1]
     if U.shape[1] == 1:
         return np.array([np.argmin(U[:, 0]), np.argmax(U[:, 0])])
+    if U.shape[1] == 2:
+        plucker = np.outer(Vt[0], Vt[1]) - np.outer(Vt[1], Vt[0])
+        i, j = divmod(int(np.argmax(np.abs(plucker))), P.shape[1])
+        chart = P[:, [i, j]]
+        W = (chart - centroid[[i, j]]) @ np.linalg.inv(Vt[:, [i, j]])  # chart = centroid + W @ Vt
+        W[:, 1] *= np.sign(plucker[i, j])
+        rest = [k for k in range(P.shape[1]) if k not in (i, j)]
+        return _planar_extremes(W, P, np.lexsort(P[:, rest[::-1] + [j, i]].T))
     return _qhull(U).vertices
 
 
@@ -733,7 +865,9 @@ def _relative_boundary_distance(Q: np.ndarray, q: np.ndarray, tol: float) -> flo
     outside; -inf when q is farther than ``tol`` from the affine hull of Q.
 
     Supports point sets of affine rank <= 2, which covers the faces of
-    bodies of dimension <= 3 measured inside their hyperplane.
+    bodies of dimension <= 3 measured inside their hyperplane.  A rank-2
+    set is measured against the edges of its monotone-chain ring
+    (:func:`_chain`) in the frame coordinates ``U * s``.
     """
     centroid, U, s, Vt = _affine_frame(Q)
     rank = len(s)
@@ -744,8 +878,9 @@ def _relative_boundary_distance(Q: np.ndarray, q: np.ndarray, tol: float) -> flo
         t, ts = float(Vt[0] @ r), U[:, 0] * s[0]
         return min(t - float(ts.min()), float(ts.max()) - t)
     if rank == 2:
-        eq = _qhull(U * s).equations
-        return float(-(eq[:, :2] @ (Vt @ r) + eq[:, 2]).max())
+        z = (U * s).view(complex)[:, 0]
+        ring = z[_chain(z, _rank_cut(Q), np.lexsort((z.imag, z.real)))]
+        return float(_depths(ring, (Vt @ r).view(complex)).min())
     raise GeometryError(f"facet test needs a face of affine rank <= 2, got rank {rank}")
 
 
@@ -816,13 +951,13 @@ def _covering_radius(sites: np.ndarray) -> float:
     if rank == 1:
         return float(np.diff(np.sort(coords[:, 0])).max() / 2.0)
     if rank == 2:
-        return _covering_radius_2d(coords, _qhull(coords))
+        return _covering_radius_2d(coords)
     raise GeometryError(
         f"convexification gap is exact only for point sets of affine rank <= 2, got rank {rank}"
     )
 
 
-def _covering_radius_2d(sites: np.ndarray, qh: _Qhull) -> float:
+def _covering_radius_2d(sites: np.ndarray) -> float:
     """Largest empty circle centered in the hull of the sites, sites as obstacles.
 
     Candidate centers are the Voronoi vertices inside the hull (interior
@@ -830,6 +965,9 @@ def _covering_radius_2d(sites: np.ndarray, qh: _Qhull) -> float:
     the ring edges (boundary local maxima); evaluating the nearest-site
     distance at each candidate is exact.
     """
+    from scipy.spatial import Voronoi, cKDTree
+
+    qh = _qhull(sites)
     ring = sites[qh.vertices]  # counterclockwise
     tree = cKDTree(sites)
     tol = tolerance(REL_TOL, box_of(sites))

@@ -549,6 +549,32 @@ def test_exit_codes_through_the_binary(tmp_path):
     assert failed.returncode == 2
 
 
+def test_a_2d_run_never_loads_scipy_spatial(tmp_path):
+    # two atoms with interior points and a point on an edge, which the loader hulls away
+    scene = write_scene(tmp_path, json.dumps({"version": 1, "dim": 2, "atoms": [
+        {"weight": 0.4, "vertices": [[2, 0], [1, 2], [-1, 2], [-2, 0], [-1, -2], [1, -2],
+                                     [0, 0], [0.5, 0.5], [-1, 1], [1.5, 1]]},
+        {"weight": 0.6, "vertices": [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0], [0.25, 0.5]]},
+    ]}))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {src!r})",
+        "from setmeans.cli import run_command",
+        f"assert run_command(['expectation', '--scene', {str(SCENES / 'stacked_squares.json')!r}]) == 0",
+        f"for i, path in enumerate([{scene!r}, {str(SCENES / 'side_by_side_squares.json')!r}]):",
+        "    assert run_command(['simulate', 'lln', '--scene', path, '--seed', '1', '--reps', '20',"
+        f" '--sizes', '16,256', '--out', {str(tmp_path / 'lln')!r} + str(i)]) == 0",
+        "assert 'scipy.spatial' not in sys.modules, 'a 2-D run loaded scipy.spatial'",
+        "from setmeans.geometry import hull",
+        "assert hull([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0.1, 0.1, 0.1]]).vertex_count == 4",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for i in (0, 1):
+        assert (tmp_path / f"lln{i}" / "records.csv").exists()
+
+
 def test_lln_below_unit_scale_is_the_unit_run_scaled(tmp_path, capsys):
     doc = json.loads(TWO_SEGMENTS)
     for atom in doc["atoms"]:

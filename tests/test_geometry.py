@@ -14,6 +14,7 @@ from oracles import (
     translate,
 )
 from setmeans.geometry import (
+    FACET_REL_MARGIN,
     REL_TOL,
     ROUNDOFF,
     ConvexBody,
@@ -679,6 +680,18 @@ def test_is_facet_at_3d_facet():
     cube = hull([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
     assert is_facet_at(cube, (0.5, 0.5, 0), (0, 0, -1))
     assert not is_facet_at(cube, (0, 0, 0), (0, 0, -1))
+
+
+def test_is_facet_at_measures_a_3d_face_against_its_slanted_edges():
+    hexagon = [(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2)]
+    prism = hull([(x, y, z) for x, y in hexagon for z in (0.0, 1.0)])
+    margin = FACET_REL_MARGIN * prism.diameter
+    mid = np.array([1.5, 1.0, 0.0])                  # the middle of the edge (2, 0)-(1, 2)
+    inward = -np.array([2.0, 1.0, 0.0]) / np.sqrt(5.0)  # minus the edge's outer normal
+    for f in [(0, 0, -1), (0, 0, 1)]:
+        k = mid + np.array([0.0, 0.0, 0.5 + 0.5 * f[2]])
+        assert is_facet_at(prism, k + 2.0 * margin * inward, f)
+        assert not is_facet_at(prism, k + 0.5 * margin * inward, f)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Property tests for ``hull`` against the exact monotone-chain oracle, and
 for its near-duplicate merge against the all-pairs oracle."""
 
+from random import Random
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -31,10 +33,18 @@ def cloud(kind: str, seed: int, n: int) -> np.ndarray:
         q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
         box = np.c_[rng.uniform(-1.0, 1.0, n), height * rng.uniform(-1.0, 1.0, n)]
         return rng.normal(size=2) + box @ q
+    if kind == "lattice":  # integers times a power of two: exact in binary, many collinear
+        return rng.integers(-4, 5, size=(n, 2)) * 2.0 ** int(rng.integers(-30, 31))
     if kind == "random-3d":
         return rng.normal(size=(n, 3))
     if kind == "planar-3d":  # affine rank 2 in R^3
         return rng.normal(size=(n, 2)) @ rng.normal(size=(2, 3)) + rng.normal(size=3)
+    if kind == "axis-plane":  # a plane at most 1e-6 off x = 0.3, with round-off across it
+        P = np.c_[np.full(n, 0.3), rng.normal(size=(n, 2))]
+        slope = 10.0 ** rng.integers(-16, -5) * rng.normal(size=2) * rng.integers(0, 2)
+        P[:, 0] += P[:, 1:] @ slope
+        P[:, 0] = np.where(rng.integers(0, 2, n) == 1, P[:, 0], (P[:, 0] + 1.0) - 1.0)
+        return np.roll(P, int(rng.integers(0, 3)), axis=1)
     raise ValueError(kind)
 
 
@@ -65,26 +75,95 @@ def test_hull_matches_the_chain_oracle(case):
                 assert point_distance(ConvexBody(other), v) <= tol
 
 
+# a unit square in the plane x = 0.3, half of its points written 0.1 + 0.2
+SQUARE_ACROSS_X = np.array([[0.3, 0.0, 0.0], [0.1 + 0.2, 1.0, 0.0],
+                            [0.3, 1.0, 1.0], [0.1 + 0.2, 0.0, 1.0]])
+
+
+def turned(P: np.ndarray, angle: float) -> np.ndarray:
+    """``P`` turned by ``angle`` about the z-axis."""
+    c, s = np.cos(angle), np.sin(angle)
+    return P @ np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
 @PROPERTY
-@given(setup(("random-3d", "planar-3d")), st.randoms(use_true_random=False))
-def test_hull_is_idempotent_and_permutation_invariant_in_3d(case, random):
-    kind, seed, n = case
-    P = cloud(kind, seed, n)
+@given(setup(("random-3d", "planar-3d", "axis-plane")).map(lambda case: cloud(*case)),
+       st.randoms(use_true_random=False))
+@example(SQUARE_ACROSS_X, Random(0))
+@example(turned(SQUARE_ACROSS_X, 1e-9), Random(0))
+@example(np.array([[1e6, 1e6, 1e6], [1e6 + 1e-8, 1e6, 1e6]]), Random(1))  # apart, yet rank 0
+def test_hull_is_idempotent_and_permutation_invariant_in_3d(P, random):
     body = hull(P)
     assert np.array_equal(hull(body.vertices).vertices, body.vertices)
-    order = list(range(n))
+    order = list(range(len(P)))
     random.shuffle(order)
     assert np.array_equal(hull(P[order]).vertices, body.vertices)
 
 
+@pytest.mark.parametrize("angle", [0.0, 1e-12, 1e-9, 1e-6])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_hull_of_a_square_across_an_axis_has_four_vertices(axis, angle):
+    # the sweep of a planar cloud must follow the plane, not the round-off across it
+    P = np.roll(turned(SQUARE_ACROSS_X, angle), axis, axis=1)
+    body = hull(P)
+    assert body.vertex_count == 4
+    assert len(np.unique(body.vertices, axis=0)) == 4
+    assert np.array_equal(hull(body.vertices[::-1]).vertices, body.vertices)
+
+
+@st.composite
+def moved_clouds(draw):
+    """A 2-D cloud of one of ``KINDS_2D`` or an integer lattice, moved by up to 1e6."""
+    kind, seed, n = draw(setup(KINDS_2D + ("lattice",)))
+    shift = draw(st.sampled_from([0.0, 1e2, 1e4, 1e6]))
+    angle = draw(st.floats(0.0, 2.0 * np.pi))
+    return cloud(kind, seed, n) + shift * np.array([np.cos(angle), np.sin(angle)])
+
+
 @PROPERTY
-@given(st.sampled_from(["clustered", "chained"]), st.integers(0, 2 ** 32 - 1),
-       st.integers(1, 60), st.integers(1, 3))
+@given(moved_clouds(), st.randoms(use_true_random=False))
+@example(np.array([[-2.0, 0.0], [0.0, 0.0], [0.0, 1.0], [3.0, 0.0]]), Random(0))  # (0, 0) on an edge
+def test_hull_is_idempotent_and_permutation_invariant_in_2d(P, random):
+    body = hull(P)
+    assert np.array_equal(hull(body.vertices).vertices, body.vertices)
+    order = list(range(len(P)))
+    random.shuffle(order)
+    assert np.array_equal(hull(P[order]).vertices, body.vertices)
+
+
+def sweep_ties(kind: str, rng, n: int, dim: int) -> np.ndarray:
+    """Points sharing coordinates or a sweep window, with exact and near duplicates."""
+    if kind == "across" and dim > 1:  # a line across the sweep direction of ``_dedup``
+        u = np.sqrt(np.arange(2.0, dim + 2.0))
+        across = np.zeros(dim)
+        across[:2] = -u[1], u[0]
+        t = rng.integers(0, n // 2 + 1, n) + 1e-11 * rng.integers(0, 2, n)
+        return rng.normal(size=dim) + t[:, None] * across / np.linalg.norm(across)
+    if kind in ("vertical", "across"):  # one line along the last axis, steps of 1 and of 1e-11
+        P = np.zeros((n, dim))
+        P[:, 0] = rng.normal()
+        P[:, -1] = rng.integers(0, n // 2 + 1, n) + 1e-11 * rng.integers(0, 2, n)
+        return P
+    if kind == "lattice":  # a small integer lattice, some rows moved 1e-11 along one axis
+        P = rng.integers(-2, 3, size=(n, dim)).astype(float)
+        P[:, rng.integers(0, dim)] += 1e-11 * rng.integers(0, 2, n)
+        return P
+    # the pairwise sums of two axis-aligned squares, one side 1 or 1e-12
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    sums = (corners[:, None, :] + rng.choice([1.0, 1e-12]) * corners[None, :, :]).reshape(-1, 2)
+    return np.pad(sums, ((0, 0), (0, max(dim, 2) - 2)))
+
+
+@PROPERTY
+@given(st.sampled_from(["clustered", "chained", "vertical", "lattice", "square-sums", "across"]),
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 60), st.integers(1, 3))
 def test_dedup_matches_the_dense_oracle(kind, seed, n, dim):
     rng = np.random.default_rng(seed)
     groups = max(1, n // 8)
     starts = rng.normal(size=(groups, dim))
-    if kind == "clustered":  # groups of points 1e-11 apart
+    if kind in ("vertical", "lattice", "square-sums", "across"):  # ties and wide windows
+        P = sweep_ties(kind, rng, n, dim)
+    elif kind == "clustered":  # groups of points 1e-11 apart
         P = starts[rng.integers(0, groups, n)] + 1e-11 * rng.normal(size=(n, dim))
     else:  # chains with steps of 0.45 merge radii: only transitive merges join their ends
         steps = rng.normal(size=(groups, dim))
@@ -141,6 +220,22 @@ def test_hull_of_collinear_points_is_a_segment_at_every_scale_and_place(shape):
                 body = hull(P)
                 assert body.vertex_count == 2, (shape, scale, shift, seed)
                 assert hull(body.vertices).vertices.tobytes() == body.vertices.tobytes()
+
+
+def test_hull_in_2d_applies_the_rank_cut_wherever_a_point_lies():
+    eps = float(np.finfo(float).eps)
+    # a point 0.3 cuts outside the edge (1, -1)-(1, 1) of a triangle is no vertex,
+    # whether it is the rightmost point or, turned by 90 degrees, the topmost one
+    cut = tolerance(8 * 4 * eps, box_of(np.array([[0.0, 0.0], [1.0, -1.0], [1.0, 1.0]])))
+    P = np.array([[0.0, 0.0], [1.0, -1.0], [1.0, 1.0], [1.0 + 0.3 * cut, 0.0]])
+    for Q in (P, P @ np.array([[0.0, 1.0], [-1.0, 0.0]])):
+        assert hull(Q).vertex_count == 3
+    # points 0.7 cuts either side of a line lie within the cut of that line: a segment
+    t = np.linspace(-1.0, 1.0, 9)
+    cut = tolerance(8 * 9 * eps, box_of(np.c_[t, 0.0 * t]))
+    body = hull(np.c_[t, 0.7 * cut * (-1.0) ** np.arange(9)])
+    assert body.vertex_count == 2
+    assert hull(body.vertices).vertices.tobytes() == body.vertices.tobytes()
 
 
 def test_hull_far_from_the_origin_cases():
