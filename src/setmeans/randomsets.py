@@ -227,8 +227,9 @@ def sample_many(y: DiscreteRandomSet, u: np.ndarray) -> np.ndarray:
     cumulative weights: ``u`` draws atom ``#{k : cw[k] <= u}``.
 
     The per-draw oracle: ``simulate._count_blocks`` counts draws by
-    thresholding the uniforms instead, and the benchmark's gate and the
-    tests recompute those counts through this function.
+    thresholding the stream's words (``rng.words``) instead, and the
+    benchmark's gate and the tests recompute those counts through this
+    function from ``rng.uniforms``.
     """
     idx = np.searchsorted(y.cumulative_weights, np.asarray(u, dtype=float), side="right")
     return np.minimum(idx, y.atom_count - 1)

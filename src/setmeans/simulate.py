@@ -14,12 +14,12 @@ a replication only through its per-atom draw counts.  One function,
 ``_statistic``, draws the counts of a block of replications at once
 (``_count_blocks``, which sizes a block by its kernel values and draws it
 in chunks of at most ``DRAW_BUDGET`` draws, thresholding each chunk's
-uniforms at the cumulative weights: the draws on atoms ``0 .. j`` are
-those below ``cw[j]``, the same counts as a per-draw inverse CDF, bit for
-bit) and hands them to the experiment's count kernel, which maps the
-block to its statistic with array operations, at a cost per checkpoint
-independent of the sample size; it fills one ``(R, S, k)`` array, the
-report's records.
+splitmix64 words at the cumulative weights: the draws on atoms ``0 .. j``
+are those whose uniform lies below ``cw[j]``, the same counts as a
+per-draw inverse CDF, bit for bit) and hands them to the experiment's
+count kernel, which maps the block to its statistic with array
+operations, at a cost per checkpoint independent of the sample size; it
+fills one ``(R, S, k)`` array, the report's records.
 The body path (fold the mean body with ``weighted_sum``, then measure
 it) stays as the oracle: in 2-D the fold merges edge rings, with qhull
 where a merge is not certified.  It shares only the edge-angle helper
@@ -69,9 +69,9 @@ from .randomsets import (
     nearest_point_selection,
     tangent_variance,
 )
-from .rng import uniforms
+from .rng import draw_steps, replication_bases, words
 
-DRAW_BUDGET = 2 ** 15          # `_count_blocks`: kernel values per block, draws per `uniforms` call
+DRAW_BUDGET = 2 ** 15          # `_count_blocks`: kernel values per block, draws per chunk
 ORACLE_REPS = 3                # replications recomputed along the body path at every size
 GUARD_REL = 1e-8               # half-width of clt-facet's guard band, relative (see `tolerance`)
 
@@ -212,41 +212,68 @@ def _count_blocks(y: DiscreteRandomSet,
     about one value per atom vertex (at least one per atom and fan cell)
     and size.  Its counts are drawn in chunks of at most ``DRAW_BUDGET``
     draws (``DRAW_BUDGET // N`` replications, at least one, one
-    ``uniforms`` call each), so the uniform stream stays cache-sized
-    and memory stays flat whatever the replication count.  Each
+    :func:`~setmeans.rng.words` call each), so the word stream stays
+    cache-sized and memory stays flat whatever the replication count.  Each
     replication's counts come from its own stream, so records never
     depend on the block or chunk size.
 
-    The counts come straight from the uniforms, with no per-draw atom
-    index.  :func:`~setmeans.randomsets.sample_many` maps a uniform ``u``
-    to ``#{k : cw[k] <= u}`` over the cumulative weights ``cw``, which are
-    non-decreasing with ``cw[-1] = 1 > u``; so the draws on atoms
-    ``0 .. j`` are exactly those with ``u < cw[j]``, and the last atom
-    takes the rest.  Thresholding each size increment at every ``cw[j]``
-    and differencing over ``j`` gives the same counts bit for bit.  It
-    costs one pass over the chunk per atom: per 2**15-draw chunk on a
-    2-vCPU Xeon it took 0.04, 0.16, 0.64, 1.4 and 3.6 ms at 2, 8, 32, 64
-    and 128 atoms, against 0.45, 0.77, 1.4, 1.6 and 2.3 ms for
-    ``searchsorted`` plus a keyed ``bincount``: it loses only at 128.
+    The counts come straight from the stream's words, with no per-draw
+    atom index.  :func:`~setmeans.randomsets.sample_many` maps a uniform
+    ``u`` to ``#{k : cw[k] <= u}`` over the cumulative weights ``cw``,
+    which are non-decreasing with ``cw[-1] = 1 > u``; so the draws on
+    atoms ``0 .. j`` are exactly those with ``u < cw[j]``, and the last
+    atom takes the rest.  The uniform of a word ``z`` is ``u = (z >> 11)
+    * 2**-53`` and ``cw[j] * 2**53`` is exact, so ``u < cw[j]`` holds
+    exactly when the integer ``z >> 11`` lies below ``top[j] =
+    ceil(cw[j] * 2**53)``, that is when ``z <= top[j] * 2**11 - 1``.
+    ``top`` is capped at ``2**53``, above every ``z >> 11``: then
+    ``cw[j] = 1.0`` (or a round-off above it) counts every draw, and its
+    last word ``2**64 - 1`` does not overflow.  Thresholding each size
+    increment at every ``cw[j]`` and differencing over ``j`` gives the
+    counts of ``sample_many`` bit for bit.
+
+    Words and bounds are both ``np.uint64`` (a uint64 that meets an int64
+    operand is promoted to float64), so the chunk needs no shift, float
+    conversion or scaling.  The words, the finalizer's shift scratch and
+    the compare mask live in buffers allocated once per call and
+    refilled by every chunk.  Per 2**15-draw chunk (a call of 32
+    replications of 1024 draws, warm) on a 2-vCPU Xeon with numpy 2.4,
+    this took 0.17, 0.22, 0.34, 1.0 and 3.8 ms at 2, 4, 8, 32 and 128
+    atoms, against 0.19, 0.24, 0.32, 0.81 and 2.8 ms for the floats of
+    :func:`~setmeans.rng.uniforms` in fresh arrays: numpy compares uint64
+    at about twice the cost of float64, so the words lose warm from about
+    8 atoms on, but the fresh arrays fault their pages in again on large
+    runs (about 2900 faults a 2000-replication call at 2 atoms, against
+    none here once a process has run two calls).
     """
     sizes = config.sample_sizes
     atoms = y.atom_count
-    cw = y.cumulative_weights
+    tops = np.minimum(np.ceil(y.cumulative_weights[:-1] * 2.0 ** 53), 2.0 ** 53)
+    # bounds[j]: the largest word whose uniform is below cw[j]
+    bounds = [np.uint64((int(top) << 11) - 1) for top in tops]
     starts = np.array((0,) + sizes[:-1])        # first draw of each size increment
     increments = np.diff((0,) + sizes)          # its draws, all on atoms 0 .. J-1
     vertices = sum(body.vertex_count for body in y.bodies)
     per_block = max(1, DRAW_BUDGET // (len(sizes) * vertices))
     per_chunk = max(1, DRAW_BUDGET // sizes[-1])
+    steps = draw_steps(sizes[-1])
+    rows = min(per_chunk, per_block, config.replications)
+    # one allocation for the words and the shift scratch: separate ones
+    # fault their pages in again on every call
+    word_buf, shift_buf = np.empty((2, rows, sizes[-1]), dtype=np.uint64)
+    hit_buf = np.empty((rows, sizes[-1]), dtype=bool)
     for start in range(0, config.replications, per_block):
         reps = np.arange(start, min(start + per_block, config.replications))
+        bases = replication_bases(config.master_seed, reps)
         # below[r, s, j]: draws of size increment s on atoms 0 .. j
         below = np.empty((len(reps), len(sizes), atoms), dtype=np.int64)
         for lo in range(0, len(reps), per_chunk):
-            chunk = reps[lo:lo + per_chunk]
-            u = uniforms(config.master_seed, chunk, sizes[-1]).reshape(len(chunk), -1)
-            for j in range(atoms - 1):
-                below[lo:lo + len(chunk), :, j] = np.add.reduceat(u < cw[j], starts, axis=1,
-                                                                  dtype=np.int64)
+            m = min(per_chunk, len(reps) - lo)
+            z = words(bases[lo:lo + m], steps, out=word_buf[:m], scratch=shift_buf[:m])
+            hit = hit_buf[:m]
+            for j, bound in enumerate(bounds):
+                np.less_equal(z, bound, out=hit)
+                below[lo:lo + m, :, j] = np.add.reduceat(hit, starts, axis=1, dtype=np.int64)
         below[:, :, -1] = increments
         yield reps, np.diff(np.cumsum(below, axis=1), axis=2, prepend=0)
 

@@ -102,11 +102,15 @@ def _splitmix_finalize(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def uniform(master_seed: int, replication: int, index: int) -> float:
-    """Draw ``index`` of replication ``replication``: splitmix64 on Python ints."""
+def word(master_seed: int, replication: int, index: int) -> int:
+    """Word ``index`` of replication ``replication``: splitmix64 on Python ints."""
     base = _splitmix_finalize(_splitmix_finalize(master_seed) ^ (replication & _MASK))
-    state = (base + (index + 1) * 0x9E3779B97F4A7C15) & _MASK
-    return (_splitmix_finalize(state) >> 11) * 2.0 ** -53
+    return _splitmix_finalize(base + (index + 1) * 0x9E3779B97F4A7C15)
+
+
+def uniform(master_seed: int, replication: int, index: int) -> float:
+    """Draw ``index`` of replication ``replication``, from its word."""
+    return (word(master_seed, replication, index) >> 11) * 2.0 ** -53
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from setmeans.geometry import (
     weighted_sum,
 )
 from setmeans.randomsets import DiscreteRandomSet, expectation, sample_many
-from setmeans.rng import uniforms
+from setmeans.rng import replication_bases, words
 from setmeans.simulate import (
     ExperimentConfig,
     _exposed_points,
@@ -380,16 +380,18 @@ def test_block_budget_bounds_the_replications_per_block(monkeypatch):
     budget = 250
     monkeypatch.setattr(simulate, "DRAW_BUDGET", budget)
     drawn = []
+    bases = replication_bases(config.master_seed, np.arange(config.replications))
+    rep_of = {int(base): rep for rep, base in enumerate(bases.ravel())}
 
-    def recorded_uniforms(master_seed, replication, n):
-        drawn.append(np.atleast_1d(replication).tolist())
-        return uniforms(master_seed, replication, n)
+    def recorded_words(bases, steps, out=None, scratch=None):
+        drawn.append([rep_of[int(base)] for base in bases.ravel()])
+        return words(bases, steps, out=out, scratch=scratch)
 
-    monkeypatch.setattr(simulate, "uniforms", recorded_uniforms)
+    monkeypatch.setattr(simulate, "words", recorded_words)
     blocks = list(simulate._count_blocks(y, config))
     # 250 // (2 sizes * 4 vertices) = 31 replications a block: one block of 7
     assert [b[0].tolist() for b in blocks] == [list(range(7))]
-    # 250 // 100 draws = 2 replications a uniforms call, in order
+    # 250 // 100 draws = 2 replications a words call, in order
     assert all(len(chunk) <= max(1, budget // 100) for chunk in drawn)
     assert [rep for chunk in drawn for rep in chunk] == list(range(7))
     for reps, counts in blocks:
@@ -431,27 +433,44 @@ def test_count_blocks_match_the_per_draw_checkpoints(raw, steps, reps, seed, bud
 
 
 @pytest.mark.parametrize("raw", [[1.0], [0.25, 0.25, 0.5], [0.5, 1e-17, 0.5],
-                                 [3e-9, 0.3, 1e-9, 0.7, 0.2], list(range(1, 12))])
+                                 [3e-9, 0.3, 1e-9, 0.7, 0.2], list(range(1, 12)), [1.0, 1e-17],
+                                 [0.13, 0.98, 0.59, 0.06, 1e-17]])
 def test_count_blocks_split_exact_ties_as_sample_many_does(raw, monkeypatch):
-    """Uniforms equal to a cumulative weight, or one ulp below it, fall on
-    the side ``searchsorted(side="right")`` puts them; a sub-ulp weight
-    gives two equal cumulative weights and draws nothing."""
+    """Words whose uniform ``(z >> 11) * 2**-53`` equals a cumulative weight,
+    lies one word below it or is the last one below ``nextafter(cw, 0)``
+    (with the 11 low bits clear or set), and the words 0 and 2**64 - 1,
+    fall on the side ``searchsorted(side="right")`` puts their uniforms.
+    A sub-ulp weight gives two equal cumulative weights and draws nothing;
+    with ``[1.0, 1e-17]`` the first cumulative weight is 1.0 itself, whose
+    word bound ``2**53 * 2**11`` does not fit in 64 bits, and with
+    ``[0.13, 0.98, 0.59, 0.06, 1e-17]`` the fourth is a round-off above 1."""
     y = point_law(raw)
     cw = y.cumulative_weights
-    ties = np.concatenate([cw[:-1], np.nextafter(cw, 0.0), [0.0]])
-
-    def tied_uniforms(master_seed, replication, n):
-        reps = np.atleast_1d(replication).astype(np.int64)
-        return np.concatenate([np.roll(np.resize(ties, n), rep) for rep in reps])
-
+    ties = [0, 2 ** 64 - 1]
+    for c in cw:
+        at = int(np.ceil(c * 2.0 ** 53)) << 11         # the first word whose uniform is >= c
+        below = int(np.nextafter(c, 0.0) * 2.0 ** 53) << 11
+        ties += [at, at - 1, below, below | 0x7FF]
+    ties = np.array([t for t in ties if t < 2 ** 64], dtype=np.uint64)
     config = ExperimentConfig(master_seed=0, sample_sizes=(1, len(ties), 3 * len(ties) + 1),
                               replications=5)
-    monkeypatch.setattr(simulate, "uniforms", tied_uniforms)
+    bases = replication_bases(config.master_seed, np.arange(config.replications))
+    rep_of = {int(base): rep for rep, base in enumerate(bases.ravel())}
+
+    def tied_stream(rep, n):
+        return np.roll(np.resize(ties, n), rep)
+
+    def tied_words(bases, steps, out=None, scratch=None):
+        out[...] = [tied_stream(rep_of[int(base)], len(steps)) for base in bases.ravel()]
+        return out
+
+    monkeypatch.setattr(simulate, "words", tied_words)
     monkeypatch.setattr(simulate, "DRAW_BUDGET", 2 * config.sample_sizes[-1])
     counted = 0
     for reps, counts in simulate._count_blocks(y, config):
         for r, rep in enumerate(reps):
-            draws = sample_many(y, tied_uniforms(0, rep, config.sample_sizes[-1]))
+            u = (tied_stream(rep, config.sample_sizes[-1]) >> np.uint64(11)) * 2.0 ** -53
+            draws = sample_many(y, u)
             for s, n in enumerate(config.sample_sizes):
                 want = np.bincount(draws[:n], minlength=y.atom_count)
                 assert counts[r, s].tolist() == want.tolist(), (rep, n)

@@ -8,10 +8,11 @@ from oracles import (
     same_body,
     translate,
     uniform,
+    word,
 )
 from setmeans.geometry import hausdorff, hull, shapley_folkman_gap, support_face
 from setmeans.randomsets import DiscreteRandomSet, NotExposed, expectation, sample_many
-from setmeans.rng import uniforms
+from setmeans.rng import draw_steps, replication_bases, uniforms, words
 from setmeans.simulate import (
     ExperimentConfig,
     IncompatibleSelection,
@@ -70,6 +71,23 @@ def test_uniforms_leave_the_callers_replication_array_unchanged():
         flat = uniforms(42, reps, 8)
         assert reps.tolist() == before.tolist()
         assert flat.tolist() == np.concatenate([uniforms(42, rep, 8) for rep in before.ravel()]).tolist()
+
+
+def test_uniforms_are_the_word_stream_shifted_and_scaled():
+    # the count kernel reads the words, the oracle reads uniforms: one stream
+    reps = np.array([0, 1, 977, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64)
+    for seed in (0, 42, 2 ** 64 - 1):
+        bases = replication_bases(seed, reps)
+        z = words(bases, draw_steps(300))
+        assert z.dtype == np.uint64 and z.shape == (len(reps), 300)
+        assert [int(w) for w in z[:, :5].ravel()] == [word(seed, int(rep), i) for rep in reps
+                                                      for i in range(5)]
+        want = (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        assert uniforms(seed, reps, 300).view(np.uint64).tolist() == want.view(np.uint64).ravel().tolist()
+        # buffers refilled whatever they held give the same words
+        out, scratch = np.full((2, len(reps), 300), 2 ** 64 - 1, dtype=np.uint64)
+        assert words(bases, draw_steps(300), out=out, scratch=scratch) is out
+        assert out.tolist() == z.tolist()
 
 
 def test_uniform_range_and_determinism():
