@@ -94,16 +94,10 @@ def _canonical(V: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(V[order])
 
 
-def _ring_arrays(z: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:attr:`ConvexBody._ring` of the vertices ``V`` from their
-    counterclockwise ring ``z``: ``edges[i] = z[i + 1] - z[i]`` (wrapping
-    around, so a segment has two antiparallel edges), ``lengths2`` their
-    squared lengths (1 for a zero edge) and ``lo``, ``hi`` the corners of
-    the bounding box."""
-    E = np.concatenate((z[1:], z[:1])) - z
-    L = (E * E.conj()).real
-    L[L == 0.0] = 1.0
-    return z, E, L, np.minimum.reduce(V), np.maximum.reduce(V)
+def _edges(z: np.ndarray) -> np.ndarray:
+    """Edges ``z[i + 1] - z[i]`` of the closed ring of complex vertices
+    ``z``, wrapping around: a segment has two antiparallel edges."""
+    return np.concatenate((z[1:], z[:1])) - z
 
 
 # ---------------------------------------------------------------------------
@@ -147,23 +141,23 @@ class ConvexBody:
         return box_of(self.vertices)
 
     @cached_property
-    def _ring(self) -> tuple[np.ndarray, ...]:
-        """2-D only: ``(vertices, edges, lengths2, lo, hi)``.
+    def _ring(self) -> np.ndarray:
+        """2-D only: the vertices counterclockwise as complex numbers,
+        starting at ``self.vertices[0]``.
 
-        ``vertices`` lists the vertices counterclockwise as complex
-        numbers, starting at ``self.vertices[0]``: those of a polygon are
-        all extreme, so sorting them by angle about their centroid lists
-        them so; one or two vertices are their own ring.  The rest is
-        :func:`_ring_arrays`.  :func:`minkowski_sum` and :func:`scale`
-        fill it from the ring they built or carried, which sorts nothing.
+        :func:`hull`, :func:`scale` (for ``lam > 0``) and
+        :func:`minkowski_sum` fill it from the ring they build
+        (:func:`_with_ring`), which sorts nothing.  A body from the raw
+        constructor sorts its vertices by angle about their centroid here:
+        those of a polygon are all extreme, so that lists them
+        counterclockwise; one or two vertices are their own ring.
         """
-        V = self.vertices
-        z = V.view(complex)[:, 0]
+        z = self.vertices.view(complex)[:, 0]
         if len(z) > 2:
             c = z - np.add.reduce(z) / len(z)
             angle = np.arctan2(c.imag, c.real)
             z = z[np.argsort((angle - angle[0]) % (2.0 * np.pi), kind="stable")]
-        return _ring_arrays(z, V)
+        return z
 
     @cached_property
     def diameter(self) -> float:
@@ -278,7 +272,7 @@ def _depths(ring: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``(m, n)`` distances of the complex points ``z`` to the left of
     each edge of the closed counterclockwise ``ring`` of ``m`` complex
     vertices, each distinct from the next: positive inside."""
-    E = np.concatenate((ring[1:], ring[:1])) - ring
+    E = _edges(ring)
     return (E.conj()[:, None] * (z - ring[:, None])).imag / np.abs(E)[:, None]
 
 
@@ -398,10 +392,14 @@ def _extreme_indices(P: np.ndarray) -> np.ndarray:
 def hull(points) -> ConvexBody:
     """Convex hull as a minimal extreme-vertex body.
 
-    Idempotent: ``hull(body.vertices)`` reproduces the body.
+    Idempotent: ``hull(body.vertices)`` reproduces the body.  A 2-D body
+    carries the counterclockwise ring of its chain (:func:`_with_ring`).
     """
     P = _dedup(_as_points(points))
-    return ConvexBody(_canonical(P[_extreme_indices(P)]))
+    V = P[_extreme_indices(P)]
+    if P.shape[1] == 2:
+        return _with_ring(V.view(complex)[:, 0])
+    return ConvexBody(_canonical(V))
 
 
 def _normal_angles(a: ConvexBody) -> np.ndarray:
@@ -412,19 +410,20 @@ def _normal_angles(a: ConvexBody) -> np.ndarray:
     """
     if a.vertex_count == 1:
         return np.empty(0)
-    E = a._ring[1]
+    E = _edges(a._ring)
     return np.arctan2(-E.real, E.imag)  # E rotated clockwise: outward for a CCW ring
 
 
 def _with_ring(z: np.ndarray) -> ConvexBody:
-    """Body of the counterclockwise ring ``z`` of a polygon's vertices,
-    which may start anywhere: the vertices in canonical order, with the
-    body's ring filled from ``z``, rotated to start at the first vertex."""
+    """Body of the counterclockwise ring ``z`` of the extreme vertices of a
+    2-D body, which may start anywhere: the vertices in canonical order,
+    with :attr:`ConvexBody._ring` set to ``z`` rotated to start at the
+    first of them."""
     V = z.view(float).reshape(-1, 2)
     order = np.lexsort(V.T[::-1])
     body = ConvexBody(V[order])
     s = int(order[0])
-    body.__dict__["_ring"] = _ring_arrays(np.concatenate((z[s:], z[:s])), body.vertices)
+    body.__dict__["_ring"] = np.concatenate((z[s:], z[:s]))
     return body
 
 
@@ -447,11 +446,11 @@ def _merged_sum(a: ConvexBody, b: ConvexBody):
     vertices that far apart.  Then it is the body :func:`hull` gives.
     """
     if a.vertex_count == 1 or b.vertex_count == 1:
-        z = a._ring[0] + b._ring[0]
+        z = a._ring + b._ring
     else:
         rings, angles = [], []
         for body in (a, b):
-            z, phi = body._ring[0], _normal_angles(body)
+            z, phi = body._ring, _normal_angles(body)
             s = int(np.argmin(phi))
             phi = np.concatenate((phi[s:], phi[:s]))
             if (phi[1:] < phi[:-1]).any():
@@ -473,7 +472,7 @@ def _merged_sum(a: ConvexBody, b: ConvexBody):
     if len(z) == 2 and abs(z[1] - z[0]) <= tol:
         return None
     if len(z) > 2:
-        E = np.concatenate((z[1:], z[:1])) - z
+        E = _edges(z)
         before = np.concatenate((E[-1:], E[:-1]))
         if ((before.conj() * E).imag <= tol * np.abs(before + E)).any():
             return None
@@ -501,17 +500,17 @@ def minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
 def scale(a: ConvexBody, lam: float) -> ConvexBody:
     """Scale a body by a nonnegative factor; lam = 0 gives the origin.
 
-    A cached 2-D ring is carried over as ``lam`` times the ring.
+    A 2-D body's ring is scaled along: the result carries ``lam`` times
+    the ring.  The merge tolerance scales along too, so nothing is merged.
     """
     lam = float(lam)
     if lam < 0.0:
         raise GeometryError("negative scale factors (reflections) are not supported")
     if lam == 0.0:
         return ConvexBody(np.zeros((1, a.dim)))
-    ring = vars(a).get("_ring")
-    if ring is None:
-        return ConvexBody(_canonical(lam * a.vertices))  # the merge tolerance scales along
-    return _with_ring((lam * ring[0].view(float)).view(complex))
+    if a.dim == 2:
+        return _with_ring((lam * a._ring.view(float)).view(complex))
+    return ConvexBody(_canonical(lam * a.vertices))
 
 
 def weighted_sum(bodies: Sequence[ConvexBody], coefs) -> ConvexBody:
@@ -664,7 +663,11 @@ def _nearest_offsets(a: ConvexBody, X: np.ndarray) -> np.ndarray:
     """
     if a.dim != 2:
         return np.array([_min_norm_point(a.vertices - x) for x in X])
-    V, E, L, lo, hi = a._ring
+    V = a._ring
+    E = _edges(V)
+    L = (E * E.conj()).real                         # squared edge lengths, 1 for a zero edge
+    L[L == 0.0] = 1.0
+    lo, hi = np.minimum.reduce(a.vertices), np.maximum.reduce(a.vertices)
     X = np.ascontiguousarray(X)
     W = X.view(complex) - V                         # (n, m): each vertex to each query
     p = W * E.conj()                                # real part: edge dot, imaginary: edge cross

@@ -236,15 +236,7 @@ def _count_blocks(y: DiscreteRandomSet,
     operand is promoted to float64), so the chunk needs no shift, float
     conversion or scaling.  The words, the finalizer's shift scratch and
     the compare mask live in buffers allocated once per call and
-    refilled by every chunk.  Per 2**15-draw chunk (a call of 32
-    replications of 1024 draws, warm) on a 2-vCPU Xeon with numpy 2.4,
-    this took 0.17, 0.22, 0.34, 1.0 and 3.8 ms at 2, 4, 8, 32 and 128
-    atoms, against 0.19, 0.24, 0.32, 0.81 and 2.8 ms for the floats of
-    :func:`~setmeans.rng.uniforms` in fresh arrays: numpy compares uint64
-    at about twice the cost of float64, so the words lose warm from about
-    8 atoms on, but the fresh arrays fault their pages in again on large
-    runs (about 2900 faults a 2000-replication call at 2 atoms, against
-    none here once a process has run two calls).
+    refilled by every chunk.
     """
     sizes = config.sample_sizes
     atoms = y.atom_count

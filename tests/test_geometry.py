@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from setmeans.geometry import (
     _canonical,
     _merged_sum,
     _nearest_offsets,
+    box_of,
     deviation,
     hausdorff,
     hausdorff_via_support,
@@ -359,7 +361,7 @@ def placed_bodies(draw):
 def queries(draw, body, s):
     """A query inside, on a vertex, on an edge or (mostly) outside the body
     placed at scale ``s``."""
-    z = body._ring[0]
+    z = body._ring
     ring = np.column_stack([z.real, z.imag])
     i = draw(st.integers(0, len(ring) - 1))
     where = draw(st.sampled_from(["inside", "vertex", "edge", "outside"]))
@@ -530,9 +532,7 @@ def test_a_one_vertex_operand_translates_the_other_body():
         merged = _merged_sum(a, b)
         assert merged is not None
         assert merged.vertices.tobytes() == qhull_minkowski_sum(a, b).vertices.tobytes()
-        fresh = ConvexBody(merged.vertices.copy())
-        for got, want in zip(merged._ring, fresh._ring):
-            assert got.tobytes() == want.tobytes()
+        assert merged._ring.tobytes() == ConvexBody(merged.vertices.copy())._ring.tobytes()
 
 
 def test_an_uncertified_merge_falls_back_to_the_qhull_sum():
@@ -558,16 +558,18 @@ def test_an_uncertified_merge_falls_back_to_the_qhull_sum():
 def test_merged_and_scaled_bodies_carry_the_ring_a_fresh_sort_gives():
     rng = np.random.default_rng(19)
     for _ in range(30):
-        a = hull(rng.normal(size=(7, 2)) + rng.uniform(-1e3, 1e3, size=2))
-        a._ring  # cached, so scale carries it
-        bodies = [minkowski_sum(a, hull(rng.normal(size=(5, 2)))),
-                  scale(a, rng.uniform(1e-3, 1e3)),
-                  minkowski_sum(square(), a)]   # the merge starts atop the square's left edge
+        P = rng.normal(size=(7, 2))
+        a = hull(P + rng.uniform(-1e3, 1e3, size=2))
+        unread = ConvexBody(a.vertices.copy())   # its ring is sorted when scale reads it
+        bodies = [a, hull(P[:2]), hull(P[:1]), hull(P + 1e6)]
+        assert all("_ring" in vars(body) for body in bodies)   # before a merge reads a's ring
+        bodies += [minkowski_sum(a, hull(rng.normal(size=(5, 2)))),
+                   scale(a, rng.uniform(1e-3, 1e3)), scale(unread, rng.uniform(1e-3, 1e3)),
+                   minkowski_sum(square(), a)]   # the merge starts atop the square's left edge
         for body in bodies:
             assert "_ring" in vars(body)
             fresh = ConvexBody(body.vertices.copy())
-            for got, want in zip(body._ring, fresh._ring):
-                assert got.tobytes() == want.tobytes()
+            assert body._ring.tobytes() == fresh._ring.tobytes()
             V = body.vertices
             X = np.vstack([V, (V + np.roll(V, 1, axis=0)) / 2,
                            V.mean(axis=0) + rng.normal(size=(40, 2))])
@@ -578,10 +580,9 @@ def test_weighted_sum_does_not_depend_on_cached_rings():
     rng = np.random.default_rng(29)
     atoms = [hull(rng.normal(size=(6, 2)) + rng.normal(size=2)) for _ in range(5)]
     coefs = rng.uniform(0.1, 1.0, size=5)
-    before = weighted_sum(atoms, coefs)
-    for atom in atoms:
-        atom._ring
-    assert weighted_sum(atoms, coefs).vertices.tobytes() == before.vertices.tobytes()
+    sorted_rings = [ConvexBody(atom.vertices.copy()) for atom in atoms]   # sorted, not chained
+    assert (weighted_sum(atoms, coefs).vertices.tobytes()
+            == weighted_sum(sorted_rings, coefs).vertices.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -732,6 +733,20 @@ def test_sfs_ten_copies():
     gap, bound = shapley_folkman_gap(sets)
     assert gap == pytest.approx(0.05)  # half the raw-sum lattice spacing
     assert gap <= SQ2 / 10
+
+
+@pytest.mark.parametrize("shift", [1e3, 1e6])
+def test_sfs_gap_does_not_depend_on_where_the_sets_lie(shift):
+    """The covering radius far from the origin matches the one at the
+    origin within the tolerance of the averaged raw sum it is measured on."""
+    rng = np.random.default_rng(67)
+    offset = shift * np.array([0.6, -0.8])
+    for _ in range(5):
+        sets = [rng.uniform(-1, 1, size=(4, 2)) for _ in range(3)]
+        moved = [s + offset for s in sets]
+        raw = np.array([sum(points) for points in itertools.product(*moved)]) / len(moved)
+        gap = shapley_folkman_gap(moved)[0]
+        assert abs(gap - shapley_folkman_gap(sets)[0]) <= tolerance(REL_TOL, box_of(raw))
 
 
 @pytest.mark.parametrize("sites, gap", [
