@@ -22,7 +22,8 @@ import numpy as np
 
 REL_TOL = 1e-9            # vertex merges, face and membership decisions, times the extent
 ROUNDOFF = 32 * float(np.finfo(float).eps)  # round-off of a coordinate, times its magnitude
-FACET_REL_MARGIN = 1e-6   # relative-interior margin, scaled by diameter
+FACET_REL_MARGIN = 1e-6   # relative-interior margin of the facet test, relative (see `tolerance`)
+SFS_MAX_SUMS = 2 ** 18    # most raw sums `shapley_folkman_gap` enumerates in one step
 MIN_NORM_GAP_TOL = 1e-12  # duality-gap threshold for the min-norm solver
 
 _OCTAGON = np.exp(-0.25j * np.pi * np.arange(8))  # conjugates of the directions k * 45 degrees
@@ -159,14 +160,6 @@ class ConvexBody:
             z = z[np.argsort((angle - angle[0]) % (2.0 * np.pi), kind="stable")]
         return z
 
-    @cached_property
-    def diameter(self) -> float:
-        V = self.vertices
-        if len(V) == 1:
-            return 0.0
-        diff = V[:, None, :] - V[None, :, :]
-        return float(np.sqrt((diff ** 2).sum(axis=2)).max())
-
     def __repr__(self):
         return f"ConvexBody({self.vertex_count} vertices, dim={self.dim})"
 
@@ -276,6 +269,28 @@ def _depths(ring: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (E.conj()[:, None] * (z - ring[:, None])).imag / np.abs(E)[:, None]
 
 
+def _width(ring: np.ndarray) -> float:
+    """``_depths(ring, ring).max(axis=1).min()`` for a convex
+    counterclockwise ``ring`` of three or more complex vertices, in O(m)
+    memory: the width of its narrowest strip.
+
+    Rotating calipers: started at the edge of least angle, the edge angles
+    ascend, and the vertex farthest from edge ``i`` is where they pass the
+    angle of edge ``i`` plus pi.  Each edge's depths are taken, by the
+    formula of :func:`_depths`, at that vertex and its two neighbours.
+    """
+    E = _edges(ring)
+    phi = np.arctan2(E.imag, E.real)
+    s = int(np.argmin(phi))
+    z, E, phi = (np.concatenate((a[s:], a[:s])) for a in (ring, E, phi))
+    m = len(z)
+    half = phi + np.pi
+    far = np.searchsorted(phi, np.where(half > phi[-1], half - 2.0 * np.pi, half))
+    far = (far[:, None] + np.arange(-1, 2)) % m
+    depths = (E.conj()[:, None] * (z[far] - z[:, None])).imag / np.abs(E)[:, None]
+    return float(depths.max(axis=1).min())
+
+
 def _chain(z: np.ndarray, cut: float, order: np.ndarray) -> np.ndarray:
     """Indices of the vertices of the planar points ``z`` (as complex
     numbers), counterclockwise from the first in ``order``; two indices
@@ -325,13 +340,14 @@ def _planar_extremes(W: np.ndarray, P: np.ndarray, order: np.ndarray) -> np.ndar
     no wider than ``2 cut``: then every point lies within ``cut`` of the
     middle line of its narrowest strip, which is the rank-1 rule of
     :func:`_rank_cut`, and the points are the segment between the two
-    ring vertices farthest apart.
+    ring vertices farthest apart.  The width is :func:`_width`, in O(m)
+    memory for a ring of ``m`` vertices.
     """
     cut = _rank_cut(P)
     z = np.ascontiguousarray(W).view(complex)[:, 0]
     ring = _chain(z, cut, order)
     z = z[ring]
-    if len(ring) > 2 and _depths(z, z).max(axis=1).min() > 2.0 * cut:
+    if len(ring) > 2 and _width(z) > 2.0 * cut:
         return ring
     i, j = divmod(int(np.abs(z[:, None] - z).argmax()), len(ring))
     return ring[[i, j]]
@@ -865,26 +881,28 @@ def normal_fan(bodies: Sequence[ConvexBody]) -> NormalFan:
 
 def _relative_boundary_distance(Q: np.ndarray, q: np.ndarray, tol: float) -> float:
     """Signed distance from q to the relative boundary of conv(Q), negative
-    outside; -inf when q is farther than ``tol`` from the affine hull of Q.
+    outside, with conv(Q) read as :func:`hull` reads it.
 
-    Supports point sets of affine rank <= 2, which covers the faces of
-    bodies of dimension <= 3 measured inside their hyperplane.  A rank-2
-    set is measured against the edges of its monotone-chain ring
-    (:func:`_chain`) in the frame coordinates ``U * s``.
+    One vertex gives -inf.  Two give a segment: -inf when q is farther
+    than ``tol`` from its line, else the distance from q to the nearer
+    end.  More give a polygon, which needs 2-D points: q is measured
+    against the edges of its ring.  That covers the faces of bodies of
+    dimension <= 3 measured inside their hyperplane.
     """
-    centroid, U, s, Vt = _affine_frame(Q)
-    rank = len(s)
-    r = q - centroid
-    if rank == 0 or np.linalg.norm(r - (Vt @ r) @ Vt) > tol:
+    face = hull(Q)
+    V = face.vertices
+    if len(V) == 1:
         return -np.inf
-    if rank == 1:
-        t, ts = float(Vt[0] @ r), U[:, 0] * s[0]
-        return min(t - float(ts.min()), float(ts.max()) - t)
-    if rank == 2:
-        z = (U * s).view(complex)[:, 0]
-        ring = z[_chain(z, _rank_cut(Q), np.lexsort((z.imag, z.real)))]
-        return float(_depths(ring, (Vt @ r).view(complex)).min())
-    raise GeometryError(f"facet test needs a face of affine rank <= 2, got rank {rank}")
+    if len(V) == 2:
+        e, r = V[1] - V[0], q - V[0]
+        t = float(r @ e) / float(e @ e)   # where q projects: 0 and 1 at the ends
+        if np.linalg.norm(r - t * e) > tol:
+            return -np.inf
+        return min(t, 1.0 - t) * float(np.linalg.norm(e))
+    if face.dim != 2:
+        raise GeometryError(f"facet test needs a face of at most two dimensions, got "
+                            f"{len(V)} vertices in dimension {face.dim}")
+    return float(_depths(face._ring, q.view(complex)).min())
 
 
 def _in_facet(face: ConvexBody, k: np.ndarray, f: np.ndarray, margin: float, tol: float) -> bool:
@@ -902,14 +920,15 @@ def _in_facet(face: ConvexBody, k: np.ndarray, f: np.ndarray, margin: float, tol
 
 def is_facet_at(a: ConvexBody, k, f) -> bool:
     """Whether the support face of f has affine dimension >= 1 and contains
-    k in its relative interior, measured inside the hyperplane f-perp
-    (margin of 1e-6 times the diameter)."""
+    k in its relative interior, measured inside the hyperplane f-perp with
+    the margin ``tolerance(FACET_REL_MARGIN, a.box)``; for bodies of
+    dimension <= 3 (a polygon face raises :class:`GeometryError` above)."""
     k = _as_vector(k, a.dim)
     tol = tolerance(REL_TOL, a.box)
     if point_distance(a, k) > tol:
         raise GeometryError("query point lies outside the body")
     cert = support_face(a, f)
-    return _in_facet(cert.face, k, cert.direction, FACET_REL_MARGIN * a.diameter, tol)
+    return _in_facet(cert.face, k, cert.direction, tolerance(FACET_REL_MARGIN, a.box), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -918,7 +937,9 @@ def is_facet_at(a: ConvexBody, k, f) -> bool:
 def shapley_folkman_gap(sets: Sequence) -> tuple[float, float]:
     """Gap between the averaged raw sum of finite sets and its convexification.
 
-    The raw Minkowski sum is enumerated exhaustively; the gap is the
+    The raw Minkowski sum is enumerated exhaustively, one set at a time,
+    and a step of more than ``SFS_MAX_SUMS`` sums raises
+    :class:`GeometryError`; the gap is the
     exact Hausdorff distance between the scaled raw sum and its convex
     hull (a covering-radius computation).  The bound is
     sqrt(d)/N * max_i max_{p in K_i} ||p||, and gap <= bound always.
@@ -934,6 +955,9 @@ def shapley_folkman_gap(sets: Sequence) -> tuple[float, float]:
 
     raw = np.zeros((1, d))
     for s in arrays:
+        if len(raw) * len(s) > SFS_MAX_SUMS:
+            raise GeometryError(f"the raw sum would enumerate {len(raw) * len(s)} sums, more "
+                                f"than the limit of {SFS_MAX_SUMS}")
         raw = (raw[:, None, :] + s[None, :, :]).reshape(-1, d)
         raw = np.unique(raw, axis=0)
     scaled = raw / n_sets

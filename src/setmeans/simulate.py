@@ -402,7 +402,8 @@ def _facet_values(y: DiscreteRandomSet, x: np.ndarray, f: np.ndarray,
     counts: the distance from the normal fan, and when ``x`` is beyond
     the facet's line and projects into the facet, its nearest point is
     that projection, inside the facet if it keeps
-    ``FACET_REL_MARGIN * diameter`` from both ends; when it projects
+    ``tolerance(FACET_REL_MARGIN, box)`` from both ends (the mean's box
+    ``sum_j c_j box(K_j)``); when it projects
     outside, the nearest point is off the facet.  The body path decides
     the checkpoints within ``tolerance(GUARD_REL, y.box)`` of one of
     these thresholds, and every checkpoint of other dimensions.
@@ -415,13 +416,14 @@ def _facet_values(y: DiscreteRandomSet, x: np.ndarray, f: np.ndarray,
         along = np.array([-f[1], f[0]])
         ends = np.array([[face.vertices[np.argmin(face.vertices @ along)],
                           face.vertices[np.argmax(face.vertices @ along)]] for face in atom_faces])
+        corners = np.array([(b.vertices.min(axis=0), b.vertices.max(axis=0)) for b in y.bodies])
 
     def body(coefs):
         mean = weighted_sum(y.bodies, coefs)
         face = check_face_commutation(mean, atom_faces, coefs, f)
         dist = point_distance(mean, x)
         inside = dist > tol and _in_facet(face, nearest_point(mean, x), f,
-                                          FACET_REL_MARGIN * mean.diameter, tol)
+                                          tolerance(FACET_REL_MARGIN, mean.box), tol)
         return [dist, float(not inside)]
 
     def kernel(counts, coefs):
@@ -433,12 +435,9 @@ def _facet_values(y: DiscreteRandomSet, x: np.ndarray, f: np.ndarray,
         offset = ((x - a) * along).sum(axis=-1)      # projection of x along the facet
         height = ((x - a) * f).sum(axis=-1)          # beyond the facet's line when > 0
         inner = np.minimum(offset, length - offset)  # distance to the nearer end
-        P = fan.support_points(coefs)   # every vertex of the mean is among them
-        diameter = np.zeros(dist.shape)
-        for i in range(P.shape[-2]):
-            far = np.sqrt(((P - P[..., i, None, :]) ** 2).sum(axis=-1)).max(axis=-1)
-            diameter = np.maximum(diameter, far)
-        margin = FACET_REL_MARGIN * diameter
+        lo, hi = np.moveaxis(_fold(coefs, corners), -2, 0)   # the mean's bounding box
+        margin = tolerance(FACET_REL_MARGIN, (np.sqrt(((hi - lo) ** 2).sum(axis=-1)),
+                                              np.maximum(-lo, hi).max(axis=-1)))
         facet = (dist > tol) & (inner > margin)   # height > 0 is settled by the band
         band = ((np.abs(dist - tol) <= guard)
                 | ((inner > margin - guard)

@@ -404,6 +404,17 @@ def test_sfs_bound_reports_a_gap_one_percent_over_the_bound(tmp_path, capsys, mo
     assert "within_bound false" in capsys.readouterr().out
 
 
+def test_sfs_bound_on_a_law_with_too_many_raw_sums_exits_one(tmp_path, capsys):
+    # 12^6 raw sums: the sixth step would exceed SFS_MAX_SUMS = 2^18
+    rng = np.random.default_rng(6)
+    atoms = [{"weight": 1.0 / 6.0, "vertices": rng.normal(size=(12, 2)).tolist()} for _ in range(6)]
+    scene = write_scene(tmp_path, json.dumps({"version": 1, "dim": 2, "atoms": atoms}))
+    assert run_command(["sfs-bound", "--scene", scene]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: GeometryError: the raw sum would enumerate 2985984 sums, more than "
+                   "the limit of 262144"]
+
+
 def test_sfs_bound_on_a_3d_scene_exits_one(tmp_path, capsys):
     scene = write_scene(tmp_path, json.dumps({
         "version": 1,

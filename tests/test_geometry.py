@@ -24,6 +24,7 @@ from setmeans.geometry import (
     _canonical,
     _merged_sum,
     _nearest_offsets,
+    _rank_cut,
     box_of,
     deviation,
     hausdorff,
@@ -655,6 +656,29 @@ def test_is_facet_at_examples():
     assert is_facet_at(square(), (0.5, 0), (0, -1))
     assert not is_facet_at(square(), (0, 0), (0, -1))
     assert not is_facet_at(triangle(), (1, 0), (1, 1))
+    # the margin is tolerance(FACET_REL_MARGIN, box): 1e-6 times the box
+    # diagonal sqrt(5), not times the diameter 2
+    wide = hull([(0, 0), (2, 0), (1, 1)])
+    assert not is_facet_at(wide, (1.9e-6, 0), (0, -1))
+    assert not is_facet_at(wide, (2.1e-6, 0), (0, -1))
+    assert is_facet_at(wide, (2.3e-6, 0), (0, -1))
+
+
+@pytest.mark.parametrize("cuts", [1.25, 1.75])
+def test_is_facet_at_reads_the_rank_of_a_face_as_hull_does(cuts):
+    # a bottom face no wider than twice the rank cut is the segment hull
+    # makes of it, so its centroid lies inside, not within round-off of an edge
+    h = cuts * _rank_cut(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, 0.0]]))
+    bottom = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, h, 0.0]])
+    assert hull(bottom[:, :2]).vertex_count == 2
+    body = ConvexBody(np.vstack((bottom, [[0.5, 0.3, 1.0]])))
+    assert is_facet_at(body, (0.5, h / 3.0, 0.0), (0, 0, -1))
+
+
+def test_is_facet_at_rejects_a_polygon_face_above_three_dimensions():
+    simplex = ConvexBody(np.vstack((np.zeros(4), np.eye(4))))
+    with pytest.raises(GeometryError, match="at most two dimensions"):
+        is_facet_at(simplex, (0.2, 0.2, 0.2, 0.0), (0, 0, 0, -1))
 
 
 def test_is_facet_at_two_point_face_with_rounding_noise():
@@ -686,7 +710,7 @@ def test_is_facet_at_3d_facet():
 def test_is_facet_at_measures_a_3d_face_against_its_slanted_edges():
     hexagon = [(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2)]
     prism = hull([(x, y, z) for x, y in hexagon for z in (0.0, 1.0)])
-    margin = FACET_REL_MARGIN * prism.diameter
+    margin = tolerance(FACET_REL_MARGIN, prism.box)
     mid = np.array([1.5, 1.0, 0.0])                  # the middle of the edge (2, 0)-(1, 2)
     inward = -np.array([2.0, 1.0, 0.0]) / np.sqrt(5.0)  # minus the edge's outer normal
     for f in [(0, 0, -1), (0, 0, 1)]:

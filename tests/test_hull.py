@@ -1,15 +1,26 @@
 """Property tests for ``hull`` against the exact monotone-chain oracle, and
 for its near-duplicate merge against the all-pairs oracle."""
 
+import tracemalloc
 from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import chain_hull, dense_dedup
-from setmeans.geometry import REL_TOL, ConvexBody, _dedup, box_of, hull, point_distance, tolerance
+from setmeans.geometry import (
+    REL_TOL,
+    ConvexBody,
+    _dedup,
+    _depths,
+    _width,
+    box_of,
+    hull,
+    point_distance,
+    tolerance,
+)
 
 # derandomized, so a tier-1 run is reproducible; no example database on disk
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -129,6 +140,27 @@ def test_hull_is_idempotent_and_permutation_invariant_in_2d(P, random):
     order = list(range(len(P)))
     random.shuffle(order)
     assert np.array_equal(hull(P[order]).vertices, body.vertices)
+
+
+@PROPERTY
+@given(moved_clouds())
+def test_ring_width_is_the_least_edge_depth_of_the_farthest_vertex(P):
+    z = hull(P)._ring
+    assume(len(z) > 2)
+    assert _width(z) == _depths(z, z).max(axis=1).min()
+
+
+def test_hull_of_many_points_on_a_circle_keeps_memory_linear():
+    # the ring width once took an (m, m) array: 489 MiB for these points
+    t = 2.0 * np.pi * np.arange(4000) / 4000
+    tracemalloc.start()
+    try:
+        body = hull(np.c_[np.cos(t), np.sin(t)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert body.vertex_count == 4000
+    assert peak < 16 * 2 ** 20
 
 
 def sweep_ties(kind: str, rng, n: int, dim: int) -> np.ndarray:

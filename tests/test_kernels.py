@@ -234,7 +234,7 @@ def exact_values(kind, y, vector, config) -> dict:
             mean = weighted_sum(y.bodies, counts / n)
             dist = point_distance(mean, x)
             k = nearest_point(mean, x)
-            margin = FACET_REL_MARGIN * mean.diameter
+            margin = tolerance(FACET_REL_MARGIN, mean.box)
             inside = (len(face) == 2 and dist > tolerance(REL_TOL, y.box)
                       and abs(k[1] - face[0, 1]) <= tolerance(REL_TOL, y.box)
                       and face[0, 0] + margin < k[0] < face[1, 0] - margin)
