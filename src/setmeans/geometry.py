@@ -72,7 +72,8 @@ def _as_vector(x, dim: int) -> np.ndarray:
 def box_of(P: np.ndarray) -> tuple[float, float]:
     """Scale of a point array: ``(extent, magnitude)``, the diagonal of its
     bounding box and its largest absolute coordinate."""
-    return float(np.linalg.norm(P.max(axis=0) - P.min(axis=0))), float(np.abs(P).max())
+    d = P.max(axis=0) - P.min(axis=0)
+    return math.sqrt(d.dot(d)), float(np.abs(P).max())   # d.dot(d): the sum np.linalg.norm takes
 
 
 def tolerance(rel: float, box: tuple[float, float]) -> float:
@@ -118,7 +119,7 @@ class ConvexBody:
         V = np.asarray(self.vertices, dtype=float)
         if V.ndim != 2 or V.shape[0] < 1 or V.shape[1] < 1:
             raise GeometryError(f"vertex array must have shape (k>=1, d>=1), got {V.shape}")
-        if not np.all(np.isfinite(V)):
+        if not np.isfinite(V).all():
             raise GeometryError("vertices contain NaN or infinite coordinates")
         V = np.ascontiguousarray(V)
         V.setflags(write=False)
@@ -146,19 +147,55 @@ class ConvexBody:
         """2-D only: the vertices counterclockwise as complex numbers,
         starting at ``self.vertices[0]``.
 
-        :func:`hull`, :func:`scale` (for ``lam > 0``) and
-        :func:`minkowski_sum` fill it from the ring they build
-        (:func:`_with_ring`), which sorts nothing.  A body from the raw
-        constructor sorts its vertices by angle about their centroid here:
-        those of a polygon are all extreme, so that lists them
-        counterclockwise; one or two vertices are their own ring.
+        :func:`hull` fills it from the ring of its chain
+        (:func:`_with_ring`).  A body that :func:`scale` (for ``lam > 0``)
+        or :func:`minkowski_sum` builds carries only its walk
+        (:attr:`_walk`) and rotates the walk's ring here.  Neither sorts
+        anything.  A body from the raw constructor sorts its vertices by
+        angle about their centroid here: those of a polygon are all
+        extreme, so that lists them counterclockwise; one or two vertices
+        are their own ring.
         """
+        walk = self.__dict__.get("_walk")
+        if walk is not None:
+            z = walk[0][:len(walk[1]) or 1]
+            s = int(np.flatnonzero(z == self.vertices.view(complex)[0, 0])[0])
+            return np.concatenate((z[s:], z[:s]))
         z = self.vertices.view(complex)[:, 0]
         if len(z) > 2:
             c = z - np.add.reduce(z) / len(z)
             angle = np.arctan2(c.imag, c.real)
             z = z[np.argsort((angle - angle[0]) % (2.0 * np.pi), kind="stable")]
         return z
+
+    @cached_property
+    def _walk(self):
+        """2-D only: ``(ring, angles)``, the boundary as the merge of
+        :func:`_merged_sum` and :func:`normal_fan` walk it, or None.
+
+        ``angles`` are the outer-normal angles of the edges of
+        :attr:`_ring` (:func:`_normal_angles`), started at the least and
+        ascending; ``ring`` is :attr:`_ring` started at the vertex where
+        that edge starts and closed by a copy of it, so edge ``k`` runs
+        from ``ring[k]`` to ``ring[k + 1]`` and ``ring[k]`` attains the
+        support on the arc from ``angles[k - 1]`` to ``angles[k]``.  A
+        point is its own ring, with no angles.  None when the angles do
+        not ascend: the vertices of a raw body that are not all extreme.
+        Both arrays are read-only: :func:`scale` shares the angles.
+
+        A body that :func:`scale` or :func:`minkowski_sum` builds carries
+        the walk it was built from (:func:`_with_walk`), so no fold
+        re-derives an angle; any other body derives it here, once.
+        """
+        z = self._ring
+        if len(z) == 1:
+            return _read_only(z[:], np.empty(0))
+        phi = _normal_angles(z)
+        s = int(np.argmin(phi))
+        phi = np.concatenate((phi[s:], phi[:s]))
+        if (phi[1:] < phi[:-1]).any():
+            return None
+        return _read_only(np.concatenate((z[s:], z[:s], z[s:s + 1])), phi)
 
     def __repr__(self):
         return f"ConvexBody({self.vertex_count} vertices, dim={self.dim})"
@@ -418,15 +455,11 @@ def hull(points) -> ConvexBody:
     return ConvexBody(_canonical(V))
 
 
-def _normal_angles(a: ConvexBody) -> np.ndarray:
-    """Angles of the outer edge normals of a 2-D body, in ring order: the
-    angles of its ring's edges minus pi/2.
-
-    A point has none and a segment has two antipodal ones.
-    """
-    if a.vertex_count == 1:
-        return np.empty(0)
-    E = _edges(a._ring)
+def _normal_angles(z: np.ndarray) -> np.ndarray:
+    """Angles of the outer edge normals of the counterclockwise ring ``z``
+    of two or more complex vertices, in ring order: the angles of its
+    edges minus pi/2.  A segment has two antipodal ones."""
+    E = _edges(z)
     return np.arctan2(-E.real, E.imag)  # E rotated clockwise: outward for a CCW ring
 
 
@@ -443,56 +476,75 @@ def _with_ring(z: np.ndarray) -> ConvexBody:
     return body
 
 
-def _merged_sum(a: ConvexBody, b: ConvexBody):
-    """``a + b`` for 2-D polygons by merging their edge rings, or None
-    where the merge is not certified.
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, marked read-only, as a tuple."""
+    for x in arrays:
+        x.setflags(write=False)
+    return arrays
 
-    Each ring starts at its edge of smallest outer-normal angle; merging
-    the two sorted angle lists walks the boundary of the sum
-    counterclockwise (de Berg et al., *Computational Geometry*, 13.3).
-    Vertex ``k`` is ``a_ring[i_k] + b_ring[j_k]``, with ``i_k`` and
-    ``j_k`` the edges of ``a`` and ``b`` walked before it: the same float
-    sum the pairwise cloud of :func:`minkowski_sum` holds.  The vertex
-    between two edges of exactly equal angle is dropped.  A one-vertex
-    operand translates the other's ring, by the same float sums.  The
-    merge is certified when both rings turn one way and every vertex of
-    the sum lies more than ``tolerance(REL_TOL, box)`` to the outside of
-    the chord of its two neighbours (so every edge is longer than that
-    too); a translate of fewer than three vertices needs only its
-    vertices that far apart.  Then it is the body :func:`hull` gives.
+
+def _with_walk(z: np.ndarray, phi: np.ndarray) -> ConvexBody:
+    """Body of the walk ``(z, phi)`` (see :attr:`ConvexBody._walk`): the
+    vertices of its ring in canonical order, carrying the walk, from
+    which :attr:`ConvexBody._ring` is rotated when first read."""
+    V = z[:len(phi) or 1].view(float).reshape(-1, 2)
+    body = ConvexBody(V[np.lexsort(V.T[::-1])])
+    body.__dict__["_walk"] = _read_only(z, phi)
+    return body
+
+
+def _merged_sum(a: ConvexBody, b: ConvexBody):
+    """``a + b`` for 2-D polygons by merging their walks, or None where
+    the merge is not certified.
+
+    Each walk (:attr:`ConvexBody._walk`) starts at its edge of smallest
+    outer-normal angle; merging the two ascending angle lists walks the
+    boundary of the sum counterclockwise (de Berg et al., *Computational
+    Geometry*, 13.3), and an edge of ``a`` goes before an edge of ``b``
+    of equal angle.  Vertex ``k`` is ``a_ring[i_k] + b_ring[j_k]``, with
+    ``i_k`` and ``j_k`` the edges of ``a`` and ``b`` walked before it:
+    the same float sum the pairwise cloud of :func:`minkowski_sum` holds.
+    The vertex between two edges of exactly equal angle is dropped.  A
+    one-vertex operand translates the other's walk, by the same float
+    sums.  The sum carries the merged walk: its ring, and the angles of
+    the operands' edges, one per run of equal angles.  The merge is
+    certified when both operands have a walk and every vertex of the sum
+    lies more than ``tolerance(REL_TOL, box)`` to the outside of the
+    chord of its two neighbours (so every edge is longer than that too);
+    a translate of fewer than three vertices needs only its vertices that
+    far apart.  Then it is the body :func:`hull` gives.
     """
-    if a.vertex_count == 1 or b.vertex_count == 1:
-        z = a._ring + b._ring
+    wa, wb = a._walk, b._walk
+    if wa is None or wb is None:
+        return None
+    (za, pa), (zb, pb) = wa, wb
+    if len(pa) == 0 or len(pb) == 0:
+        z, phi = za + zb, (pb if len(pa) == 0 else pa)
     else:
-        rings, angles = [], []
-        for body in (a, b):
-            z, phi = body._ring, _normal_angles(body)
-            s = int(np.argmin(phi))
-            phi = np.concatenate((phi[s:], phi[:s]))
-            if (phi[1:] < phi[:-1]).any():
-                return None
-            rings.append(np.concatenate((z[s:], z[:s], z[s:s + 1])))  # closed by a copy of the start
-            angles.append(phi)
-        phi = np.concatenate(angles)
-        order = np.argsort(phi, kind="stable")
-        from_a = order < len(angles[0])
+        n = len(pa) + len(pb)
+        slot = np.searchsorted(pa, pb, side="right") + np.arange(len(pb))  # b's edges in the merge
+        from_a = np.ones(n, dtype=bool)
+        from_a[slot] = False
+        phi = np.empty(n)
+        phi[from_a] = pa
+        phi[slot] = pb
         i = np.cumsum(from_a) - from_a
-        z = rings[0][i] + rings[1][np.arange(len(order)) - i]
-        phi = phi[order]
-        z = z[np.concatenate(([True], phi[1:] != phi[:-1]))]
+        z = za[i] + zb[np.arange(n) - i]
+        keep = np.concatenate(([True], phi[1:] != phi[:-1]))
+        z, phi = z[keep], phi[keep]
         if len(z) < 3:
             return None
-    V = z.view(float).reshape(-1, 2)
-    box = box_of(V)
+        z = np.concatenate((z, z[:1]))
+    box = box_of(z[:len(phi) or 1].view(float).reshape(-1, 2))
     tol = tolerance(REL_TOL, box)
-    if len(z) == 2 and abs(z[1] - z[0]) <= tol:
+    if len(phi) == 2 and abs(z[1] - z[0]) <= tol:
         return None
-    if len(z) > 2:
-        E = _edges(z)
+    if len(phi) > 2:
+        E = z[1:] - z[:-1]
         before = np.concatenate((E[-1:], E[:-1]))
         if ((before.conj() * E).imag <= tol * np.abs(before + E)).any():
             return None
-    body = _with_ring(z)
+    body = _with_walk(z, phi)
     body.__dict__["box"] = box
     return body
 
@@ -516,17 +568,22 @@ def minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
 def scale(a: ConvexBody, lam: float) -> ConvexBody:
     """Scale a body by a nonnegative factor; lam = 0 gives the origin.
 
-    A 2-D body's ring is scaled along: the result carries ``lam`` times
-    the ring.  The merge tolerance scales along too, so nothing is merged.
+    A 2-D body's walk is scaled along: the result carries ``lam`` times
+    the walk's ring and the same angles (:func:`_with_walk`); a body
+    without a walk carries ``lam`` times its ring.  The merge tolerance
+    scales along too, so nothing is merged.
     """
     lam = float(lam)
     if lam < 0.0:
         raise GeometryError("negative scale factors (reflections) are not supported")
     if lam == 0.0:
         return ConvexBody(np.zeros((1, a.dim)))
-    if a.dim == 2:
+    if a.dim != 2:
+        return ConvexBody(_canonical(lam * a.vertices))
+    if a._walk is None:
         return _with_ring((lam * a._ring.view(float)).view(complex))
-    return ConvexBody(_canonical(lam * a.vertices))
+    z, phi = a._walk
+    return _with_walk((lam * z.view(float)).view(complex), phi)
 
 
 def weighted_sum(bodies: Sequence[ConvexBody], coefs) -> ConvexBody:
@@ -857,23 +914,25 @@ def normal_fan(bodies: Sequence[ConvexBody]) -> NormalFan:
     """Common refinement of the outer normal fans of 2-D bodies.
 
     The cell boundaries are the edge normals of all bodies; on each cell
-    every body's support is attained at one vertex, read off at the
-    middle of the arc.  A family of points has no normals and gives a
+    every body's support is attained at one vertex, the one its walk
+    (:attr:`ConvexBody._walk`) reaches at the middle of the arc: that of
+    ``ring[k]``, with ``k`` the number of its angles below the middle.  A
+    point repeats itself in every cell, and a body without a walk is read
+    through its hull.  A family of points has no normals and gives a
     single cell, the whole circle, starting at direction ``(1, 0)``.
     """
     if len(bodies) == 0:
         raise GeometryError("need at least one body")
     if any(body.dim != 2 for body in bodies):
         raise GeometryError("normal fans are built for 2-D bodies only")
-    angles = np.unique(np.concatenate([_normal_angles(body) for body in bodies]))
+    walks = [body._walk or hull(body.vertices)._walk for body in bodies]
+    angles = np.unique(np.concatenate([phi for _, phi in walks]))
     if len(angles) == 0:
         angles = np.zeros(1)
     mids = angles + np.diff(angles, append=angles[0] + 2.0 * np.pi) / 2.0
-    mid_dirs = np.stack([np.cos(mids), np.sin(mids)], axis=1)
-    vertices = np.stack([body.vertices[np.argmax(mid_dirs @ body.vertices.T, axis=1)]
-                         for body in bodies], axis=1)
+    z = np.stack([ring[np.searchsorted(phi, mids)] for ring, phi in walks], axis=1)
     directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return NormalFan(directions, vertices)
+    return NormalFan(directions, z[..., None].view(float))
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,12 @@ count kernel, which maps the block to its statistic with array
 operations, at a cost per checkpoint independent of the sample size; it
 fills one ``(R, S, k)`` array, the report's records.
 The body path (fold the mean body with ``weighted_sum``, then measure
-it) stays as the oracle: in 2-D the fold merges edge rings, with qhull
-where a merge is not certified.  It shares only the edge-angle helper
-with the normal fan, and a misordered merge fails its certificate and
-falls back to qhull.  It recomputes replications
+it) stays as the oracle: in 2-D the fold merges the bodies' walks (each
+ring with its sorted edge angles, ``geometry.ConvexBody._walk``), with
+qhull where a merge is not certified.  The normal fan reads the atoms'
+walks too: it takes each atom's vertex per cell from its walk, where the
+fold merges the scaled walks into the mean's, and a misordered merge
+fails its certificate and falls back to qhull.  It recomputes replications
 ``0 .. ORACLE_REPS - 1`` at every size, and it decides the checkpoints a
 kernel cannot (clt-facet's near a threshold, and those of kernels that
 need the 2-D fan on other dimensions).

@@ -19,6 +19,9 @@ the reference for the closed-form kernel behind ``nearest_point``,
 dimension, the reference the normal fan is checked against.
 ``qhull_minkowski_sum`` is ``hull`` of all pairwise vertex sums, the
 reference for the 2-D ring merge behind ``minkowski_sum``.
+``rederived_weighted_sum`` folds ``weighted_sum``'s terms with a ring
+merge that re-derives both operands' edge angles from their rings and
+sorts them together, the reference for the walks the bodies carry.
 ``records_csv`` formats a records array one value and one row at a
 time, the reference for the bytes ``write_report`` writes.
 ``FAR_POLYGON`` and ``FAR_QUERY`` pin a small polygon far from the
@@ -30,6 +33,7 @@ splitmix64 draw with Python integers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,6 +50,7 @@ from setmeans.geometry import (
     _as_vector,
     _canonical,
     _min_norm_point,
+    _with_ring,
     box_of,
     hausdorff,
     hull,
@@ -140,6 +145,51 @@ def mean_process_mean(state: MeanProcessState) -> ConvexBody:
 def qhull_minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
     """``a + b`` as ``hull`` of all pairwise vertex sums."""
     return hull((a.vertices[:, None, :] + b.vertices[None, :, :]).reshape(-1, a.dim))
+
+
+def rederived_minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
+    """``minkowski_sum`` of 2-D bodies with every angle taken afresh: both
+    rings' outer-normal angles from their edges, one stable sort of the
+    two lists, the certificate of ``_merged_sum``, and
+    ``qhull_minkowski_sum`` where the merge is not certified."""
+    if a.vertex_count == 1 or b.vertex_count == 1:
+        z = a._ring + b._ring
+    else:
+        rings, angles = [], []
+        for body in (a, b):
+            z = body._ring
+            E = np.concatenate((z[1:], z[:1])) - z
+            phi = np.arctan2(-E.real, E.imag)
+            s = int(np.argmin(phi))
+            phi = np.concatenate((phi[s:], phi[:s]))
+            if (phi[1:] < phi[:-1]).any():
+                return qhull_minkowski_sum(a, b)
+            rings.append(np.concatenate((z[s:], z[:s], z[s:s + 1])))
+            angles.append(phi)
+        phi = np.concatenate(angles)
+        order = np.argsort(phi, kind="stable")
+        from_a = order < len(angles[0])
+        i = np.cumsum(from_a) - from_a
+        z = rings[0][i] + rings[1][np.arange(len(order)) - i]
+        phi = phi[order]
+        z = z[np.concatenate(([True], phi[1:] != phi[:-1]))]
+        if len(z) < 3:
+            return qhull_minkowski_sum(a, b)
+    tol = tolerance(REL_TOL, box_of(z.view(float).reshape(-1, 2)))
+    E = np.concatenate((z[1:], z[:1])) - z
+    before = np.roll(E, 1)
+    if ((len(z) == 2 and abs(z[1] - z[0]) <= tol)
+            or (len(z) > 2 and ((before.conj() * E).imag <= tol * np.abs(before + E)).any())):
+        return qhull_minkowski_sum(a, b)
+    return _with_ring(z)
+
+
+def rederived_weighted_sum(bodies, coefs) -> ConvexBody:
+    """``weighted_sum`` of 2-D bodies folded with ``rederived_minkowski_sum``."""
+    terms = [scale(body, c) for body, c in zip(bodies, coefs) if c != 0]
+    if not terms:
+        return ConvexBody(np.zeros((1, 2)))
+    return functools.reduce(rederived_minkowski_sum, terms)
 
 
 def records_csv(records, sizes) -> str:

@@ -5,6 +5,7 @@ The fan is checked against Wolfe's min-norm solver
 2-D, so Wolfe keeps the fan's reference independent of both."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from oracles import checkpoints, translate, wolfe_hausdorff
 from setmeans.cli import parse_scene
 from setmeans.geometry import (
+    ConvexBody,
     GeometryError,
     hull,
     normal_fan,
@@ -116,6 +118,49 @@ def test_fan_rejects_other_dimensions_and_bad_coefficients():
         fan.hausdorff([1.0, 0.0], [1.0, 0.0])
     with pytest.raises(GeometryError, match="negative"):
         fan.hausdorff([-1.0], [1.0])
+
+
+def argmax_vertices(fan, bodies):
+    """Per fan cell, each body's vertex of largest value in the direction
+    of the middle of the cell's arc, ties to the first in canonical order."""
+    angles = np.arctan2(fan.directions[:, 1], fan.directions[:, 0])
+    mids = angles + np.diff(angles, append=angles[0] + 2.0 * np.pi) / 2.0
+    mid_dirs = np.stack([np.cos(mids), np.sin(mids)], axis=1)
+    return np.stack([body.vertices[np.argmax(mid_dirs @ body.vertices.T, axis=1)]
+                     for body in bodies], axis=1)
+
+
+def test_fan_vertices_are_the_argmax_at_the_middle_of_each_cell():
+    rng = np.random.default_rng(5)
+    laws = [parse_scene(MIXED_LAW).bodies]
+    for _ in range(60):
+        s, shift = 10.0 ** rng.uniform(-3, 3), rng.choice([0.0, 1e3, 1e6]) * rng.normal(size=2)
+        laws.append([hull(shift + s * rng.normal(size=(int(rng.integers(1, 12)), 2)))
+                     for _ in range(int(rng.integers(1, 9)))])
+    laws.append([hull(np.array(P, dtype=float)) for P in
+                 ([(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 0), (2, 0)], [(1, 1)], [(0, 0), (1, 1)])])
+    for bodies in laws:
+        fan = normal_fan(bodies)
+        assert fan.vertices.tobytes() == argmax_vertices(fan, bodies).tobytes()
+    # a raw body whose ring does not turn one way is read through its hull
+    bent = ConvexBody(np.array([[-1.03, -1.37], [-1.01, 0.49], [-0.8, 0.12], [-0.01, -0.35],
+                                [0.08, 1.34]]))
+    assert bent._walk is None
+    assert normal_fan([bent]).vertices.tobytes() == normal_fan([hull(bent.vertices)]).vertices.tobytes()
+
+
+def test_fan_of_a_4000_gon_takes_memory_linear_in_its_cells():
+    t = 2.0 * np.pi * np.arange(4000) / 4000
+    bodies = [hull(np.stack([np.cos(t), np.sin(t)], axis=1)), hull([(0, 0), (1, 2), (3, 1)])]
+    normal_fan(bodies[1:])   # numpy's first-call set-up is not the fan's
+    tracemalloc.start()
+    try:
+        fan = normal_fan(bodies)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fan.vertices.shape == (4003, 2, 2)
+    assert peak < 2 * 2 ** 20   # an (m, n) matrix of directions and vertices: 122 MiB
 
 
 # a 2-D law with a point atom and a segment atom next to two polygons

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -11,6 +12,7 @@ from oracles import (
     FAR_QUERY,
     exact_nearest,
     qhull_minkowski_sum,
+    rederived_weighted_sum,
     same_body,
     translate,
 )
@@ -568,7 +570,7 @@ def test_merged_and_scaled_bodies_carry_the_ring_a_fresh_sort_gives():
                    scale(a, rng.uniform(1e-3, 1e3)), scale(unread, rng.uniform(1e-3, 1e3)),
                    minkowski_sum(square(), a)]   # the merge starts atop the square's left edge
         for body in bodies:
-            assert "_ring" in vars(body)
+            assert "_ring" in vars(body) or "_walk" in vars(body)   # a walk's ring is rotated, not sorted
             fresh = ConvexBody(body.vertices.copy())
             assert body._ring.tobytes() == fresh._ring.tobytes()
             V = body.vertices
@@ -584,6 +586,100 @@ def test_weighted_sum_does_not_depend_on_cached_rings():
     sorted_rings = [ConvexBody(atom.vertices.copy()) for atom in atoms]   # sorted, not chained
     assert (weighted_sum(atoms, coefs).vertices.tobytes()
             == weighted_sum(sorted_rings, coefs).vertices.tobytes())
+
+
+# ---------------------------------------------------------------------------
+# walks: the sorted outer-normal angles a fold carries from body to body
+
+def fold_law(kind, rng):
+    """2-D atoms of one kind: generic hulls, lattice polygons and squares
+    (parallel and antiparallel edges, exactly equal angles), slivers of
+    aspect 1e7 at random angles, or generic hulls moved to 1e6."""
+    J = int(rng.integers(2, 9))
+    if kind == "generic":
+        return [hull(rng.normal(size=(8, 2)) + rng.normal(size=2)) for _ in range(J)]
+    if kind == "lattice":
+        return [hull(rng.integers(-3, 4, size=(int(rng.integers(1, 7)), 2)).astype(float))
+                if j % 2 else square(0.0, float(rng.integers(1, 4))) for j in range(J)]
+    if kind == "sliver":
+        turns = [np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
+                 for t in rng.uniform(0.0, 2.0 * np.pi, J)]
+        return [hull((rng.normal(size=(6, 2)) * [1.0, 1e-7]) @ turn) for turn in turns]
+    return [hull(rng.normal(size=(6, 2)) + 1e6) for _ in range(J)]
+
+
+def carries_a_walk_of_its_ring(body):
+    """The walk's ring is the body's ring from another start, closed by a
+    copy of it, with one ascending angle per edge."""
+    ring, phi = body._walk
+    assert not ring.flags.writeable and not phi.flags.writeable   # scale shares them
+    assert len(ring) == len(phi) + 1
+    assert (phi[1:] >= phi[:-1]).all()
+    s = int(np.flatnonzero(body._ring == ring[0])[0])
+    assert ring[:len(phi) or 1].tobytes() == np.roll(body._ring, -s).tobytes()
+    assert ring[-1] == ring[0]
+    return ring, phi
+
+
+@pytest.mark.parametrize("kind", ["generic", "lattice", "sliver", "far"])
+def test_weighted_sum_is_the_fold_that_derives_every_angle_afresh(kind):
+    rng = np.random.default_rng(["generic", "lattice", "sliver", "far"].index(kind))
+    for _ in range(8):
+        atoms = fold_law(kind, rng)
+        weights = rng.dirichlet(np.ones(len(atoms)))
+        for n in (1, 3, 16, 256, 4096):
+            coefs = rng.multinomial(n, weights) / n
+            got, want = weighted_sum(atoms, coefs), rederived_weighted_sum(atoms, coefs)
+            assert got.vertices.tobytes() == want.vertices.tobytes()
+            assert got._ring.tobytes() == want._ring.tobytes()
+            if kind in ("generic", "far"):   # no parallel edges: every merge is certified
+                terms = [scale(atom, c) for atom, c in zip(atoms, coefs) if c]
+                merged = functools.reduce(_merged_sum, terms)
+                assert merged is not None and merged.vertices.tobytes() == got.vertices.tobytes()
+
+
+def test_hulls_and_raw_bodies_derive_their_walk_once_from_their_ring():
+    rng = np.random.default_rng(7)
+    raw_polygon = ConvexBody(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0], [2.0, 1.0]]))
+    flat = ConvexBody(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))  # as a support face holds it
+    for body in [hull(rng.normal(size=(9, 2))), hull([(0, 0), (1, 2)]), hull([(3, 4)]),
+                 hull(rng.normal(size=(9, 2)) + 1e6), raw_polygon, flat]:
+        assert "_walk" not in vars(body)
+        ring, phi = carries_a_walk_of_its_ring(body)
+        assert body._walk is body._walk
+        if len(phi):
+            E = np.roll(body._ring, -1) - body._ring
+            angles = np.arctan2(-E.real, E.imag)   # outer normals of a counterclockwise ring
+            s = int(np.argmin(angles))
+            assert phi.tobytes() == np.roll(angles, -s).tobytes()
+    # a raw ring that does not turn one way: a vertex is not extreme
+    bent = ConvexBody(np.array([[-1.03, -1.37], [-1.01, 0.49], [-0.8, 0.12], [-0.01, -0.35],
+                                [0.08, 1.34]]))
+    assert bent._walk is None
+    assert "_walk" not in vars(scale(bent, 2.0))
+    assert _merged_sum(bent, square()) is None and _merged_sum(hull([(1, 1)]), bent) is None
+
+
+def test_scale_and_the_merge_carry_their_operands_angles():
+    rng = np.random.default_rng(11)
+    point = hull([(0.25, -0.5)])
+    for kind in ("generic", "lattice", "sliver", "far"):
+        for a in fold_law(kind, rng):
+            b = hull(rng.normal(size=(5, 2)) * a.box[0] + a.vertices[0])
+            scaled = scale(a, rng.uniform(1e-3, 1e3))
+            assert "_walk" in vars(scaled) and "_ring" not in vars(scaled)   # one ring, the walk's
+            ring, phi = carries_a_walk_of_its_ring(scaled)
+            assert phi is a._walk[1]
+            moved = _merged_sum(a, point)
+            if moved is not None:     # a translate
+                assert "_walk" in vars(moved)
+                assert carries_a_walk_of_its_ring(moved)[1] is a._walk[1]
+            merged = _merged_sum(scaled, b)
+            if merged is not None and merged.vertex_count > 2:
+                assert "_walk" in vars(merged) and "_ring" not in vars(merged)
+                ring, phi = carries_a_walk_of_its_ring(merged)
+                want = np.unique(np.concatenate((scaled._walk[1], b._walk[1])))
+                assert phi.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
