@@ -142,60 +142,41 @@ class ConvexBody:
         """``(extent, magnitude)`` of the vertices, see :func:`tolerance`."""
         return box_of(self.vertices)
 
-    @cached_property
+    @property
     def _ring(self) -> np.ndarray:
         """2-D only: the vertices counterclockwise as complex numbers,
-        starting at ``self.vertices[0]``.
+        starting at ``self.vertices[0]``: the ring of :attr:`_walk`,
+        rotated.  :func:`_nearest_offsets` breaks its ties in this order."""
+        z = _open(self._walk[0])
+        s = int((z == self.vertices.view(complex)[0, 0]).argmax())
+        return np.concatenate((z[s:], z[:s]))
 
-        :func:`hull` fills it from the ring of its chain
-        (:func:`_with_ring`).  A body that :func:`scale` (for ``lam > 0``)
-        or :func:`minkowski_sum` builds carries only its walk
-        (:attr:`_walk`) and rotates the walk's ring here.  Neither sorts
-        anything.  A body from the raw constructor sorts its vertices by
-        angle about their centroid here: those of a polygon are all
-        extreme, so that lists them counterclockwise; one or two vertices
-        are their own ring.
+    @cached_property
+    def _walk(self):
+        """2-D only: ``(ring, angles)``, the one boundary a body stores, as
+        :func:`_merged_sum` and :func:`normal_fan` walk it.
+
+        ``angles`` are the outer-normal angles of the edges, started at the
+        least and ascending; ``ring`` lists the vertices counterclockwise
+        from where that edge starts, closed by a copy of it, so edge ``k``
+        runs from ``ring[k]`` to ``ring[k + 1]`` and ``ring[k]`` attains
+        the support on the arc from ``angles[k - 1]`` to ``angles[k]``.  A
+        point is its own ring, with no angles.  Both arrays are read-only:
+        :func:`scale` shares the angles.
+
+        :func:`hull`, :func:`scale` and the merge build it with the body
+        (:func:`_with_walk`).  A raw body derives it here, once
+        (:func:`_walk_of`), from its vertices sorted by angle about their
+        centroid, which lists those of a polygon counterclockwise.  Where
+        one is not extreme the angles may not ascend: then ``angles`` is
+        None and ``ring`` is that sort, closed, from ``self.vertices[0]``.
         """
-        walk = self.__dict__.get("_walk")
-        if walk is not None:
-            z = walk[0][:len(walk[1]) or 1]
-            s = int(np.flatnonzero(z == self.vertices.view(complex)[0, 0])[0])
-            return np.concatenate((z[s:], z[:s]))
         z = self.vertices.view(complex)[:, 0]
         if len(z) > 2:
             c = z - np.add.reduce(z) / len(z)
             angle = np.arctan2(c.imag, c.real)
             z = z[np.argsort((angle - angle[0]) % (2.0 * np.pi), kind="stable")]
-        return z
-
-    @cached_property
-    def _walk(self):
-        """2-D only: ``(ring, angles)``, the boundary as the merge of
-        :func:`_merged_sum` and :func:`normal_fan` walk it, or None.
-
-        ``angles`` are the outer-normal angles of the edges of
-        :attr:`_ring` (:func:`_normal_angles`), started at the least and
-        ascending; ``ring`` is :attr:`_ring` started at the vertex where
-        that edge starts and closed by a copy of it, so edge ``k`` runs
-        from ``ring[k]`` to ``ring[k + 1]`` and ``ring[k]`` attains the
-        support on the arc from ``angles[k - 1]`` to ``angles[k]``.  A
-        point is its own ring, with no angles.  None when the angles do
-        not ascend: the vertices of a raw body that are not all extreme.
-        Both arrays are read-only: :func:`scale` shares the angles.
-
-        A body that :func:`scale` or :func:`minkowski_sum` builds carries
-        the walk it was built from (:func:`_with_walk`), so no fold
-        re-derives an angle; any other body derives it here, once.
-        """
-        z = self._ring
-        if len(z) == 1:
-            return _read_only(z[:], np.empty(0))
-        phi = _normal_angles(z)
-        s = int(np.argmin(phi))
-        phi = np.concatenate((phi[s:], phi[:s]))
-        if (phi[1:] < phi[:-1]).any():
-            return None
-        return _read_only(np.concatenate((z[s:], z[:s], z[s:s + 1])), phi)
+        return _read_only(*_walk_of(z))
 
     def __repr__(self):
         return f"ConvexBody({self.vertex_count} vertices, dim={self.dim})"
@@ -446,12 +427,13 @@ def hull(points) -> ConvexBody:
     """Convex hull as a minimal extreme-vertex body.
 
     Idempotent: ``hull(body.vertices)`` reproduces the body.  A 2-D body
-    carries the counterclockwise ring of its chain (:func:`_with_ring`).
+    stores the walk of the counterclockwise ring of its chain
+    (:func:`_walk_of`, :func:`_with_walk`).
     """
     P = _dedup(_as_points(points))
     V = P[_extreme_indices(P)]
     if P.shape[1] == 2:
-        return _with_ring(V.view(complex)[:, 0])
+        return _with_walk(*_walk_of(V.view(complex)[:, 0]))
     return ConvexBody(_canonical(V))
 
 
@@ -463,31 +445,39 @@ def _normal_angles(z: np.ndarray) -> np.ndarray:
     return np.arctan2(-E.real, E.imag)  # E rotated clockwise: outward for a CCW ring
 
 
-def _with_ring(z: np.ndarray) -> ConvexBody:
-    """Body of the counterclockwise ring ``z`` of the extreme vertices of a
-    2-D body, which may start anywhere: the vertices in canonical order,
-    with :attr:`ConvexBody._ring` set to ``z`` rotated to start at the
-    first of them."""
-    V = z.view(float).reshape(-1, 2)
-    order = np.lexsort(V.T[::-1])
-    body = ConvexBody(V[order])
-    s = int(order[0])
-    body.__dict__["_ring"] = np.concatenate((z[s:], z[:s]))
-    return body
+def _open(ring: np.ndarray) -> np.ndarray:
+    """The ring of a walk without its closing copy; a point is itself."""
+    return ring[:len(ring) - 1 or 1]
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays, marked read-only, as a tuple."""
+def _walk_of(z: np.ndarray):
+    """The walk ``(ring, angles)`` (see :attr:`ConvexBody._walk`) of the
+    counterclockwise ring ``z`` of complex vertices, which may start
+    anywhere: the angles of :func:`_normal_angles` started at the least,
+    and ``z`` started where that edge starts.  Angles that do not ascend
+    give ``angles = None`` and ``z`` as it starts."""
+    if len(z) == 1:
+        return z, np.empty(0)
+    phi = _normal_angles(z)
+    s = int(np.argmin(phi))
+    phi = np.concatenate((phi[s:], phi[:s]))
+    if (phi[1:] < phi[:-1]).any():
+        s, phi = 0, None
+    return np.concatenate((z[s:], z[:s], z[s:s + 1])), phi
+
+
+def _read_only(*arrays) -> tuple:
+    """The arrays, marked read-only, as a tuple; None stays None."""
     for x in arrays:
-        x.setflags(write=False)
+        if x is not None:
+            x.setflags(write=False)
     return arrays
 
 
-def _with_walk(z: np.ndarray, phi: np.ndarray) -> ConvexBody:
+def _with_walk(z: np.ndarray, phi: np.ndarray | None) -> ConvexBody:
     """Body of the walk ``(z, phi)`` (see :attr:`ConvexBody._walk`): the
-    vertices of its ring in canonical order, carrying the walk, from
-    which :attr:`ConvexBody._ring` is rotated when first read."""
-    V = z[:len(phi) or 1].view(float).reshape(-1, 2)
+    vertices of its ring in canonical order, storing the walk."""
+    V = _open(z).view(float).reshape(-1, 2)
     body = ConvexBody(V[np.lexsort(V.T[::-1])])
     body.__dict__["_walk"] = _read_only(z, phi)
     return body
@@ -506,18 +496,17 @@ def _merged_sum(a: ConvexBody, b: ConvexBody):
     the same float sum the pairwise cloud of :func:`minkowski_sum` holds.
     The vertex between two edges of exactly equal angle is dropped.  A
     one-vertex operand translates the other's walk, by the same float
-    sums.  The sum carries the merged walk: its ring, and the angles of
+    sums.  The sum stores the merged walk: its ring, and the angles of
     the operands' edges, one per run of equal angles.  The merge is
-    certified when both operands have a walk and every vertex of the sum
+    certified when both walks have angles and every vertex of the sum
     lies more than ``tolerance(REL_TOL, box)`` to the outside of the
     chord of its two neighbours (so every edge is longer than that too);
     a translate of fewer than three vertices needs only its vertices that
     far apart.  Then it is the body :func:`hull` gives.
     """
-    wa, wb = a._walk, b._walk
-    if wa is None or wb is None:
+    (za, pa), (zb, pb) = a._walk, b._walk
+    if pa is None or pb is None:
         return None
-    (za, pa), (zb, pb) = wa, wb
     if len(pa) == 0 or len(pb) == 0:
         z, phi = za + zb, (pb if len(pa) == 0 else pa)
     else:
@@ -535,7 +524,7 @@ def _merged_sum(a: ConvexBody, b: ConvexBody):
         if len(z) < 3:
             return None
         z = np.concatenate((z, z[:1]))
-    box = box_of(z[:len(phi) or 1].view(float).reshape(-1, 2))
+    box = box_of(_open(z).view(float).reshape(-1, 2))
     tol = tolerance(REL_TOL, box)
     if len(phi) == 2 and abs(z[1] - z[0]) <= tol:
         return None
@@ -568,10 +557,9 @@ def minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
 def scale(a: ConvexBody, lam: float) -> ConvexBody:
     """Scale a body by a nonnegative factor; lam = 0 gives the origin.
 
-    A 2-D body's walk is scaled along: the result carries ``lam`` times
-    the walk's ring and the same angles (:func:`_with_walk`); a body
-    without a walk carries ``lam`` times its ring.  The merge tolerance
-    scales along too, so nothing is merged.
+    A 2-D body's walk is scaled along: the result stores ``lam`` times
+    the walk's ring and the same angles (:func:`_with_walk`).  The merge
+    tolerance scales along too, so nothing is merged.
     """
     lam = float(lam)
     if lam < 0.0:
@@ -580,8 +568,6 @@ def scale(a: ConvexBody, lam: float) -> ConvexBody:
         return ConvexBody(np.zeros((1, a.dim)))
     if a.dim != 2:
         return ConvexBody(_canonical(lam * a.vertices))
-    if a._walk is None:
-        return _with_ring((lam * a._ring.view(float)).view(complex))
     z, phi = a._walk
     return _with_walk((lam * z.view(float)).view(complex), phi)
 
@@ -917,15 +903,17 @@ def normal_fan(bodies: Sequence[ConvexBody]) -> NormalFan:
     every body's support is attained at one vertex, the one its walk
     (:attr:`ConvexBody._walk`) reaches at the middle of the arc: that of
     ``ring[k]``, with ``k`` the number of its angles below the middle.  A
-    point repeats itself in every cell, and a body without a walk is read
-    through its hull.  A family of points has no normals and gives a
-    single cell, the whole circle, starting at direction ``(1, 0)``.
+    point repeats itself in every cell, and a body whose walk has no
+    angles is read through its hull.  A family of points has no normals
+    and gives a single cell, the whole circle, starting at direction
+    ``(1, 0)``.
     """
     if len(bodies) == 0:
         raise GeometryError("need at least one body")
     if any(body.dim != 2 for body in bodies):
         raise GeometryError("normal fans are built for 2-D bodies only")
-    walks = [body._walk or hull(body.vertices)._walk for body in bodies]
+    walks = [(body if body._walk[1] is not None else hull(body.vertices))._walk
+             for body in bodies]
     angles = np.unique(np.concatenate([phi for _, phi in walks]))
     if len(angles) == 0:
         angles = np.zeros(1)

@@ -21,8 +21,9 @@ count kernel, which maps the block to its statistic with array
 operations, at a cost per checkpoint independent of the sample size; it
 fills one ``(R, S, k)`` array, the report's records.
 The body path (fold the mean body with ``weighted_sum``, then measure
-it) stays as the oracle: in 2-D the fold merges the bodies' walks (each
-ring with its sorted edge angles, ``geometry.ConvexBody._walk``), with
+it) stays as the oracle: in 2-D the fold merges the bodies' walks (the
+one boundary a 2-D body stores, its ring with its sorted edge angles,
+``geometry.ConvexBody._walk``, which ``hull`` builds with each atom), with
 qhull where a merge is not certified.  The normal fan reads the atoms'
 walks too: it takes each atom's vertex per cell from its walk, where the
 fold merges the scaled walks into the mean's, and a misordered merge

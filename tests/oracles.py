@@ -50,7 +50,6 @@ from setmeans.geometry import (
     _as_vector,
     _canonical,
     _min_norm_point,
-    _with_ring,
     box_of,
     hausdorff,
     hull,
@@ -181,7 +180,7 @@ def rederived_minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
     if ((len(z) == 2 and abs(z[1] - z[0]) <= tol)
             or (len(z) > 2 and ((before.conj() * E).imag <= tol * np.abs(before + E)).any())):
         return qhull_minkowski_sum(a, b)
-    return _with_ring(z)
+    return ConvexBody(_canonical(z.view(float).reshape(-1, 2)))
 
 
 def rederived_weighted_sum(bodies, coefs) -> ConvexBody:

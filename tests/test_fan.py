@@ -145,7 +145,7 @@ def test_fan_vertices_are_the_argmax_at_the_middle_of_each_cell():
     # a raw body whose ring does not turn one way is read through its hull
     bent = ConvexBody(np.array([[-1.03, -1.37], [-1.01, 0.49], [-0.8, 0.12], [-0.01, -0.35],
                                 [0.08, 1.34]]))
-    assert bent._walk is None
+    assert bent._walk[1] is None
     assert normal_fan([bent]).vertices.tobytes() == normal_fan([hull(bent.vertices)]).vertices.tobytes()
 
 

@@ -463,6 +463,10 @@ def test_metric_axioms_on_random_triples():
 # ---------------------------------------------------------------------------
 # Minkowski sums by ring merge
 
+# a raw ring that does not turn one way: a vertex is not extreme
+BENT = np.array([[-1.03, -1.37], [-1.01, 0.49], [-0.8, 0.12], [-0.01, -0.35], [0.08, 1.34]])
+
+
 @st.composite
 def generic_pairs(draw):
     """Two hulls of 3..8 Gaussian points from one random stream (generic:
@@ -547,8 +551,7 @@ def test_an_uncertified_merge_falls_back_to_the_qhull_sum():
         (triangle(), hull([(0, 0), (1, 1e-13)])),                # a vertex on a chord
         (triangle(), hull([(0, 0), (1e-12, 1), (1, 0)])),        # an edge below tolerance
         # rings that do not turn one way: each has a vertex that is not extreme
-        (ConvexBody(np.array([[-1.03, -1.37], [-1.01, 0.49], [-0.8, 0.12], [-0.01, -0.35],
-                              [0.08, 1.34]])),
+        (ConvexBody(BENT),
          ConvexBody(np.array([[-1.59, -0.73], [0.12, -0.65], [0.77, 0.25], [0.99, -0.63]]))),
     ]
     cube = hull(np.array(np.meshgrid([0, 1], [0, 1], [0, 1])).reshape(3, -1).T)
@@ -564,14 +567,22 @@ def test_merged_and_scaled_bodies_carry_the_ring_a_fresh_sort_gives():
         P = rng.normal(size=(7, 2))
         a = hull(P + rng.uniform(-1e3, 1e3, size=2))
         unread = ConvexBody(a.vertices.copy())   # its ring is sorted when scale reads it
-        bodies = [a, hull(P[:2]), hull(P[:1]), hull(P + 1e6)]
-        assert all("_ring" in vars(body) for body in bodies)   # before a merge reads a's ring
-        bodies += [minkowski_sum(a, hull(rng.normal(size=(5, 2)))),
-                   scale(a, rng.uniform(1e-3, 1e3)), scale(unread, rng.uniform(1e-3, 1e3)),
-                   minkowski_sum(square(), a)]   # the merge starts atop the square's left edge
+        bodies = [a, hull(P[:2]), hull(P[:1]), hull(P + 1e6),
+                  minkowski_sum(a, hull(rng.normal(size=(5, 2)))),
+                  scale(a, rng.uniform(1e-3, 1e3)), scale(unread, rng.uniform(1e-3, 1e3)),
+                  minkowski_sum(square(), a)]   # the merge starts atop the square's left edge
+        assert all("_walk" in vars(body) and "_ring" not in vars(body) for body in bodies)
+        # raw bodies: a ring that does not turn one way, scaled, and a near-flat support face
+        turn = rng.uniform(0.0, 2.0 * np.pi)
+        turn = np.array([[np.cos(turn), np.sin(turn)], [-np.sin(turn), np.cos(turn)]])
+        top = np.array([[0.0, 0.0], [1.0, 1e-10], [2.0, 0.0], [1.0, -1.0]]) @ turn
+        bent = ConvexBody(BENT)
+        bodies += [bent, scale(bent, rng.uniform(1e-3, 1e3)),
+                   support_face(hull(top + P[0]), turn[1]).face]
+        assert bodies[-1].vertex_count == 3
         for body in bodies:
-            assert "_ring" in vars(body) or "_walk" in vars(body)   # a walk's ring is rotated, not sorted
             fresh = ConvexBody(body.vertices.copy())
+            assert body._ring[0] == body.vertices.view(complex)[0, 0]   # the order of argmin ties
             assert body._ring.tobytes() == fresh._ring.tobytes()
             V = body.vertices
             X = np.vstack([V, (V + np.roll(V, 1, axis=0)) / 2,
@@ -616,7 +627,7 @@ def carries_a_walk_of_its_ring(body):
     assert len(ring) == len(phi) + 1
     assert (phi[1:] >= phi[:-1]).all()
     s = int(np.flatnonzero(body._ring == ring[0])[0])
-    assert ring[:len(phi) or 1].tobytes() == np.roll(body._ring, -s).tobytes()
+    assert ring[:len(ring) - 1 or 1].tobytes() == np.roll(body._ring, -s).tobytes()
     assert ring[-1] == ring[0]
     return ring, phi
 
@@ -642,9 +653,10 @@ def test_hulls_and_raw_bodies_derive_their_walk_once_from_their_ring():
     rng = np.random.default_rng(7)
     raw_polygon = ConvexBody(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0], [2.0, 1.0]]))
     flat = ConvexBody(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))  # as a support face holds it
-    for body in [hull(rng.normal(size=(9, 2))), hull([(0, 0), (1, 2)]), hull([(3, 4)]),
-                 hull(rng.normal(size=(9, 2)) + 1e6), raw_polygon, flat]:
-        assert "_walk" not in vars(body)
+    hulls = [hull(rng.normal(size=(9, 2))), hull([(0, 0), (1, 2)]), hull([(3, 4)]),
+             hull(rng.normal(size=(9, 2)) + 1e6)]
+    for body in hulls + [raw_polygon, flat]:
+        assert ("_walk" in vars(body)) == any(body is h for h in hulls)   # raw: derived when read
         ring, phi = carries_a_walk_of_its_ring(body)
         assert body._walk is body._walk
         if len(phi):
@@ -652,11 +664,12 @@ def test_hulls_and_raw_bodies_derive_their_walk_once_from_their_ring():
             angles = np.arctan2(-E.real, E.imag)   # outer normals of a counterclockwise ring
             s = int(np.argmin(angles))
             assert phi.tobytes() == np.roll(angles, -s).tobytes()
-    # a raw ring that does not turn one way: a vertex is not extreme
-    bent = ConvexBody(np.array([[-1.03, -1.37], [-1.01, 0.49], [-0.8, 0.12], [-0.01, -0.35],
-                                [0.08, 1.34]]))
-    assert bent._walk is None
-    assert "_walk" not in vars(scale(bent, 2.0))
+    bent = ConvexBody(BENT)
+    ring, phi = bent._walk
+    assert phi is None and ring[0] == ring[-1] == bent._ring[0]   # the centroid sort, closed
+    twice = scale(bent, 2.0)
+    assert twice._walk[1] is None
+    assert twice._ring.tobytes() == (2.0 * bent._ring.view(float)).view(complex).tobytes()
     assert _merged_sum(bent, square()) is None and _merged_sum(hull([(1, 1)]), bent) is None
 
 
