@@ -3,7 +3,10 @@
 Each experiment draws i.i.d. outcomes of a finitely supported random
 body, forms Minkowski sample means at checkpoint sizes and records a
 boundary-local statistic per (replication, size).  Verdicts compare the
-empirical distributions against the analytic limits.
+empirical distributions against the analytic limits; each kind's come
+from one pure judge, ``_judge_<kind>``, a function of the law quantities,
+the config and the records (and the side values a kind reads but does
+not record) that makes no draws.
 
 Draw ``i`` of replication ``r`` is keyed by ``(master_seed, r, i)``, so
 reports are reproducible bit-for-bit and replications are order
@@ -134,7 +137,10 @@ class ExperimentReport:
 
     ``records`` is an ``(R, S, k)`` float array: entry ``[r, s]`` holds
     the ``k`` statistic components of replication ``r`` at
-    ``config["sample_sizes"][s]``; every verdict is recomputable from it.
+    ``config["sample_sizes"][s]``.  The kind's judge computes ``moments``,
+    ``verdicts`` and the echoed thresholds from them, the config, the law
+    quantities and the side values that are not in the records:
+    clt-tangent's face gaps and clt-facet's excursion count.
     """
 
     experiment: str
@@ -152,9 +158,11 @@ class ExperimentReport:
 
 
 def _report(kind: str, config: ExperimentConfig, t0: float, records: np.ndarray,
-            moments: dict, verdicts: dict, **echo) -> ExperimentReport:
-    """The report of a ``kind`` run started at ``t0``; its ``config``
-    echoes ``config`` followed by ``echo`` (the vector and thresholds)."""
+            judged: tuple[dict, dict, dict]) -> ExperimentReport:
+    """The report of a ``kind`` run started at ``t0``, from its judge's
+    ``(moments, verdicts, echo)``; its ``config`` echoes ``config``
+    followed by ``echo`` (the vector and thresholds)."""
+    moments, verdicts, echo = judged
     return ExperimentReport(
         experiment=kind,
         config={"master_seed": config.master_seed, "sample_sizes": list(config.sample_sizes),
@@ -166,29 +174,28 @@ def _report(kind: str, config: ExperimentConfig, t0: float, records: np.ndarray,
     )
 
 
-def _check_ks_sample(config: ExperimentConfig, ks: bool) -> None:
-    """Reject, before any draw, a run whose KS verdict (``ks``) would get
-    fewer than ``stats.KS_MIN_OBSERVATIONS`` replications per size."""
-    if ks and config.replications < stats.KS_MIN_OBSERVATIONS:
+def _ks_applies(config: ExperimentConfig, variances=np.inf, tol: float = 0.0) -> np.ndarray:
+    """Whether each limit of ``variances`` gets a KS verdict (by default
+    the one limit does): a variance of at most ``tol ** 2`` (``tol`` the
+    law's round-off) is 0 and gets none.  Decided once per run, before any
+    draw: a KS verdict with fewer than ``stats.KS_MIN_OBSERVATIONS``
+    replications per size raises."""
+    ks = np.asarray(variances) > tol * tol
+    if ks.any() and config.replications < stats.KS_MIN_OBSERVATIONS:
         raise ValueError(f"the KS verdict needs at least {stats.KS_MIN_OBSERVATIONS} "
                          f"replications, got {config.replications}")
+    return ks
 
 
-def _normal_ks(variance: float, tol: float) -> bool:
-    """Whether a normal limit of ``variance`` gets a KS verdict: a variance
-    of at most ``tol ** 2`` (``tol`` the law's round-off) is 0."""
-    return variance > tol * tol
-
-
-def _normal_limit(final: np.ndarray, variance: float, tol: float, zero_bound: float,
+def _normal_limit(final: np.ndarray, variance: float, ks: bool, zero_bound: float,
                   **zero_echo) -> dict:
     """``variance`` and ``ks_normality`` verdicts of the sample ``final``
     against its limit N(0, variance).  A variance that gets no KS verdict
-    (:func:`_normal_ks`) is 0: then only ``variance`` is judged,
-    the empirical variance must stay within ``zero_bound``, and
+    (``ks`` false, see :func:`_ks_applies`) is 0: then only ``variance``
+    is judged, the empirical variance must stay within ``zero_bound``, and
     ``zero_echo`` joins the verdict."""
     emp_var = float(final.var(ddof=1))
-    if not _normal_ks(variance, tol):
+    if not ks:
         return {"variance": {"pass": emp_var <= zero_bound, "observed": emp_var,
                              "expected": 0.0, **zero_echo}}
     D, p = stats.ks_test_normal(final, 0.0, float(np.sqrt(variance)))
@@ -472,7 +479,118 @@ def _facet_kernel(counts: np.ndarray, facet_atoms: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# experiments
+# judges: (law quantities, config, records[, side values]) -> (moments, verdicts,
+# echo), with no draws and no geometry beyond the quantities given; ``tol`` is
+# the law's tolerance, ``ks`` which limits get a KS verdict (:func:`_ks_applies`)
+
+def _judge_lln(config: ExperimentConfig, records: np.ndarray) -> tuple[dict, dict, dict]:
+    sizes = config.sample_sizes
+    medians = [float(np.median(dist)) for dist in records[..., 0].T]
+    moments = {"median_by_size": [{"N": n, "median": m} for n, m in zip(sizes, medians)]}
+    verdicts = {"final_median": {"pass": medians[-1] <= MEDIAN_MAX, "observed": medians[-1],
+                                 "threshold": MEDIAN_MAX, "N": sizes[-1]}}
+    if len(sizes) >= 3 and all(m > 0.0 for m in medians):
+        slope, intercept = stats.loglog_slope(list(sizes), medians)
+        moments.update(slope=slope, intercept=intercept)
+        verdicts["slope"] = {"pass": SLOPE_RANGE[0] <= slope <= SLOPE_RANGE[1],
+                             "observed": slope, "range": list(SLOPE_RANGE)}
+    return moments, verdicts, {"median_max": MEDIAN_MAX, "slope_range": list(SLOPE_RANGE)}
+
+
+def _judge_clt_hausdorff(tol: float, config: ExperimentConfig,
+                         records: np.ndarray) -> tuple[dict, dict, dict]:
+    sizes = config.sample_sizes
+    by_size = records[..., 0].T
+    ties = np.sqrt(sizes[-1]) * tol
+    pairs = []
+    for s in range(1, len(sizes)):
+        d, p = stats.ks_two_sample(by_size[s - 1], by_size[s], ties)
+        pairs.append({"sizes": [sizes[s - 1], sizes[s]], "D": d, "p": p})
+    moments = {"mean_by_size": [{"N": n, "mean": float(x.mean())} for n, x in zip(sizes, by_size)],
+               "ks_pairs": pairs}
+    verdicts = {"ks_stability": {"pass": all(pair["p"] > KS_ALPHA for pair in pairs),
+                                 "alpha": KS_ALPHA, "pairs": pairs}}
+    return moments, verdicts, {"ks_alpha": KS_ALPHA}
+
+
+def _judge_clt_exposed(direction, sigma: np.ndarray, ks: np.ndarray, tol: float,
+                       config: ExperimentConfig, records: np.ndarray) -> tuple[dict, dict, dict]:
+    """``sigma`` is the selection covariance, ``ks`` one flag per axis."""
+    final_n = config.sample_sizes[-1]
+    final = records[:, -1]
+    emp_mean, emp_cov = stats.mean_and_covariance(final)
+    moments = {"final_N": final_n, "empirical_mean": emp_mean.tolist(),
+               "empirical_covariance": emp_cov.tolist(), "analytic_covariance": sigma.tolist()}
+    cov_err = float(np.abs(emp_cov - sigma).max())
+    verdicts = {"covariance": {"pass": cov_err <= COV_ATOL, "max_abs_error": cov_err,
+                               "tolerance": COV_ATOL}}
+    # at least the records' round-off, sqrt(N) times the law's tolerance
+    mean_bound = max(4.0 * float(np.sqrt(np.trace(sigma) / len(final))),
+                     float(np.sqrt(final_n) * tol))
+    mean_norm = float(np.linalg.norm(emp_mean))
+    verdicts["mean_near_zero"] = {"pass": mean_norm <= mean_bound, "observed": mean_norm,
+                                  "threshold": mean_bound}
+    moments["ks_by_axis"] = ks_by_axis = []
+    for axis in np.flatnonzero(ks).tolist():
+        D, p = stats.ks_test_normal(final[:, axis], 0.0, float(np.sqrt(sigma[axis, axis])))
+        ks_by_axis.append({"axis": axis, "D": D, "p": p})
+    if ks_by_axis:
+        verdicts["ks_normality"] = {"pass": all(entry["p"] > KS_ALPHA for entry in ks_by_axis),
+                                    "alpha": KS_ALPHA, "axes": ks_by_axis}
+    return moments, verdicts, {"direction": list(np.asarray(direction, dtype=float)),
+                               "cov_atol": COV_ATOL, "ks_alpha": KS_ALPHA}
+
+
+def _judge_clt_tangent(direction, sigma2: float, ks: bool, tol: float, envelope: float,
+                       config: ExperimentConfig, records: np.ndarray,
+                       gaps: np.ndarray) -> tuple[dict, dict, dict]:
+    """``sigma2`` is the limit variance, ``envelope`` the law's."""
+    final_n = config.sample_sizes[-1]
+    verdicts = _normal_limit(records[:, -1, 0], sigma2, ks, final_n * tol * tol)
+    gap_means = [float(np.mean(gap)) for gap in gaps.T]
+    moments = {"final_N": final_n, "empirical_variance": verdicts["variance"]["observed"],
+               "analytic_variance": sigma2,
+               "face_gap_by_size": [{"N": n, "mean_gap": m}
+                                    for n, m in zip(config.sample_sizes, gap_means)]}
+    gap_threshold = float(4.0 * envelope / np.sqrt(final_n))
+    verdicts["face_gap"] = {"pass": gap_means[-1] <= gap_threshold, "observed": gap_means[-1],
+                            "threshold": gap_threshold}
+    return moments, verdicts, {"direction": list(np.asarray(direction, dtype=float)),
+                               "variance_rtol": VARIANCE_RTOL, "ks_alpha": KS_ALPHA}
+
+
+def _judge_clt_facet(point: np.ndarray, predicted_var: float, ks: bool, base_distance: float,
+                     nearest: np.ndarray, config: ExperimentConfig, records: np.ndarray,
+                     excursions: int) -> tuple[dict, dict, dict]:
+    """``base_distance`` and ``nearest`` are the expectation's distance
+    from ``point`` and its nearest point to it."""
+    verdicts = _normal_limit(records[:, -1, 0], predicted_var, ks, DEGENERATE_ATOL,
+                             tolerance=DEGENERATE_ATOL)
+    moments = {"final_N": config.sample_sizes[-1],
+               "empirical_variance": verdicts["variance"]["observed"],
+               "predicted_variance": predicted_var, "base_distance": float(base_distance),
+               "nearest_point": nearest.tolist(), "excursions": excursions}
+    return moments, verdicts, {"point": list(point), "variance_rtol": VARIANCE_RTOL,
+                               "degenerate_atol": DEGENERATE_ATOL, "ks_alpha": KS_ALPHA}
+
+
+def _judge_facet_frequency(direction, p_facet: float, config: ExperimentConfig,
+                           records: np.ndarray) -> tuple[dict, dict, dict]:
+    """``p_facet`` is the facet atoms' total weight."""
+    per_size = []
+    for n, flags in zip(config.sample_sizes, records[..., 0].T):
+        expected = 1.0 - (1.0 - p_facet) ** n
+        successes, trials = int(flags.sum()), len(flags)
+        per_size.append({"N": n, "expected": expected, "frequency": successes / trials,
+                         "in_band": stats.binomial_band(trials, expected, successes)})
+    moments = {"p_facet": p_facet, "frequency_by_size": per_size}
+    verdicts = {"binomial_band": {"pass": all(entry["in_band"] for entry in per_size),
+                                  "per_size": per_size}}
+    return moments, verdicts, {"direction": list(np.asarray(direction, dtype=float))}
+
+
+# ---------------------------------------------------------------------------
+# experiments: the law quantities and preconditions, the statistic, the judge
 
 def lln_experiment(y: DiscreteRandomSet, config: ExperimentConfig) -> ExperimentReport:
     """Distance of the sample mean to the expectation, with rate check.
@@ -484,27 +602,7 @@ def lln_experiment(y: DiscreteRandomSet, config: ExperimentConfig) -> Experiment
     """
     t0 = time.perf_counter()
     records = _distances(y, config)
-    sizes = config.sample_sizes
-    medians = [float(np.median(dist)) for dist in records[..., 0].T]
-    moments = {"median_by_size": [{"N": n, "median": m} for n, m in zip(sizes, medians)]}
-    verdicts = {}
-    verdicts["final_median"] = {
-        "pass": medians[-1] <= MEDIAN_MAX,
-        "observed": medians[-1],
-        "threshold": MEDIAN_MAX,
-        "N": sizes[-1],
-    }
-    if len(sizes) >= 3 and all(m > 0.0 for m in medians):
-        slope, intercept = stats.loglog_slope(list(sizes), medians)
-        moments["slope"] = slope
-        moments["intercept"] = intercept
-        verdicts["slope"] = {
-            "pass": SLOPE_RANGE[0] <= slope <= SLOPE_RANGE[1],
-            "observed": slope,
-            "range": list(SLOPE_RANGE),
-        }
-    return _report("lln", config, t0, records, moments, verdicts,
-                   median_max=MEDIAN_MAX, slope_range=list(SLOPE_RANGE))
+    return _report("lln", config, t0, records, _judge_lln(config, records))
 
 
 def clt_hausdorff_experiment(y: DiscreteRandomSet, config: ExperimentConfig) -> ExperimentReport:
@@ -517,28 +615,11 @@ def clt_hausdorff_experiment(y: DiscreteRandomSet, config: ExperimentConfig) -> 
     """
     if len(config.sample_sizes) < 2:
         raise ValueError("stability check needs at least two sample sizes")
-    _check_ks_sample(config, True)
+    _ks_applies(config)
     t0 = time.perf_counter()
-    sizes = config.sample_sizes
-    records = np.sqrt(sizes)[:, None] * _distances(y, config)
-    by_size = records[..., 0].T
-    ties = np.sqrt(sizes[-1]) * tolerance(REL_TOL, y.box)
-    pairs = []
-    for s in range(1, len(sizes)):
-        d, p = stats.ks_two_sample(by_size[s - 1], by_size[s], ties)
-        pairs.append({"sizes": [sizes[s - 1], sizes[s]], "D": d, "p": p})
-    moments = {
-        "mean_by_size": [{"N": n, "mean": float(x.mean())} for n, x in zip(sizes, by_size)],
-        "ks_pairs": pairs,
-    }
-    verdicts = {
-        "ks_stability": {
-            "pass": all(pair["p"] > KS_ALPHA for pair in pairs),
-            "alpha": KS_ALPHA,
-            "pairs": pairs,
-        }
-    }
-    return _report("clt-hausdorff", config, t0, records, moments, verdicts, ks_alpha=KS_ALPHA)
+    records = np.sqrt(config.sample_sizes)[:, None] * _distances(y, config)
+    return _report("clt-hausdorff", config, t0, records,
+                   _judge_clt_hausdorff(tolerance(REL_TOL, y.box), config, records))
 
 
 def clt_exposed_experiment(y: DiscreteRandomSet, direction,
@@ -549,55 +630,20 @@ def clt_exposed_experiment(y: DiscreteRandomSet, direction,
     Verdicts (on the largest size): empirical covariance within
     ``COV_ATOL`` entrywise of the analytic selection covariance, KS
     normality per non-degenerate coordinate, and near-zero empirical
-    mean.  Every atom face is a point, so no mean's face is tied.
+    mean: its norm within ``4 sqrt(trace / R)`` of the analytic
+    covariance, or within the records' round-off when that is larger.
+    Every atom face is a point, so no mean's face is tied.
     """
     t0 = time.perf_counter()
     selection = exposed_selection(y, direction)  # raises NotExposed if blocked
-    target = selection.mean
     sigma = selection.covariance
-    ks_axes = [a for a in range(y.dim) if _normal_ks(sigma[a, a], tolerance(REL_TOL, y.box))]
-    _check_ks_sample(config, bool(ks_axes))
+    tol = tolerance(REL_TOL, y.box)
+    ks = _ks_applies(config, np.diag(sigma), tol)
 
     points = _exposed_points(y, norm_gradient(direction), config)
-    records = np.sqrt(config.sample_sizes)[:, None] * (points - target)
-
-    final_n = config.sample_sizes[-1]
-    final = records[:, -1]
-    emp_mean, emp_cov = stats.mean_and_covariance(final)
-    moments = {
-        "final_N": final_n,
-        "empirical_mean": emp_mean.tolist(),
-        "empirical_covariance": emp_cov.tolist(),
-        "analytic_covariance": sigma.tolist(),
-    }
-    cov_err = float(np.abs(emp_cov - sigma).max())
-    verdicts = {
-        "covariance": {
-            "pass": cov_err <= COV_ATOL,
-            "max_abs_error": cov_err,
-            "tolerance": COV_ATOL,
-        }
-    }
-    mean_bound = 4.0 * float(np.sqrt(np.trace(sigma) / len(final)))
-    verdicts["mean_near_zero"] = {
-        "pass": float(np.linalg.norm(emp_mean)) <= mean_bound,
-        "observed": float(np.linalg.norm(emp_mean)),
-        "threshold": mean_bound,
-    }
-    ks = []
-    for axis in ks_axes:
-        D, p = stats.ks_test_normal(final[:, axis], 0.0, float(np.sqrt(sigma[axis, axis])))
-        ks.append({"axis": axis, "D": D, "p": p})
-    moments["ks_by_axis"] = ks
-    if ks:
-        verdicts["ks_normality"] = {
-            "pass": all(entry["p"] > KS_ALPHA for entry in ks),
-            "alpha": KS_ALPHA,
-            "axes": ks,
-        }
-    return _report("clt-exposed", config, t0, records, moments, verdicts,
-                   direction=list(np.asarray(direction, dtype=float)),
-                   cov_atol=COV_ATOL, ks_alpha=KS_ALPHA)
+    records = np.sqrt(config.sample_sizes)[:, None] * (points - selection.mean)
+    return _report("clt-exposed", config, t0, records,
+                   _judge_clt_exposed(direction, sigma, ks, tol, config, records))
 
 
 def clt_tangent_experiment(y: DiscreteRandomSet, direction,
@@ -615,30 +661,13 @@ def clt_tangent_experiment(y: DiscreteRandomSet, direction,
     s_expected = support(expectation(y), u)
     sizes = np.array(config.sample_sizes)
     tol = tolerance(REL_TOL, y.box)   # a support value's round-off; records are sqrt(N) times it
-    _check_ks_sample(config, _normal_ks(sigma2, tol))
+    ks = bool(_ks_applies(config, sigma2, tol))
 
     totals, gaps = _tangent_values(y, u, config)
     records = ((totals - sizes * s_expected) / np.sqrt(sizes))[..., None]
-
-    final_n = config.sample_sizes[-1]
-    verdicts = _normal_limit(records[:, -1, 0], sigma2, tol, final_n * tol * tol)
-    gap_means = [float(np.mean(gap)) for gap in gaps.T]
-    moments = {
-        "final_N": final_n,
-        "empirical_variance": verdicts["variance"]["observed"],
-        "analytic_variance": sigma2,
-        "face_gap_by_size": [{"N": n, "mean_gap": m}
-                             for n, m in zip(config.sample_sizes, gap_means)],
-    }
-    gap_threshold = 4.0 * y.envelope / np.sqrt(final_n)
-    verdicts["face_gap"] = {
-        "pass": gap_means[-1] <= gap_threshold,
-        "observed": gap_means[-1],
-        "threshold": float(gap_threshold),
-    }
-    return _report("clt-tangent", config, t0, records, moments, verdicts,
-                   direction=list(np.asarray(direction, dtype=float)),
-                   variance_rtol=VARIANCE_RTOL, ks_alpha=KS_ALPHA)
+    return _report("clt-tangent", config, t0, records,
+                   _judge_clt_tangent(direction, sigma2, ks, tol, y.envelope, config, records,
+                                      gaps))
 
 
 def clt_facet_experiment(y: DiscreteRandomSet, point, config: ExperimentConfig) -> ExperimentReport:
@@ -661,34 +690,22 @@ def clt_facet_experiment(y: DiscreteRandomSet, point, config: ExperimentConfig) 
         raise InsideBody("query point lies inside the expectation")
     k = nearest_point(ey, x)
     outward = norm_gradient(k - x)
-    facet_functional = -outward
     selection, compatible = nearest_point_selection(y, x)
     if not compatible:
         raise IncompatibleSelection(
             "mean of the per-atom nearest points differs from the nearest point "
             "of the expectation; the facet limit does not apply"
         )
-    if not is_facet_at(ey, k, facet_functional):
+    if not is_facet_at(ey, k, -outward):
         raise NoFacet("nearest point of the expectation is not interior to a facet")
     predicted_var = float(outward @ selection.covariance @ outward)
-    _check_ks_sample(config, _normal_ks(predicted_var, tol))
+    ks = bool(_ks_applies(config, predicted_var, tol))
 
-    values = _facet_values(y, x, facet_functional, config)
+    values = _facet_values(y, x, -outward, config)
     records = (np.sqrt(config.sample_sizes) * (values[..., 0] - base_distance))[..., None]
-
-    verdicts = _normal_limit(records[:, -1, 0], predicted_var, tol, DEGENERATE_ATOL,
-                             tolerance=DEGENERATE_ATOL)
-    moments = {
-        "final_N": config.sample_sizes[-1],
-        "empirical_variance": verdicts["variance"]["observed"],
-        "predicted_variance": predicted_var,
-        "base_distance": float(base_distance),
-        "nearest_point": k.tolist(),
-        "excursions": int(values[..., 1].sum()),
-    }
-    return _report("clt-facet", config, t0, records, moments, verdicts, point=list(x),
-                   variance_rtol=VARIANCE_RTOL, degenerate_atol=DEGENERATE_ATOL,
-                   ks_alpha=KS_ALPHA)
+    return _report("clt-facet", config, t0, records,
+                   _judge_clt_facet(x, predicted_var, ks, base_distance, k, config, records,
+                                    int(values[..., 1].sum())))
 
 
 def facet_frequency_experiment(y: DiscreteRandomSet, direction,
@@ -702,23 +719,6 @@ def facet_frequency_experiment(y: DiscreteRandomSet, direction,
     t0 = time.perf_counter()
     f = norm_gradient(direction)
     p_facet, _ = facet_inheritance(y, f, 1)
-
     records = _facet_flags(y, f, config)
-    per_size = []
-    all_in_band = True
-    for n, flags in zip(config.sample_sizes, records[..., 0].T):
-        expected = 1.0 - (1.0 - p_facet) ** n
-        successes = int(flags.sum())
-        trials = len(flags)
-        in_band = stats.binomial_band(trials, expected, successes)
-        all_in_band &= in_band
-        per_size.append({
-            "N": n,
-            "expected": expected,
-            "frequency": successes / trials,
-            "in_band": in_band,
-        })
-    moments = {"p_facet": p_facet, "frequency_by_size": per_size}
-    verdicts = {"binomial_band": {"pass": all_in_band, "per_size": per_size}}
-    return _report("facet-freq", config, t0, records, moments, verdicts,
-                   direction=list(np.asarray(direction, dtype=float)))
+    return _report("facet-freq", config, t0, records,
+                   _judge_facet_frequency(direction, p_facet, config, records))
