@@ -1,7 +1,9 @@
 """Exact convex-polytope geometry on vertex lists.
 
-Bodies are compact convex polytopes stored as minimal extreme-vertex
-arrays in lexicographic order.  That representation keeps Minkowski
+Bodies are compact convex polytopes given by minimal extreme-vertex
+arrays in lexicographic order; a 2-D body that a hull, scale or sum
+builds stores its boundary walk instead and derives that array on first
+read.  That representation keeps Minkowski
 sums, scalar scaling and support queries exact up to floating-point
 round-off, which is what the sample-mean experiments need.
 
@@ -105,33 +107,51 @@ def _edges(z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # core types
 
-@dataclass(frozen=True, eq=False)
 class ConvexBody:
     """Compact convex polytope given by its minimal extreme-vertex list.
 
     Construct bodies through :func:`hull`; the raw constructor trusts its
-    input to be a minimal, deduplicated vertex set.
+    input to be a minimal, deduplicated vertex set.  A body is immutable.
+    A 2-D body that :func:`hull`, :func:`scale` or the merge builds
+    stores only its walk (:attr:`_walk`, :func:`_with_walk`) and derives
+    :attr:`vertices` from it on first read; :attr:`dim` and
+    :attr:`vertex_count` do not read them.
     """
 
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        V = np.asarray(self.vertices, dtype=float)
+    def __init__(self, vertices):
+        V = np.asarray(vertices, dtype=float)
         if V.ndim != 2 or V.shape[0] < 1 or V.shape[1] < 1:
             raise GeometryError(f"vertex array must have shape (k>=1, d>=1), got {V.shape}")
         if not np.isfinite(V).all():
             raise GeometryError("vertices contain NaN or infinite coordinates")
         V = np.ascontiguousarray(V)
         V.setflags(write=False)
-        object.__setattr__(self, "vertices", V)
+        self.__dict__["vertices"] = V
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a ConvexBody is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a ConvexBody is immutable")
+
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        """The ``(k, d)`` vertices in lexicographic order, C-contiguous and
+        read-only.  A raw body stores them; a body built from its walk
+        derives them here, once, from the walk's ring."""
+        V = _canonical(_open(self._walk[0]).view(float).reshape(-1, 2))
+        V.setflags(write=False)
+        return V
 
     @property
     def dim(self) -> int:
-        return self.vertices.shape[1]
+        return self.vertices.shape[1] if "vertices" in self.__dict__ else 2
 
     @property
     def vertex_count(self) -> int:
-        return self.vertices.shape[0]
+        if "vertices" in self.__dict__:
+            return self.vertices.shape[0]
+        return len(_open(self._walk[0]))
 
     @cached_property
     def max_norm(self) -> float:
@@ -164,8 +184,9 @@ class ConvexBody:
         point is its own ring, with no angles.  Both arrays are read-only:
         :func:`scale` shares the angles.
 
-        :func:`hull`, :func:`scale` and the merge build it with the body
-        (:func:`_with_walk`).  A raw body derives it here, once
+        :func:`hull`, :func:`scale` and the merge build the body from it
+        (:func:`_with_walk`), and that body derives its :attr:`vertices`
+        from ``ring``.  A raw body derives the walk here, once
         (:func:`_walk_of`), from its vertices sorted by angle about their
         centroid, which lists those of a polygon counterclockwise.  Where
         one is not extreme the angles may not ascend: then ``angles`` is
@@ -475,10 +496,10 @@ def _read_only(*arrays) -> tuple:
 
 
 def _with_walk(z: np.ndarray, phi: np.ndarray | None) -> ConvexBody:
-    """Body of the walk ``(z, phi)`` (see :attr:`ConvexBody._walk`): the
-    vertices of its ring in canonical order, storing the walk."""
-    V = _open(z).view(float).reshape(-1, 2)
-    body = ConvexBody(V[np.lexsort(V.T[::-1])])
+    """Body of the walk ``(z, phi)`` (see :attr:`ConvexBody._walk`) of
+    finite vertices: it stores the walk alone and derives its
+    :attr:`~ConvexBody.vertices` from the ring on first read."""
+    body = object.__new__(ConvexBody)
     body.__dict__["_walk"] = _read_only(z, phi)
     return body
 
@@ -525,6 +546,8 @@ def _merged_sum(a: ConvexBody, b: ConvexBody):
             return None
         z = np.concatenate((z, z[:1]))
     box = box_of(_open(z).view(float).reshape(-1, 2))
+    if not math.isfinite(box[1]):
+        raise GeometryError("vertices contain NaN or infinite coordinates")
     tol = tolerance(REL_TOL, box)
     if len(phi) == 2 and abs(z[1] - z[0]) <= tol:
         return None
@@ -559,7 +582,8 @@ def scale(a: ConvexBody, lam: float) -> ConvexBody:
 
     A 2-D body's walk is scaled along: the result stores ``lam`` times
     the walk's ring and the same angles (:func:`_with_walk`).  The merge
-    tolerance scales along too, so nothing is merged.
+    tolerance scales along too, so nothing is merged.  A scale that
+    overflows a coordinate raises :class:`GeometryError`.
     """
     lam = float(lam)
     if lam < 0.0:
@@ -569,7 +593,10 @@ def scale(a: ConvexBody, lam: float) -> ConvexBody:
     if a.dim != 2:
         return ConvexBody(_canonical(lam * a.vertices))
     z, phi = a._walk
-    return _with_walk((lam * z.view(float)).view(complex), phi)
+    x = lam * z.view(float)
+    if not np.isfinite(x).all():
+        raise GeometryError("vertices contain NaN or infinite coordinates")
+    return _with_walk(x.view(complex), phi)
 
 
 def weighted_sum(bodies: Sequence[ConvexBody], coefs) -> ConvexBody:
@@ -812,11 +839,11 @@ def _fold(coefs: np.ndarray, points: np.ndarray) -> np.ndarray:
     ``weighted_sum`` builds from one point per body (``@`` may sum in
     another order), and the value of one combination does not depend on
     how many are evaluated at once."""
-    shape = coefs.shape[:-1] + (1,) * (points.ndim - 1)
-    acc = coefs[..., 0].reshape(shape) * points[0]
+    P = points.reshape(len(points), -1)   # one row per body, so each product is one long loop
+    acc = coefs[..., 0, None] * P[0]
     for j in range(1, len(points)):
-        acc = acc + coefs[..., j].reshape(shape) * points[j]
-    return acc
+        acc += coefs[..., j, None] * P[j]
+    return acc.reshape(coefs.shape[:-1] + points.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -865,13 +892,17 @@ class NormalFan:
         and ``abs`` otherwise: ``(...)`` for ``D`` of shape ``(..., m, 2)``.
         On an arc it is ``|D|`` when ``D`` (or, for ``abs``, ``-D``) points
         into the arc, and otherwise the larger endpoint value."""
-        starts, ends = (D * self.directions).sum(axis=-1), (D * self._ends).sum(axis=-1)
+        # the dot products by coordinate, rounded as np.sum rounds them: it
+        # starts from +0.0, which sets the sign of a zero
+        X, Y = D[..., 0], D[..., 1]
+        (c, s), (ce, se) = self.directions.T, self._ends.T
+        starts, ends = (0.0 + X * c) + Y * s, (0.0 + X * ce) + Y * se
         if not signed:
             starts, ends = np.abs(starts), np.abs(ends)
         # the angle of D from the arc's start, modulo 2 pi (pi to admit -D), within the span
         period = 2.0 * np.pi if signed else np.pi
-        inside = (np.arctan2(D[..., 1], D[..., 0]) - self._angles) % period <= self._spans
-        out = np.where(inside, np.hypot(D[..., 0], D[..., 1]), np.maximum(starts, ends))
+        inside = (np.arctan2(Y, X) - self._angles) % period <= self._spans
+        out = np.where(inside, np.hypot(X, Y), np.maximum(starts, ends))
         out = np.maximum(out.max(axis=-1), 0.0)
         return float(out) if out.ndim == 0 else out
 

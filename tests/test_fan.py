@@ -17,6 +17,7 @@ from setmeans.cli import parse_scene
 from setmeans.geometry import (
     ConvexBody,
     GeometryError,
+    _fold,
     hull,
     normal_fan,
     weighted_sum,
@@ -147,6 +148,46 @@ def test_fan_vertices_are_the_argmax_at_the_middle_of_each_cell():
                                 [0.08, 1.34]]))
     assert bent._walk[1] is None
     assert normal_fan([bent]).vertices.tobytes() == normal_fan([hull(bent.vertices)]).vertices.tobytes()
+
+
+def broadcast_arc_sup(fan, D, signed):
+    """``NormalFan._arc_sup`` with each dot product taken by ``np.sum``
+    over the broadcast coordinate axis: the reference for its rounding."""
+    angles = np.arctan2(fan.directions[:, 1], fan.directions[:, 0])
+    spans = np.diff(angles, append=angles[0] + 2.0 * np.pi)
+    starts = (D * fan.directions).sum(axis=-1)
+    ends = (D * np.roll(fan.directions, -1, axis=0)).sum(axis=-1)
+    if not signed:
+        starts, ends = np.abs(starts), np.abs(ends)
+    inside = (np.arctan2(D[..., 1], D[..., 0]) - angles) % (2.0 * np.pi if signed else np.pi) <= spans
+    out = np.where(inside, np.hypot(D[..., 0], D[..., 1]), np.maximum(starts, ends))
+    return np.maximum(out.max(axis=-1), 0.0)
+
+
+def test_the_kernel_rounds_as_the_broadcast_fold_and_sum():
+    """The fold over flattened rows and the dot products split by
+    coordinate give the bytes, signed zeros included, of the fold
+    broadcast over ``(..., 1, 1)`` and of ``np.sum``."""
+    rng = np.random.default_rng(8)
+    # a point, a segment and polygons, all in the negative quadrant: a zero
+    # coefficient difference folds to -0.0
+    bodies = [hull(rng.normal(size=(k, 2)) - 5.0) for k in (1, 2, 6, 9)]
+    fan, J = normal_fan(bodies), len(bodies)
+    by_body = fan.vertices.swapaxes(0, 1)
+    ref = np.full(J, 1.0 / J)
+    coefs = rng.multinomial(16, ref, size=(6, 4)) / 16.0
+    coefs[0, 0] = ref
+    for c in (coefs, coefs - ref, ref):
+        want = c[..., 0, None, None] * by_body[0]
+        for j in range(1, J):
+            want = want + c[..., j, None, None] * by_body[j]
+        assert _fold(c, by_body).tobytes() == want.tobytes()
+    D = _fold(coefs - ref, by_body)
+    assert np.signbit(D[0, 0]).any() and not D[0, 0].any()
+    assert fan.hausdorff(coefs, ref).tobytes() == broadcast_arc_sup(fan, D, False).tobytes()
+    x = fan.support_points(ref)[0]   # a vertex of the mean: zero in a cell at coefs[0, 0]
+    D = x - _fold(coefs, by_body)
+    assert fan.point_distance(coefs, x).tobytes() == broadcast_arc_sup(fan, D, True).tobytes()
 
 
 def test_fan_of_a_4000_gon_takes_memory_linear_in_its_cells():

@@ -16,6 +16,7 @@ from oracles import (
     same_body,
     translate,
 )
+from setmeans import geometry
 from setmeans.geometry import (
     FACET_REL_MARGIN,
     REL_TOL,
@@ -693,6 +694,73 @@ def test_scale_and_the_merge_carry_their_operands_angles():
                 ring, phi = carries_a_walk_of_its_ring(merged)
                 want = np.unique(np.concatenate((scaled._walk[1], b._walk[1])))
                 assert phi.tobytes() == want.tobytes()
+
+
+def derived(body):
+    """Whether the body holds a vertex array: a raw body always does, a
+    body built from its walk once ``vertices`` has been read."""
+    return "vertices" in vars(body)
+
+
+@pytest.mark.parametrize("kind", ["generic", "lattice", "sliver", "far"])
+def test_walk_built_bodies_derive_their_vertices_on_first_read(kind, monkeypatch):
+    rng = np.random.default_rng(["generic", "lattice", "sliver", "far"].index(kind) + 40)
+    built, unmerged = [], []
+    with_walk, merged_sum = geometry._with_walk, geometry._merged_sum
+
+    def recording_walk(z, phi):
+        built.append(with_walk(z, phi))
+        return built[-1]
+
+    def recording_merge(a, b):
+        merged = merged_sum(a, b)
+        if merged is None:   # the pairwise fallback reads both operands' vertices
+            unmerged.extend((a, b))
+        return merged
+
+    monkeypatch.setattr(geometry, "_with_walk", recording_walk)
+    monkeypatch.setattr(geometry, "_merged_sum", recording_merge)
+    for _ in range(6):
+        atoms = fold_law(kind, rng)
+        coefs = rng.multinomial(64, rng.dirichlet(np.ones(len(atoms)))) / 64
+        built.clear()
+        unmerged.clear()
+        pieces = [scale(atoms[0], coefs[0] + 0.5), minkowski_sum(atoms[0], atoms[-1])]
+        got = weighted_sum(atoms, coefs)
+        made, read = list(built), list(unmerged)
+        assert got in made   # the fold's last step is a scale, a merge or a hull
+        for body in atoms + made:
+            assert body.dim == 2 and body.vertex_count >= 1
+        assert not any(derived(body) for body in atoms + made if body not in read)
+        V = got.vertices
+        assert got.vertex_count == len(V) and got.vertices is V
+        assert not V.flags.writeable and V.flags.c_contiguous
+        assert [body for body in made if derived(body)] == \
+            [body for body in made if body is got or body in read]
+        if kind == "far":   # generic hulls: every merge is certified
+            assert not read and sum(derived(body) for body in made) == 1
+        assert V.tobytes() == rederived_weighted_sum(atoms, coefs).vertices.tobytes()
+        assert all(body in made for body in pieces)
+    with pytest.raises(AttributeError):
+        got.vertices = V
+
+
+def test_a_body_that_overflows_raises_where_it_is_made():
+    big, low = scale(square(), 1e308), scale(square(-1.0, 0.0), 1e308)   # finite: at most 1e308
+    near = hull([(1.5e308, -1.5e308)])
+    cube = hull(np.array(np.meshgrid([0, 2], [0, 2], [0, 2])).reshape(3, -1).T)
+    for make in (lambda: scale(square(0.0, 2.0), 1e308),
+                 lambda: scale(cube, 1e308),
+                 lambda: minkowski_sum(big, big),
+                 lambda: minkowski_sum(low, low),
+                 lambda: minkowski_sum(big, hull([(1e308, 0.0)])),   # a translate
+                 lambda: minkowski_sum(near, near),                  # a point
+                 lambda: weighted_sum([big, big, triangle()], [1.0, 1.0, 0.5]),
+                 lambda: weighted_sum([square(0.0, 2.0), triangle()], [1e308, 1.0])):
+        # numpy warns of the overflow; the body that would hold it is never made
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(GeometryError, match="infinite"):
+                make()
 
 
 # ---------------------------------------------------------------------------
