@@ -337,11 +337,13 @@ def _run_simulate(kind: str, scene_path: str, seed: int, reps: int,
     """Run one experiment and write its artifacts.  ``recorded`` is the
     manifest of a run being replayed: its scene digest must match before
     the run and its records digest after it."""
-    scene_sha256 = _file_sha256(scene_path)
+    with open(scene_path, "rb") as fh:
+        scene = fh.read()   # one read: the digest is of the bytes parsed
+    scene_sha256 = hashlib.sha256(scene).hexdigest()
     if recorded is not None and scene_sha256 != recorded["scene_sha256"]:
         raise UsageError(f"scene {scene_path} has changed since the recorded run "
                          f"(sha256 {scene_sha256}, manifest {recorded['scene_sha256']})")
-    y = load_scene(scene_path)
+    y = parse_scene(scene.decode("utf-8"))
     config = ExperimentConfig(master_seed=seed, sample_sizes=sizes, replications=reps)
     fn_name, flag = _EXPERIMENTS[kind]
     # looked up per call, so a wrapper installed on setmeans.simulate is seen

@@ -73,9 +73,19 @@ def _as_vector(x, dim: int) -> np.ndarray:
 
 def box_of(P: np.ndarray) -> tuple[float, float]:
     """Scale of a point array: ``(extent, magnitude)``, the diagonal of its
-    bounding box and its largest absolute coordinate."""
-    d = P.max(axis=0) - P.min(axis=0)
-    return math.sqrt(d.dot(d)), float(np.abs(P).max())   # d.dot(d): the sum np.linalg.norm takes
+    bounding box and its largest absolute coordinate.  A coordinate that is
+    not finite, or a diagonal whose square overflows (beyond about 1.3e154,
+    where every tolerance would be infinite), raises :class:`GeometryError`."""
+    magnitude = float(np.abs(P).max())
+    if not math.isfinite(magnitude):
+        raise GeometryError("vertices contain NaN or infinite coordinates")
+    with np.errstate(over="ignore"):
+        d = P.max(axis=0) - P.min(axis=0)
+        extent2 = float(d.dot(d))   # the sum np.linalg.norm takes
+    if not math.isfinite(extent2):
+        raise GeometryError(f"the bounding box of coordinates up to {magnitude!r} has a "
+                            f"diagonal beyond about 1.3e154, whose square overflows")
+    return math.sqrt(extent2), magnitude
 
 
 def tolerance(rel: float, box: tuple[float, float]) -> float:
@@ -161,15 +171,6 @@ class ConvexBody:
     def box(self) -> tuple[float, float]:
         """``(extent, magnitude)`` of the vertices, see :func:`tolerance`."""
         return box_of(self.vertices)
-
-    @property
-    def _ring(self) -> np.ndarray:
-        """2-D only: the vertices counterclockwise as complex numbers,
-        starting at ``self.vertices[0]``: the ring of :attr:`_walk`,
-        rotated.  :func:`_nearest_offsets` breaks its ties in this order."""
-        z = _open(self._walk[0])
-        s = int((z == self.vertices.view(complex)[0, 0]).argmax())
-        return np.concatenate((z[s:], z[:s]))
 
     @cached_property
     def _walk(self):
@@ -308,24 +309,22 @@ def _depths(ring: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (E.conj()[:, None] * (z - ring[:, None])).imag / np.abs(E)[:, None]
 
 
-def _width(ring: np.ndarray) -> float:
-    """``_depths(ring, ring).max(axis=1).min()`` for a convex
-    counterclockwise ``ring`` of three or more complex vertices, in O(m)
-    memory: the width of its narrowest strip.
+def _width(ring: np.ndarray, phi: np.ndarray) -> float:
+    """``_depths(z, z).max(axis=1).min()`` for the walk ``(ring, phi)``
+    (:func:`_walk_of`) of a convex counterclockwise ring ``z`` of three or
+    more complex vertices, in O(m) memory: the width of its narrowest
+    strip.
 
-    Rotating calipers: started at the edge of least angle, the edge angles
-    ascend, and the vertex farthest from edge ``i`` is where they pass the
-    angle of edge ``i`` plus pi.  Each edge's depths are taken, by the
-    formula of :func:`_depths`, at that vertex and its two neighbours.
+    Rotating calipers: the outer-normal angles ``phi`` ascend, and the
+    vertex farthest from edge ``i`` is where they pass ``phi[i] + pi``.
+    Each edge's depths are taken, by the formula of :func:`_depths`, at
+    that vertex and its two neighbours.
     """
-    E = _edges(ring)
-    phi = np.arctan2(E.imag, E.real)
-    s = int(np.argmin(phi))
-    z, E, phi = (np.concatenate((a[s:], a[:s])) for a in (ring, E, phi))
-    m = len(z)
+    z = _open(ring)
+    E = _edges(z)
     half = phi + np.pi
     far = np.searchsorted(phi, np.where(half > phi[-1], half - 2.0 * np.pi, half))
-    far = (far[:, None] + np.arange(-1, 2)) % m
+    far = (far[:, None] + np.arange(-1, 2)) % len(z)
     depths = (E.conj()[:, None] * (z[far] - z[:, None])).imag / np.abs(E)[:, None]
     return float(depths.max(axis=1).min())
 
@@ -370,26 +369,30 @@ def _chain(z: np.ndarray, cut: float, order: np.ndarray) -> np.ndarray:
     return order[half(range(m)) + half(range(m - 1, -1, -1))]
 
 
-def _planar_extremes(W: np.ndarray, P: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Indices of the extreme points of the distinct points ``P`` of
-    affine rank 2, given as Euclidean coordinates ``W`` in their plane
-    and swept in ``order`` (see :func:`_chain`).
+def _planar_extremes(W: np.ndarray, P: np.ndarray, order: np.ndarray):
+    """``(indices, walk)`` of the extreme points of the distinct points
+    ``P`` of affine rank 2, given as Euclidean coordinates ``W`` in their
+    plane and swept in ``order`` (see :func:`_chain`); the walk
+    (:func:`_walk_of`) is of their coordinates ``W``.
 
     The ring of :func:`_chain` with ``cut = _rank_cut(P)``, unless it is
     no wider than ``2 cut``: then every point lies within ``cut`` of the
     middle line of its narrowest strip, which is the rank-1 rule of
     :func:`_rank_cut`, and the points are the segment between the two
-    ring vertices farthest apart.  The width is :func:`_width`, in O(m)
-    memory for a ring of ``m`` vertices.
+    ring vertices farthest apart.  The width is :func:`_width` of the
+    ring's walk, in O(m) memory.  The chain turns by more than the cut at
+    every vertex, far above the round-off of the walk's angles, so they
+    ascend.
     """
     cut = _rank_cut(P)
     z = np.ascontiguousarray(W).view(complex)[:, 0]
     ring = _chain(z, cut, order)
+    walk = _walk_of(z[ring])
+    if len(ring) == 2 or _width(*walk) > 2.0 * cut:
+        return ring, walk
     z = z[ring]
-    if len(ring) > 2 and _width(z) > 2.0 * cut:
-        return ring
     i, j = divmod(int(np.abs(z[:, None] - z).argmax()), len(ring))
-    return ring[[i, j]]
+    return ring[[i, j]], _walk_of(z[[i, j]])
 
 
 def _qhull(coords: np.ndarray):
@@ -403,12 +406,10 @@ def _qhull(coords: np.ndarray):
 
 
 def _extreme_indices(P: np.ndarray) -> np.ndarray:
-    """Indices of the extreme points of P (deduplicated input).
+    """Indices of the extreme points of P (deduplicated input) off 2-D.
 
-    2-D points go to :func:`_planar_extremes` on their own coordinates,
-    swept in their lexicographic order.  In other dimensions, extreme
-    points are invariant under affine maps, so they are found in the
-    frame of :func:`_affine_frame`: the two ends of a rank-1 frame, and
+    Extreme points are invariant under affine maps, so they are found in
+    the frame of :func:`_affine_frame`: the two ends of a rank-1 frame, and
     qhull on ``U`` of a rank-3 frame.  A rank-2 frame is charted by the
     two coordinates ``(i, j)`` of its largest Plücker coordinate (in 3-D,
     the axes other than that of the normal's largest coordinate).  Each
@@ -423,8 +424,6 @@ def _extreme_indices(P: np.ndarray) -> np.ndarray:
     """
     if len(P) == 1:
         return np.array([0])
-    if P.shape[1] == 2:
-        return _planar_extremes(P, P, np.lexsort(P.T[::-1]))
     centroid, U, s, Vt = _affine_frame(P)
     if U.shape[1] == 0:  # one point up to round-off: the lexicographically smallest
         return np.lexsort(P.T[::-1])[:1]
@@ -437,7 +436,7 @@ def _extreme_indices(P: np.ndarray) -> np.ndarray:
         W = (chart - centroid[[i, j]]) @ np.linalg.inv(Vt[:, [i, j]])  # chart = centroid + W @ Vt
         W[:, 1] *= np.sign(plucker[i, j])
         rest = [k for k in range(P.shape[1]) if k not in (i, j)]
-        return _planar_extremes(W, P, np.lexsort(P[:, rest[::-1] + [j, i]].T))
+        return _planar_extremes(W, P, np.lexsort(P[:, rest[::-1] + [j, i]].T))[0]
     return _qhull(U).vertices
 
 
@@ -448,22 +447,16 @@ def hull(points) -> ConvexBody:
     """Convex hull as a minimal extreme-vertex body.
 
     Idempotent: ``hull(body.vertices)`` reproduces the body.  A 2-D body
-    stores the walk of the counterclockwise ring of its chain
-    (:func:`_walk_of`, :func:`_with_walk`).
+    stores the walk of the counterclockwise ring of its chain, the one
+    whose angles the width test read (:func:`_planar_extremes`,
+    :func:`_with_walk`).
     """
     P = _dedup(_as_points(points))
-    V = P[_extreme_indices(P)]
-    if P.shape[1] == 2:
-        return _with_walk(*_walk_of(V.view(complex)[:, 0]))
-    return ConvexBody(_canonical(V))
-
-
-def _normal_angles(z: np.ndarray) -> np.ndarray:
-    """Angles of the outer edge normals of the counterclockwise ring ``z``
-    of two or more complex vertices, in ring order: the angles of its
-    edges minus pi/2.  A segment has two antipodal ones."""
-    E = _edges(z)
-    return np.arctan2(-E.real, E.imag)  # E rotated clockwise: outward for a CCW ring
+    if P.shape[1] != 2:
+        return ConvexBody(_canonical(P[_extreme_indices(P)]))
+    if len(P) == 1:
+        return _with_walk(*_walk_of(P.copy().view(complex)[:, 0]))
+    return _with_walk(*_planar_extremes(P, P, np.lexsort(P.T[::-1]))[1])
 
 
 def _open(ring: np.ndarray) -> np.ndarray:
@@ -474,12 +467,15 @@ def _open(ring: np.ndarray) -> np.ndarray:
 def _walk_of(z: np.ndarray):
     """The walk ``(ring, angles)`` (see :attr:`ConvexBody._walk`) of the
     counterclockwise ring ``z`` of complex vertices, which may start
-    anywhere: the angles of :func:`_normal_angles` started at the least,
+    anywhere: the angles of its outer edge normals (its edges' angles
+    minus pi/2; a segment has two antipodal ones) started at the least,
     and ``z`` started where that edge starts.  Angles that do not ascend
-    give ``angles = None`` and ``z`` as it starts."""
+    give ``angles = None`` and ``z`` as it starts.  This is the one place
+    a 2-D ring's angles are taken."""
     if len(z) == 1:
         return z, np.empty(0)
-    phi = _normal_angles(z)
+    E = _edges(z)
+    phi = np.arctan2(-E.real, E.imag)  # E rotated clockwise: outward for a CCW ring
     s = int(np.argmin(phi))
     phi = np.concatenate((phi[s:], phi[:s]))
     if (phi[1:] < phi[:-1]).any():
@@ -546,8 +542,6 @@ def _merged_sum(a: ConvexBody, b: ConvexBody):
             return None
         z = np.concatenate((z, z[:1]))
     box = box_of(_open(z).view(float).reshape(-1, 2))
-    if not math.isfinite(box[1]):
-        raise GeometryError("vertices contain NaN or infinite coordinates")
     tol = tolerance(REL_TOL, box)
     if len(phi) == 2 and abs(z[1] - z[0]) <= tol:
         return None
@@ -737,23 +731,25 @@ def _nearest_offsets(a: ConvexBody, X: np.ndarray) -> np.ndarray:
     array ``X``: the nearest points are ``X + Z``, the distances the row
     norms of ``Z``, which keeps them exact far from the origin.
 
-    In 2-D this is closed form on the counterclockwise ring of the body
-    (:attr:`ConvexBody._ring`), with points as complex numbers, so that one
-    product gives a query's dot and cross product with an edge.  A query
-    is inside when no edge has it on its right (every edge cross product
-    is >= 0) and it lies in the body's bounding box; the box keeps out a
-    point beyond the end of a flat ring, where every cross product is
-    round-off.  Otherwise its nearest point is the closest of its
-    projections onto the edges, each clamped to its segment.  Other
+    In 2-D this is closed form on the counterclockwise ring of the body's
+    walk (:attr:`ConvexBody._walk`), read as stored, with points as
+    complex numbers, so that one product gives a query's dot and cross
+    product with an edge.  A query is inside when no edge has it on its
+    right (every edge cross product is >= 0) and it lies in the ring's
+    bounding box; the box keeps out a point beyond the end of a flat
+    ring, where every cross product is round-off.  Otherwise its nearest
+    point is the closest of its projections onto the edges, each clamped
+    to its segment, the first in walk order of any that tie.  Other
     dimensions run Wolfe's solver on each row.
     """
     if a.dim != 2:
         return np.array([_min_norm_point(a.vertices - x) for x in X])
-    V = a._ring
+    V = _open(a._walk[0])
     E = _edges(V)
     L = (E * E.conj()).real                         # squared edge lengths, 1 for a zero edge
     L[L == 0.0] = 1.0
-    lo, hi = np.minimum.reduce(a.vertices), np.maximum.reduce(a.vertices)
+    R = V[:, None].view(float)
+    lo, hi = np.minimum.reduce(R), np.maximum.reduce(R)
     X = np.ascontiguousarray(X)
     W = X.view(complex) - V                         # (n, m): each vertex to each query
     p = W * E.conj()                                # real part: edge dot, imaginary: edge cross
@@ -980,7 +976,7 @@ def _relative_boundary_distance(Q: np.ndarray, q: np.ndarray, tol: float) -> flo
     if face.dim != 2:
         raise GeometryError(f"facet test needs a face of at most two dimensions, got "
                             f"{len(V)} vertices in dimension {face.dim}")
-    return float(_depths(face._ring, q.view(complex)).min())
+    return float(_depths(_open(face._walk[0]), q.view(complex)).min())
 
 
 def _in_facet(face: ConvexBody, k: np.ndarray, f: np.ndarray, margin: float, tol: float) -> bool:

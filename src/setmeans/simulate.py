@@ -485,7 +485,7 @@ def _facet_kernel(counts: np.ndarray, facet_atoms: np.ndarray) -> np.ndarray:
 
 def _judge_lln(config: ExperimentConfig, records: np.ndarray) -> tuple[dict, dict, dict]:
     sizes = config.sample_sizes
-    medians = [float(np.median(dist)) for dist in records[..., 0].T]
+    medians = np.median(records[..., 0], axis=0).tolist()
     moments = {"median_by_size": [{"N": n, "median": m} for n, m in zip(sizes, medians)]}
     verdicts = {"final_median": {"pass": medians[-1] <= MEDIAN_MAX, "observed": medians[-1],
                                  "threshold": MEDIAN_MAX, "N": sizes[-1]}}

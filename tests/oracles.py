@@ -50,6 +50,7 @@ from setmeans.geometry import (
     _as_vector,
     _canonical,
     _min_norm_point,
+    _open,
     box_of,
     hausdorff,
     hull,
@@ -152,11 +153,11 @@ def rederived_minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
     two lists, the certificate of ``_merged_sum``, and
     ``qhull_minkowski_sum`` where the merge is not certified."""
     if a.vertex_count == 1 or b.vertex_count == 1:
-        z = a._ring + b._ring
+        z = _open(a._walk[0]) + _open(b._walk[0])
     else:
         rings, angles = [], []
         for body in (a, b):
-            z = body._ring
+            z = _open(body._walk[0])
             E = np.concatenate((z[1:], z[:1])) - z
             phi = np.arctan2(-E.real, E.imag)
             s = int(np.argmin(phi))

@@ -186,6 +186,15 @@ def test_unreadable_scene_is_usage_error(capsys):
     assert run_command(["expectation", "--scene", "/no/such/file.json"]) == 1
 
 
+def test_a_scene_whose_box_overflows_exits_one(tmp_path, capsys):
+    # the squared diagonal of this triangle overflows; it once printed the origin
+    doc = {"version": 1, "dim": 2,
+           "atoms": [{"weight": 1.0, "vertices": [[0, 0], [1e200, 0], [0, 1e200]]}]}
+    assert run_command(["expectation", "--scene", write_scene(tmp_path, json.dumps(doc))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "GeometryError" in captured.err
+
+
 def test_simulate_writes_artifacts_and_exits_zero(tmp_path, capsys):
     scene = write_scene(tmp_path, TWO_SEGMENTS)
     out = tmp_path / "run"
@@ -290,6 +299,26 @@ def test_replay_refuses_a_scene_edited_after_the_run(tmp_path, capsys):
     err = capsys.readouterr().err
     assert scene in err and "changed" in err
     assert not (tmp_path / "r2").exists()
+
+
+def test_simulate_and_replay_hash_the_scene_bytes_they_parse(tmp_path, capsys, monkeypatch):
+    scene = write_scene(tmp_path, TWO_SEGMENTS)
+    opened, parsed = [], []
+
+    def recording_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return open(path, *args, **kwargs)
+
+    parse = cli.parse_scene
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    monkeypatch.setattr(cli, "parse_scene", lambda text: parsed.append(text) or parse(text))
+    out = tmp_path / "run"
+    assert run_command(["simulate", "lln", "--scene", scene, "--seed", "7",
+                        "--reps", "5", "--sizes", "16,64", "--out", str(out)]) == 0
+    assert run_command(["replay", str(out / "manifest.json"), "--out", str(tmp_path / "again")]) == 0
+    assert opened.count(scene) == 2 and len(parsed) == 2   # one read per command
+    recorded = json.loads((out / "manifest.json").read_text())["scene_sha256"]
+    assert [hashlib.sha256(text.encode()).hexdigest() for text in parsed] == [recorded] * 2
 
 
 def _recorded_run(tmp_path):

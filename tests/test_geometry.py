@@ -27,6 +27,7 @@ from setmeans.geometry import (
     _canonical,
     _merged_sum,
     _nearest_offsets,
+    _open,
     _rank_cut,
     box_of,
     deviation,
@@ -365,7 +366,7 @@ def placed_bodies(draw):
 def queries(draw, body, s):
     """A query inside, on a vertex, on an edge or (mostly) outside the body
     placed at scale ``s``."""
-    z = body._ring
+    z = _open(body._walk[0])
     ring = np.column_stack([z.real, z.imag])
     i = draw(st.integers(0, len(ring) - 1))
     where = draw(st.sampled_from(["inside", "vertex", "edge", "outside"]))
@@ -397,6 +398,25 @@ def test_nearest_points_match_exact_rational_distances(data):
     probe = hull(np.vstack([x, body.vertices[:1]]))
     want = max(math.sqrt(exact_nearest(body.vertices, v)[0]) for v in probe.vertices)
     assert abs(deviation(probe, body) - want) <= exact_tolerance(body, probe.vertices)
+
+
+@PROPERTY
+@given(st.data())
+def test_2d_queries_do_not_depend_on_how_a_body_was_built(data):
+    placed, s = data.draw(placed_bodies())
+    body, other = hull(placed.vertices), data.draw(placed_bodies())[0]
+    X = np.array([data.draw(queries(body, s)) for _ in range(4)])
+    V = body.vertices
+    # the raw body of the hull's vertices, and raw bodies of them in rotated order
+    builds = [ConvexBody(np.roll(V, -k, axis=0)) for k in range(len(V))]
+
+    def answers(b):
+        return ([nearest_point(b, x).tobytes() for x in X], point_distance(b, X).tobytes(),
+                hausdorff(b, other), hausdorff(other, b))
+
+    want = answers(body)
+    for b in builds:
+        assert answers(b) == want
 
 
 def test_point_distance_takes_an_array_of_points():
@@ -540,7 +560,6 @@ def test_a_one_vertex_operand_translates_the_other_body():
         merged = _merged_sum(a, b)
         assert merged is not None
         assert merged.vertices.tobytes() == qhull_minkowski_sum(a, b).vertices.tobytes()
-        assert merged._ring.tobytes() == ConvexBody(merged.vertices.copy())._ring.tobytes()
 
 
 def test_an_uncertified_merge_falls_back_to_the_qhull_sum():
@@ -572,7 +591,7 @@ def test_merged_and_scaled_bodies_carry_the_ring_a_fresh_sort_gives():
                   minkowski_sum(a, hull(rng.normal(size=(5, 2)))),
                   scale(a, rng.uniform(1e-3, 1e3)), scale(unread, rng.uniform(1e-3, 1e3)),
                   minkowski_sum(square(), a)]   # the merge starts atop the square's left edge
-        assert all("_walk" in vars(body) and "_ring" not in vars(body) for body in bodies)
+        assert all("_walk" in vars(body) for body in bodies)
         # raw bodies: a ring that does not turn one way, scaled, and a near-flat support face
         turn = rng.uniform(0.0, 2.0 * np.pi)
         turn = np.array([[np.cos(turn), np.sin(turn)], [-np.sin(turn), np.cos(turn)]])
@@ -583,8 +602,7 @@ def test_merged_and_scaled_bodies_carry_the_ring_a_fresh_sort_gives():
         assert bodies[-1].vertex_count == 3
         for body in bodies:
             fresh = ConvexBody(body.vertices.copy())
-            assert body._ring[0] == body.vertices.view(complex)[0, 0]   # the order of argmin ties
-            assert body._ring.tobytes() == fresh._ring.tobytes()
+            assert body._walk[0].tobytes() == fresh._walk[0].tobytes()
             V = body.vertices
             X = np.vstack([V, (V + np.roll(V, 1, axis=0)) / 2,
                            V.mean(axis=0) + rng.normal(size=(40, 2))])
@@ -621,14 +639,14 @@ def fold_law(kind, rng):
 
 
 def carries_a_walk_of_its_ring(body):
-    """The walk's ring is the body's ring from another start, closed by a
-    copy of it, with one ascending angle per edge."""
+    """The walk's ring lists the body's vertices, closed by a copy of its
+    first, with one ascending angle per edge."""
     ring, phi = body._walk
     assert not ring.flags.writeable and not phi.flags.writeable   # scale shares them
     assert len(ring) == len(phi) + 1
     assert (phi[1:] >= phi[:-1]).all()
-    s = int(np.flatnonzero(body._ring == ring[0])[0])
-    assert ring[:len(ring) - 1 or 1].tobytes() == np.roll(body._ring, -s).tobytes()
+    assert (_canonical(_open(ring)[:, None].view(float)).tobytes()
+            == _canonical(body.vertices).tobytes())
     assert ring[-1] == ring[0]
     return ring, phi
 
@@ -643,7 +661,7 @@ def test_weighted_sum_is_the_fold_that_derives_every_angle_afresh(kind):
             coefs = rng.multinomial(n, weights) / n
             got, want = weighted_sum(atoms, coefs), rederived_weighted_sum(atoms, coefs)
             assert got.vertices.tobytes() == want.vertices.tobytes()
-            assert got._ring.tobytes() == want._ring.tobytes()
+            assert got._walk[0].tobytes() == want._walk[0].tobytes()
             if kind in ("generic", "far"):   # no parallel edges: every merge is certified
                 terms = [scale(atom, c) for atom, c in zip(atoms, coefs) if c]
                 merged = functools.reduce(_merged_sum, terms)
@@ -661,16 +679,16 @@ def test_hulls_and_raw_bodies_derive_their_walk_once_from_their_ring():
         ring, phi = carries_a_walk_of_its_ring(body)
         assert body._walk is body._walk
         if len(phi):
-            E = np.roll(body._ring, -1) - body._ring
+            z = _open(ring)
+            E = np.roll(z, -1) - z
             angles = np.arctan2(-E.real, E.imag)   # outer normals of a counterclockwise ring
-            s = int(np.argmin(angles))
-            assert phi.tobytes() == np.roll(angles, -s).tobytes()
+            assert phi.tobytes() == angles.tobytes()   # from the least
     bent = ConvexBody(BENT)
     ring, phi = bent._walk
-    assert phi is None and ring[0] == ring[-1] == bent._ring[0]   # the centroid sort, closed
+    assert phi is None and ring[0] == ring[-1] == bent.vertices.view(complex)[0, 0]  # the centroid sort, closed
     twice = scale(bent, 2.0)
     assert twice._walk[1] is None
-    assert twice._ring.tobytes() == (2.0 * bent._ring.view(float)).view(complex).tobytes()
+    assert twice._walk[0].tobytes() == (2.0 * ring.view(float)).view(complex).tobytes()
     assert _merged_sum(bent, square()) is None and _merged_sum(hull([(1, 1)]), bent) is None
 
 
@@ -681,7 +699,7 @@ def test_scale_and_the_merge_carry_their_operands_angles():
         for a in fold_law(kind, rng):
             b = hull(rng.normal(size=(5, 2)) * a.box[0] + a.vertices[0])
             scaled = scale(a, rng.uniform(1e-3, 1e3))
-            assert "_walk" in vars(scaled) and "_ring" not in vars(scaled)   # one ring, the walk's
+            assert "_walk" in vars(scaled) and "vertices" not in vars(scaled)   # one ring, the walk's
             ring, phi = carries_a_walk_of_its_ring(scaled)
             assert phi is a._walk[1]
             moved = _merged_sum(a, point)
@@ -690,7 +708,7 @@ def test_scale_and_the_merge_carry_their_operands_angles():
                 assert carries_a_walk_of_its_ring(moved)[1] is a._walk[1]
             merged = _merged_sum(scaled, b)
             if merged is not None and merged.vertex_count > 2:
-                assert "_walk" in vars(merged) and "_ring" not in vars(merged)
+                assert "_walk" in vars(merged) and "vertices" not in vars(merged)
                 ring, phi = carries_a_walk_of_its_ring(merged)
                 want = np.unique(np.concatenate((scaled._walk[1], b._walk[1])))
                 assert phi.tobytes() == want.tobytes()
@@ -761,6 +779,24 @@ def test_a_body_that_overflows_raises_where_it_is_made():
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(GeometryError, match="infinite"):
                 make()
+
+
+def test_a_box_whose_squared_diagonal_overflows_raises():
+    # beyond a diagonal of sqrt(max float), about 1.34e154, every tolerance
+    # would be infinite and the dedup would merge every point into one;
+    # no RuntimeWarning may escape on the way (the suite makes it an error)
+    big = scale(square(), 1e308)
+    for make in (lambda: hull([(0, 0), (1e200, 0), (0, 1e200)]),
+                 lambda: hull([(0.0, 0.0), (1e154, 0.0), (0.0, 1e154)]),
+                 lambda: hull([(-1e308, 0.0), (1e308, 0.0), (0.0, 1.0)]),   # max - min overflows
+                 lambda: minkowski_sum(triangle(), big),
+                 lambda: weighted_sum([triangle(), big, big], [0.5, 1.0, 1.0]),
+                 lambda: big.box):
+        with pytest.raises(GeometryError, match="diagonal"):
+            make()
+    inside = hull([(0.0, 0.0), (9e153, 0.0), (0.0, 9e153)])
+    assert inside.vertices.tolist() == [[0.0, 0.0], [0.0, 9e153], [9e153, 0.0]]
+    assert inside.box == (pytest.approx(math.sqrt(2.0) * 9e153), 9e153)
 
 
 # ---------------------------------------------------------------------------

@@ -145,9 +145,10 @@ def test_hull_is_idempotent_and_permutation_invariant_in_2d(P, random):
 @PROPERTY
 @given(moved_clouds())
 def test_ring_width_is_the_least_edge_depth_of_the_farthest_vertex(P):
-    z = hull(P)._ring
+    walk = hull(P)._walk
+    z = walk[0][:-1]
     assume(len(z) > 2)
-    assert _width(z) == _depths(z, z).max(axis=1).min()
+    assert _width(*walk) == _depths(z, z).max(axis=1).min()
 
 
 def test_hull_of_many_points_on_a_circle_keeps_memory_linear():
