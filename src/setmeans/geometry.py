@@ -125,7 +125,9 @@ class ConvexBody:
     A 2-D body that :func:`hull`, :func:`scale` or the merge builds
     stores only its walk (:attr:`_walk`, :func:`_with_walk`) and derives
     :attr:`vertices` from it on first read; :attr:`dim` and
-    :attr:`vertex_count` do not read them.
+    :attr:`vertex_count` do not read them.  A raw 2-D body of three or
+    more vertices reads the walk of their :func:`hull`: every walk's
+    angles ascend.
     """
 
     def __init__(self, vertices):
@@ -187,18 +189,13 @@ class ConvexBody:
 
         :func:`hull`, :func:`scale` and the merge build the body from it
         (:func:`_with_walk`), and that body derives its :attr:`vertices`
-        from ``ring``.  A raw body derives the walk here, once
-        (:func:`_walk_of`), from its vertices sorted by angle about their
-        centroid, which lists those of a polygon counterclockwise.  Where
-        one is not extreme the angles may not ascend: then ``angles`` is
-        None and ``ring`` is that sort, closed, from ``self.vertices[0]``.
+        from ``ring``.  A raw body derives the walk here, once: a point or
+        a segment from its own vertices (:func:`_walk_of`), a body of three
+        or more vertices as the walk of their :func:`hull`, which it then
+        answers queries, merges and fans on.
         """
         z = self.vertices.view(complex)[:, 0]
-        if len(z) > 2:
-            c = z - np.add.reduce(z) / len(z)
-            angle = np.arctan2(c.imag, c.real)
-            z = z[np.argsort((angle - angle[0]) % (2.0 * np.pi), kind="stable")]
-        return _read_only(*_walk_of(z))
+        return (hull(self.vertices) if len(z) > 2 else _with_walk(*_walk_of(z)))._walk
 
     def __repr__(self):
         return f"ConvexBody({self.vertex_count} vertices, dim={self.dim})"
@@ -336,14 +333,17 @@ def _chain(z: np.ndarray, cut: float, order: np.ndarray) -> np.ndarray:
 
     Andrew's monotone chain (*Inf. Process. Lett.* 9, 1979) on the
     points swept in ``order``, the order of a linear functional with its
-    ties broken by another: a middle point that lies within ``cut`` of
-    the chord of its neighbours, or beyond it, is popped.  ``z`` must be
-    Euclidean coordinates, so that ``cut`` is a distance.  Points inside
-    the octagon of the axis and diagonal extremes by more than ``cut``
-    are no vertices; they are dropped first, in one vectorised step,
-    which leaves the Python loop only the points near the boundary.  The
-    octagon is taken on the swept points, so ties pick the same extremes
-    whatever the input order.
+    ties broken by another: a middle point on or beyond the chord of its
+    neighbours is popped, and so is one within ``cut`` of it between its
+    ends, but not one past an end, as on a chord across the sweep.  An
+    end of the sweep within ``cut`` of the chord of its ring neighbours,
+    between them, is dropped; that moves its neighbours no nearer their
+    new chords.  ``z`` must be Euclidean coordinates, so that ``cut`` is
+    a distance.  Points inside the octagon of the axis and diagonal
+    extremes by more than ``cut`` are no vertices; they are dropped
+    first, in one vectorised step, which leaves the Python loop only the
+    points near the boundary.  The octagon is taken on the swept points,
+    so ties pick the same extremes whatever the input order.
     """
     z = z[order]
     O = z[np.argmax((_OCTAGON[:, None] * z).real, axis=1)]  # counterclockwise
@@ -352,21 +352,27 @@ def _chain(z: np.ndarray, cut: float, order: np.ndarray) -> np.ndarray:
     order = order[near]
     pts = z[near].tolist()
 
+    def pops(o, b, p, behind):   # b within the cut of the chord o-p and between, or behind it
+        d = p - o
+        w = (b - o).conjugate() * d   # real part: along the chord, imaginary: across it
+        return ((behind and w.imag <= 0.0)
+                or (w.imag <= cut * abs(d) and 0.0 <= w.real <= (d * d.conjugate()).real))
+
     def half(seq):
         out = []
         for k in seq:
-            p = pts[k]
-            while len(out) >= 2:
-                o = pts[out[-2]]
-                d = p - o
-                if ((pts[out[-1]] - o).conjugate() * d).imag > cut * abs(d):
-                    break
+            while len(out) >= 2 and pops(pts[out[-2]], pts[out[-1]], pts[k], True):
                 out.pop()
             out.append(k)
         return out[:-1]
 
     m = len(pts)
-    return order[half(range(m)) + half(range(m - 1, -1, -1))]
+    lower = half(range(m))
+    ring = lower + half(range(m - 1, -1, -1))
+    for i in (len(lower), 0):   # the ends of the sweep, the later first
+        if len(ring) > 2 and pops(pts[ring[i - 1]], pts[ring[i]], pts[ring[(i + 1) % len(ring)]], False):
+            del ring[i]
+    return order[ring]
 
 
 def _planar_extremes(W: np.ndarray, P: np.ndarray, order: np.ndarray):
@@ -380,9 +386,10 @@ def _planar_extremes(W: np.ndarray, P: np.ndarray, order: np.ndarray):
     middle line of its narrowest strip, which is the rank-1 rule of
     :func:`_rank_cut`, and the points are the segment between the two
     ring vertices farthest apart.  The width is :func:`_width` of the
-    ring's walk, in O(m) memory.  The chain turns by more than the cut at
-    every vertex, far above the round-off of the walk's angles, so they
-    ascend.
+    ring's walk, in O(m) memory.  Each vertex of the chain lies more than
+    the cut outside the chord of its neighbours, or past an end of it,
+    where the chain turns nearly back: far above the round-off of the
+    walk's angles either way, so they ascend.
     """
     cut = _rank_cut(P)
     z = np.ascontiguousarray(W).view(complex)[:, 0]
@@ -469,34 +476,25 @@ def _walk_of(z: np.ndarray):
     counterclockwise ring ``z`` of complex vertices, which may start
     anywhere: the angles of its outer edge normals (its edges' angles
     minus pi/2; a segment has two antipodal ones) started at the least,
-    and ``z`` started where that edge starts.  Angles that do not ascend
-    give ``angles = None`` and ``z`` as it starts.  This is the one place
-    a 2-D ring's angles are taken."""
+    and ``z`` started where that edge starts.  They ascend for a point, a
+    segment and a ring of the chain (:func:`_planar_extremes`).  This is
+    the one place a 2-D ring's angles are taken."""
     if len(z) == 1:
         return z, np.empty(0)
     E = _edges(z)
     phi = np.arctan2(-E.real, E.imag)  # E rotated clockwise: outward for a CCW ring
     s = int(np.argmin(phi))
-    phi = np.concatenate((phi[s:], phi[:s]))
-    if (phi[1:] < phi[:-1]).any():
-        s, phi = 0, None
-    return np.concatenate((z[s:], z[:s], z[s:s + 1])), phi
+    return np.concatenate((z[s:], z[:s], z[s:s + 1])), np.concatenate((phi[s:], phi[:s]))
 
 
-def _read_only(*arrays) -> tuple:
-    """The arrays, marked read-only, as a tuple; None stays None."""
-    for x in arrays:
-        if x is not None:
-            x.setflags(write=False)
-    return arrays
-
-
-def _with_walk(z: np.ndarray, phi: np.ndarray | None) -> ConvexBody:
+def _with_walk(z: np.ndarray, phi: np.ndarray) -> ConvexBody:
     """Body of the walk ``(z, phi)`` (see :attr:`ConvexBody._walk`) of
-    finite vertices: it stores the walk alone and derives its
-    :attr:`~ConvexBody.vertices` from the ring on first read."""
+    finite vertices: it stores the walk alone, read-only, and derives
+    its :attr:`~ConvexBody.vertices` from the ring on first read."""
+    z.setflags(write=False)
+    phi.setflags(write=False)
     body = object.__new__(ConvexBody)
-    body.__dict__["_walk"] = _read_only(z, phi)
+    body.__dict__["_walk"] = (z, phi)
     return body
 
 
@@ -514,16 +512,15 @@ def _merged_sum(a: ConvexBody, b: ConvexBody):
     The vertex between two edges of exactly equal angle is dropped.  A
     one-vertex operand translates the other's walk, by the same float
     sums.  The sum stores the merged walk: its ring, and the angles of
-    the operands' edges, one per run of equal angles.  The merge is
-    certified when both walks have angles and every vertex of the sum
-    lies more than ``tolerance(REL_TOL, box)`` to the outside of the
-    chord of its two neighbours (so every edge is longer than that too);
-    a translate of fewer than three vertices needs only its vertices that
-    far apart.  Then it is the body :func:`hull` gives.
+    the operands' edges, one per run of equal angles.  Every walk's
+    angles ascend, so every merge has them to merge.  It is certified
+    when every vertex of the sum lies more than ``tolerance(REL_TOL,
+    box)`` to the outside of the chord of its two neighbours (so every
+    edge is longer than that too); a translate of fewer than three
+    vertices needs only its vertices that far apart.  Then it is the
+    body :func:`hull` gives.
     """
     (za, pa), (zb, pb) = a._walk, b._walk
-    if pa is None or pb is None:
-        return None
     if len(pa) == 0 or len(pb) == 0:
         z, phi = za + zb, (pb if len(pa) == 0 else pa)
     else:
@@ -929,18 +926,16 @@ def normal_fan(bodies: Sequence[ConvexBody]) -> NormalFan:
     The cell boundaries are the edge normals of all bodies; on each cell
     every body's support is attained at one vertex, the one its walk
     (:attr:`ConvexBody._walk`) reaches at the middle of the arc: that of
-    ``ring[k]``, with ``k`` the number of its angles below the middle.  A
-    point repeats itself in every cell, and a body whose walk has no
-    angles is read through its hull.  A family of points has no normals
-    and gives a single cell, the whole circle, starting at direction
-    ``(1, 0)``.
+    ``ring[k]``, with ``k`` the number of its angles below the middle; a
+    raw body of three or more vertices walks its hull's ring.  A point
+    repeats itself in every cell.  A family of points has no normals and
+    gives a single cell, the whole circle, starting at direction ``(1, 0)``.
     """
     if len(bodies) == 0:
         raise GeometryError("need at least one body")
     if any(body.dim != 2 for body in bodies):
         raise GeometryError("normal fans are built for 2-D bodies only")
-    walks = [(body if body._walk[1] is not None else hull(body.vertices))._walk
-             for body in bodies]
+    walks = [body._walk for body in bodies]
     angles = np.unique(np.concatenate([phi for _, phi in walks]))
     if len(angles) == 0:
         angles = np.zeros(1)

@@ -27,10 +27,10 @@ The body path (fold the mean body with ``weighted_sum``, then measure
 it) stays as the oracle: in 2-D the fold merges the bodies' walks (the
 one boundary a 2-D body stores, its ring with its sorted edge angles,
 ``geometry.ConvexBody._walk``, which ``hull`` builds with each atom), with
-qhull where a merge is not certified.  The normal fan reads the atoms'
-walks too: it takes each atom's vertex per cell from its walk, where the
-fold merges the scaled walks into the mean's, and a misordered merge
-fails its certificate and falls back to qhull.  It recomputes replications
+the hull of the pairwise sums where a merge is not certified.  The normal
+fan reads the atoms' walks too: it takes each atom's vertex per cell from
+its walk, where the fold merges the scaled walks into the mean's, and a
+misordered merge fails its certificate and falls back to that hull.  It recomputes replications
 ``0 .. ORACLE_REPS - 1`` at every size, and it decides the checkpoints a
 kernel cannot (clt-facet's near a threshold, and those of kernels that
 need the 2-D fan on other dimensions).

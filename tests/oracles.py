@@ -20,8 +20,9 @@ dimension, the reference the normal fan is checked against.
 ``qhull_minkowski_sum`` is ``hull`` of all pairwise vertex sums, the
 reference for the 2-D ring merge behind ``minkowski_sum``.
 ``rederived_weighted_sum`` folds ``weighted_sum``'s terms with a ring
-merge that re-derives both operands' edge angles from their rings and
-sorts them together, the reference for the walks the bodies carry.
+merge that re-derives both operands' rings and edge angles from their
+vertices and sorts the angles together, the reference for the walks the
+bodies carry.
 ``records_csv`` formats a records array one value and one row at a
 time, the reference for the bytes ``write_report`` writes.
 ``FAR_POLYGON`` and ``FAR_QUERY`` pin a small polygon far from the
@@ -50,7 +51,6 @@ from setmeans.geometry import (
     _as_vector,
     _canonical,
     _min_norm_point,
-    _open,
     box_of,
     hausdorff,
     hull,
@@ -147,17 +147,25 @@ def qhull_minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
     return hull((a.vertices[:, None, :] + b.vertices[None, :, :]).reshape(-1, a.dim))
 
 
+def sorted_ring(body: ConvexBody) -> np.ndarray:
+    """The vertices of a 2-D body as complex numbers, sorted by angle about
+    their centroid: counterclockwise, since every vertex is extreme."""
+    z = body.vertices.view(complex)[:, 0]
+    return z[np.argsort(np.angle(z - z.mean()), kind="stable")]
+
+
 def rederived_minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
-    """``minkowski_sum`` of 2-D bodies with every angle taken afresh: both
-    rings' outer-normal angles from their edges, one stable sort of the
-    two lists, the certificate of ``_merged_sum``, and
+    """``minkowski_sum`` of 2-D bodies with every angle taken afresh from
+    their vertices, not their walks: both rings sorted about their
+    centroids, their outer-normal angles from their edges, one stable
+    sort of the two lists, the certificate of ``_merged_sum``, and
     ``qhull_minkowski_sum`` where the merge is not certified."""
     if a.vertex_count == 1 or b.vertex_count == 1:
-        z = _open(a._walk[0]) + _open(b._walk[0])
+        z = sorted_ring(a) + sorted_ring(b)
     else:
         rings, angles = [], []
         for body in (a, b):
-            z = _open(body._walk[0])
+            z = sorted_ring(body)
             E = np.concatenate((z[1:], z[:1])) - z
             phi = np.arctan2(-E.real, E.imag)
             s = int(np.argmin(phi))

@@ -605,6 +605,8 @@ def test_a_2d_run_never_loads_scipy_spatial(tmp_path):
         f"for i, path in enumerate([{scene!r}, {str(SCENES / 'side_by_side_squares.json')!r}]):",
         "    assert run_command(['simulate', 'lln', '--scene', path, '--seed', '1', '--reps', '20',"
         f" '--sizes', '16,256', '--out', {str(tmp_path / 'lln')!r} + str(i)]) == 0",
+        "from setmeans.geometry import ConvexBody",
+        "assert len(ConvexBody([[0, 0], [0, 1], [1, 0.5], [2, 0], [2, 1]])._walk[1]) == 4",  # a raw polygon
         "assert 'scipy.spatial' not in sys.modules, 'a 2-D run loaded scipy.spatial'",
         "from setmeans.geometry import hull",
         "assert hull([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0.1, 0.1, 0.1]]).vertex_count == 4",

@@ -143,10 +143,10 @@ def test_fan_vertices_are_the_argmax_at_the_middle_of_each_cell():
     for bodies in laws:
         fan = normal_fan(bodies)
         assert fan.vertices.tobytes() == argmax_vertices(fan, bodies).tobytes()
-    # a raw body whose ring does not turn one way is read through its hull
+    # a raw body with a vertex that is not extreme walks its hull's ring, byte for byte
     bent = ConvexBody(np.array([[-1.03, -1.37], [-1.01, 0.49], [-0.8, 0.12], [-0.01, -0.35],
                                 [0.08, 1.34]]))
-    assert bent._walk[1] is None
+    assert [x.tobytes() for x in bent._walk] == [x.tobytes() for x in hull(bent.vertices)._walk]
     assert normal_fan([bent]).vertices.tobytes() == normal_fan([hull(bent.vertices)]).vertices.tobytes()
 
 

@@ -484,7 +484,7 @@ def test_metric_axioms_on_random_triples():
 # ---------------------------------------------------------------------------
 # Minkowski sums by ring merge
 
-# a raw ring that does not turn one way: a vertex is not extreme
+# a raw body with a vertex that is not extreme
 BENT = np.array([[-1.03, -1.37], [-1.01, 0.49], [-0.8, 0.12], [-0.01, -0.35], [0.08, 1.34]])
 
 
@@ -562,23 +562,32 @@ def test_a_one_vertex_operand_translates_the_other_body():
         assert merged.vertices.tobytes() == qhull_minkowski_sum(a, b).vertices.tobytes()
 
 
+def walks_its_hull(body):
+    """Whether the body's walk is its hull's, byte for byte."""
+    return [x.tobytes() for x in body._walk] == [x.tobytes() for x in hull(body.vertices)._walk]
+
+
 def test_an_uncertified_merge_falls_back_to_the_qhull_sum():
-    flat = ConvexBody(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]]))
     cases = [
         (hull([(0, 0), (1, 0)]), hull([(2, 0), (3, 0)])),        # collinear: a segment
         (hull([(0, 0), (1e-9, 0)]), hull([(1e6, 0)])),            # a translate within tolerance
-        (flat, hull([(0.5, 0.25)])),                               # a translate of a flat vertex
         (triangle(), hull([(0, 0), (1, 1e-13)])),                # a vertex on a chord
         (triangle(), hull([(0, 0), (1e-12, 1), (1, 0)])),        # an edge below tolerance
-        # rings that do not turn one way: each has a vertex that is not extreme
-        (ConvexBody(BENT),
-         ConvexBody(np.array([[-1.59, -0.73], [0.12, -0.65], [0.77, 0.25], [0.99, -0.63]]))),
     ]
     cube = hull(np.array(np.meshgrid([0, 1], [0, 1], [0, 1])).reshape(3, -1).T)
     for a, b in cases + [(cube, cube)]:
         if a.dim == 2:
             assert _merged_sum(a, b) is None
         assert minkowski_sum(a, b).vertices.tobytes() == qhull_minkowski_sum(a, b).vertices.tobytes()
+    # raw bodies with a vertex that is not extreme merge on their hulls' walks, certified
+    flat = ConvexBody(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]]))
+    for a, b in [(flat, hull([(0.5, 0.25)])),                    # a translate of a flat vertex
+                 (ConvexBody(BENT),
+                  ConvexBody(np.array([[-1.59, -0.73], [0.12, -0.65], [0.77, 0.25], [0.99, -0.63]])))]:
+        assert walks_its_hull(a) and walks_its_hull(b)
+        merged, want = _merged_sum(a, b), qhull_minkowski_sum(a, b).vertices.tobytes()
+        assert merged is not None and merged.vertices.tobytes() == want
+        assert minkowski_sum(a, b).vertices.tobytes() == want
 
 
 def test_merged_and_scaled_bodies_carry_the_ring_a_fresh_sort_gives():
@@ -586,13 +595,13 @@ def test_merged_and_scaled_bodies_carry_the_ring_a_fresh_sort_gives():
     for _ in range(30):
         P = rng.normal(size=(7, 2))
         a = hull(P + rng.uniform(-1e3, 1e3, size=2))
-        unread = ConvexBody(a.vertices.copy())   # its ring is sorted when scale reads it
+        unread = ConvexBody(a.vertices.copy())   # walks its hull when scale reads it
         bodies = [a, hull(P[:2]), hull(P[:1]), hull(P + 1e6),
                   minkowski_sum(a, hull(rng.normal(size=(5, 2)))),
                   scale(a, rng.uniform(1e-3, 1e3)), scale(unread, rng.uniform(1e-3, 1e3)),
                   minkowski_sum(square(), a)]   # the merge starts atop the square's left edge
         assert all("_walk" in vars(body) for body in bodies)
-        # raw bodies: a ring that does not turn one way, scaled, and a near-flat support face
+        # raw bodies: one with a vertex that is not extreme, scaled, and a near-flat support face
         turn = rng.uniform(0.0, 2.0 * np.pi)
         turn = np.array([[np.cos(turn), np.sin(turn)], [-np.sin(turn), np.cos(turn)]])
         top = np.array([[0.0, 0.0], [1.0, 1e-10], [2.0, 0.0], [1.0, -1.0]]) @ turn
@@ -613,7 +622,7 @@ def test_weighted_sum_does_not_depend_on_cached_rings():
     rng = np.random.default_rng(29)
     atoms = [hull(rng.normal(size=(6, 2)) + rng.normal(size=2)) for _ in range(5)]
     coefs = rng.uniform(0.1, 1.0, size=5)
-    sorted_rings = [ConvexBody(atom.vertices.copy()) for atom in atoms]   # sorted, not chained
+    sorted_rings = [ConvexBody(atom.vertices.copy()) for atom in atoms]   # raw: their hulls' walks
     assert (weighted_sum(atoms, coefs).vertices.tobytes()
             == weighted_sum(sorted_rings, coefs).vertices.tobytes())
 
@@ -674,7 +683,7 @@ def test_hulls_and_raw_bodies_derive_their_walk_once_from_their_ring():
     flat = ConvexBody(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))  # as a support face holds it
     hulls = [hull(rng.normal(size=(9, 2))), hull([(0, 0), (1, 2)]), hull([(3, 4)]),
              hull(rng.normal(size=(9, 2)) + 1e6)]
-    for body in hulls + [raw_polygon, flat]:
+    for body in hulls + [raw_polygon]:
         assert ("_walk" in vars(body)) == any(body is h for h in hulls)   # raw: derived when read
         ring, phi = carries_a_walk_of_its_ring(body)
         assert body._walk is body._walk
@@ -683,13 +692,19 @@ def test_hulls_and_raw_bodies_derive_their_walk_once_from_their_ring():
             E = np.roll(z, -1) - z
             angles = np.arctan2(-E.real, E.imag)   # outer normals of a counterclockwise ring
             assert phi.tobytes() == angles.tobytes()   # from the least
+    # a raw body of three or more vertices walks its hull's ring, also where
+    # one is not extreme (``flat`` walks a segment)
     bent = ConvexBody(BENT)
+    assert walks_its_hull(raw_polygon) and walks_its_hull(flat) and walks_its_hull(bent)
+    assert flat._walk[0].tolist() == [0, 2, 0]
     ring, phi = bent._walk
-    assert phi is None and ring[0] == ring[-1] == bent.vertices.view(complex)[0, 0]  # the centroid sort, closed
     twice = scale(bent, 2.0)
-    assert twice._walk[1] is None
+    assert carries_a_walk_of_its_ring(twice)[1] is phi
     assert twice._walk[0].tobytes() == (2.0 * ring.view(float)).view(complex).tobytes()
-    assert _merged_sum(bent, square()) is None and _merged_sum(hull([(1, 1)]), bent) is None
+    for a, b in [(bent, square()), (hull([(1, 1)]), bent), (flat, triangle())]:
+        merged = _merged_sum(a, b)
+        assert merged is not None
+        assert merged.vertices.tobytes() == qhull_minkowski_sum(a, b).vertices.tobytes()
 
 
 def test_scale_and_the_merge_carry_their_operands_angles():

@@ -13,13 +13,18 @@ from oracles import chain_hull, dense_dedup
 from setmeans.geometry import (
     REL_TOL,
     ConvexBody,
+    _canonical,
     _dedup,
     _depths,
+    _merged_sum,
     _width,
     box_of,
     hull,
+    minkowski_sum,
     point_distance,
+    scale,
     tolerance,
+    weighted_sum,
 )
 
 # derandomized, so a tier-1 run is reproducible; no example database on disk
@@ -143,6 +148,26 @@ def test_hull_is_idempotent_and_permutation_invariant_in_2d(P, random):
 
 
 @PROPERTY
+@given(moved_clouds(), moved_clouds(), st.floats(-17.0, -5.0), st.floats(1e-3, 1e3),
+       st.randoms(use_true_random=False))
+def test_every_walk_ascends_and_closes(P, Q, noise, lam, random):
+    # walks of hull, scale, the merge, weighted_sum and raw bodies, also of
+    # points at a relative distance of 1e-17 .. 1e-5 from a line
+    rng = np.random.default_rng(random.getrandbits(32))
+    t = rng.uniform(-1.0, 1.0, len(P))[:, None]
+    line = P[0] + t * (P[-1] - P[0]) + 10.0 ** noise * box_of(P)[0] * rng.normal(size=P.shape)
+    a, b, c = hull(P), hull(Q), hull(line)
+    bodies = [a, b, c, scale(a, lam), minkowski_sum(a, b), minkowski_sum(c, b),
+              weighted_sum([a, b, c], rng.dirichlet(np.ones(3))),
+              ConvexBody(_canonical(P)), ConvexBody(_canonical(line))]
+    bodies += [body for body in (_merged_sum(a, b), _merged_sum(b, c)) if body is not None]
+    for body in bodies:
+        ring, phi = body._walk
+        assert len(ring) == len(phi) + 1 and ring[0] == ring[-1]
+        assert (phi[1:] > phi[:-1]).all()
+
+
+@PROPERTY
 @given(moved_clouds())
 def test_ring_width_is_the_least_edge_depth_of_the_farthest_vertex(P):
     walk = hull(P)._walk
@@ -257,12 +282,18 @@ def test_hull_of_collinear_points_is_a_segment_at_every_scale_and_place(shape):
 
 def test_hull_in_2d_applies_the_rank_cut_wherever_a_point_lies():
     eps = float(np.finfo(float).eps)
-    # a point 0.3 cuts outside the edge (1, -1)-(1, 1) of a triangle is no vertex,
-    # whether it is the rightmost point or, turned by 90 degrees, the topmost one
+    # a point 0.3 cuts or one ulp outside the edge (1, -1)-(1, 1) of a triangle is no
+    # vertex, whether it is the rightmost point or, turned by 90 degrees, the topmost
+    # one; the edge's end (1, 1), which the sweep visits before that point, stays one
     cut = tolerance(8 * 4 * eps, box_of(np.array([[0.0, 0.0], [1.0, -1.0], [1.0, 1.0]])))
-    P = np.array([[0.0, 0.0], [1.0, -1.0], [1.0, 1.0], [1.0 + 0.3 * cut, 0.0]])
-    for Q in (P, P @ np.array([[0.0, 1.0], [-1.0, 0.0]])):
-        assert hull(Q).vertex_count == 3
+    for offset in (0.3 * cut, 2.0 ** -52):
+        P = np.array([[0.0, 0.0], [1.0, -1.0], [1.0, 1.0], [1.0 + offset, 0.0]])
+        for Q in (P, P @ np.array([[0.0, 1.0], [-1.0, 0.0]])):
+            body, raw = hull(Q), ConvexBody(Q)   # a raw body walks its hull's ring
+            assert body.vertex_count == 3 and Q[2].tolist() in body.vertices.tolist()
+            assert raw._walk[0].tobytes() == body._walk[0].tobytes()
+            for b in (body, raw):
+                assert point_distance(b, Q).max() <= cut
     # points 0.7 cuts either side of a line lie within the cut of that line: a segment
     t = np.linspace(-1.0, 1.0, 9)
     cut = tolerance(8 * 9 * eps, box_of(np.c_[t, 0.0 * t]))
