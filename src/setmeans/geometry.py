@@ -71,16 +71,25 @@ def _as_vector(x, dim: int) -> np.ndarray:
     return v
 
 
+def _extremes(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least and the greatest value of each coordinate (column) of
+    the ``(n, d)`` array ``P``, each taken in one contiguous pass."""
+    by_coordinate = P.T.copy()
+    return np.minimum.reduce(by_coordinate, axis=1), np.maximum.reduce(by_coordinate, axis=1)
+
+
 def box_of(P: np.ndarray) -> tuple[float, float]:
     """Scale of a point array: ``(extent, magnitude)``, the diagonal of its
     bounding box and its largest absolute coordinate.  A coordinate that is
     not finite, or a diagonal whose square overflows (beyond about 1.3e154,
     where every tolerance would be infinite), raises :class:`GeometryError`."""
-    magnitude = float(np.abs(P).max())
-    if not math.isfinite(magnitude):
+    lo, hi = _extremes(P)
+    extremes = lo.tolist() + hi.tolist()
+    if not all(map(math.isfinite, extremes)):
         raise GeometryError("vertices contain NaN or infinite coordinates")
+    magnitude = max(map(abs, extremes))
     with np.errstate(over="ignore"):
-        d = P.max(axis=0) - P.min(axis=0)
+        d = hi - lo
         extent2 = float(d.dot(d))   # the sum np.linalg.norm takes
     if not math.isfinite(extent2):
         raise GeometryError(f"the bounding box of coordinates up to {magnitude!r} has a "
@@ -506,10 +515,14 @@ def _merged_sum(a: ConvexBody, b: ConvexBody):
     outer-normal angle; merging the two ascending angle lists walks the
     boundary of the sum counterclockwise (de Berg et al., *Computational
     Geometry*, 13.3), and an edge of ``a`` goes before an edge of ``b``
-    of equal angle.  Vertex ``k`` is ``a_ring[i_k] + b_ring[j_k]``, with
-    ``i_k`` and ``j_k`` the edges of ``a`` and ``b`` walked before it:
-    the same float sum the pairwise cloud of :func:`minkowski_sum` holds.
-    The vertex between two edges of exactly equal angle is dropped.  A
+    of equal angle.  So each edge is placed by rank: edge ``k`` of ``a``
+    goes to slot ``k`` plus the number of ``b``'s edges of smaller angle,
+    edge ``k`` of ``b`` to slot ``k`` plus the number of ``a``'s edges of
+    smaller or equal angle.  Vertex ``k`` is ``a_ring[i_k] + b_ring[j_k]``,
+    with ``i_k`` and ``j_k`` the edges of ``a`` and ``b`` walked before
+    it: the same float sum the pairwise cloud of :func:`minkowski_sum`
+    holds, gathered into the ring from the edge's own slot.  Where two
+    angles tie, the vertex between the two edges is dropped.  A
     one-vertex operand translates the other's walk, by the same float
     sums.  The sum stores the merged walk: its ring, and the angles of
     the operands' edges, one per run of equal angles.  Every walk's
@@ -518,34 +531,36 @@ def _merged_sum(a: ConvexBody, b: ConvexBody):
     box)`` to the outside of the chord of its two neighbours (so every
     edge is longer than that too); a translate of fewer than three
     vertices needs only its vertices that far apart.  Then it is the
-    body :func:`hull` gives.
+    body :func:`hull` gives, and keeps ``box``, taken from its ring, as
+    its :attr:`ConvexBody.box`.
     """
     (za, pa), (zb, pb) = a._walk, b._walk
     if len(pa) == 0 or len(pb) == 0:
-        z, phi = za + zb, (pb if len(pa) == 0 else pa)
+        z, phi = za + zb, (pa if len(pb) == 0 else pb)
     else:
-        n = len(pa) + len(pb)
-        slot = np.searchsorted(pa, pb, side="right") + np.arange(len(pb))  # b's edges in the merge
-        from_a = np.ones(n, dtype=bool)
-        from_a[slot] = False
-        phi = np.empty(n)
-        phi[from_a] = pa
-        phi[slot] = pb
-        i = np.cumsum(from_a) - from_a
-        z = za[i] + zb[np.arange(n) - i]
-        keep = np.concatenate(([True], phi[1:] != phi[:-1]))
-        z, phi = z[keep], phi[keep]
-        if len(z) < 3:
-            return None
-        z = np.concatenate((z, z[:1]))
+        sa = pb.searchsorted(pa, "left")    # b's edges walked before each of a's
+        sb = pa.searchsorted(pb, "right")   # a's edges walked before each of b's
+        ia, ib = np.arange(len(pa)) + sa, np.arange(len(pb)) + sb   # their slots in the merge
+        phi = np.empty(len(pa) + len(pb))
+        phi[ia], phi[ib] = pa, pb
+        z = np.empty(len(phi) + 1, dtype=complex)   # the ring, with its closing slot
+        z[ia], z[ib] = za[:-1] + zb[sa], za[sb] + zb[:-1]
+        tie = phi[1:] == phi[:-1]
+        if np.count_nonzero(tie):
+            keep = np.concatenate(([True], ~tie, [True]))
+            z, phi = z[keep], phi[keep[:-1]]
+            if len(phi) < 3:
+                return None
+        z[-1] = z[0]
     box = box_of(_open(z).view(float).reshape(-1, 2))
     tol = tolerance(REL_TOL, box)
     if len(phi) == 2 and abs(z[1] - z[0]) <= tol:
         return None
     if len(phi) > 2:
-        E = z[1:] - z[:-1]
-        before = np.concatenate((E[-1:], E[:-1]))
-        if ((before.conj() * E).imag <= tol * np.abs(before + E)).any():
+        E = np.empty(len(z), dtype=complex)   # E[k + 1] is edge k, E[0] the last edge again
+        np.subtract(z[1:], z[:-1], out=E[1:])
+        E[0] = E[-1]
+        if np.count_nonzero((E[:-1].conj() * E[1:]).imag <= tol * np.abs(E[:-1] + E[1:])):
             return None
     body = _with_walk(z, phi)
     body.__dict__["box"] = box
@@ -745,8 +760,7 @@ def _nearest_offsets(a: ConvexBody, X: np.ndarray) -> np.ndarray:
     E = _edges(V)
     L = (E * E.conj()).real                         # squared edge lengths, 1 for a zero edge
     L[L == 0.0] = 1.0
-    R = V[:, None].view(float)
-    lo, hi = np.minimum.reduce(R), np.maximum.reduce(R)
+    lo, hi = _extremes(V[:, None].view(float))
     X = np.ascontiguousarray(X)
     W = X.view(complex) - V                         # (n, m): each vertex to each query
     p = W * E.conj()                                # real part: edge dot, imaginary: edge cross
@@ -780,11 +794,15 @@ def point_distance(a: ConvexBody, x):
 def deviation(a: ConvexBody, b: ConvexBody) -> float:
     """One-sided deviation of a from b: farthest a-point from b.
 
-    d(., b) is convex, so its maximum over a is attained at a vertex.
+    d(., b) is convex, so its maximum over a is attained at a vertex.  A
+    2-D body that holds no vertex array yet is queried at its walk's
+    ring, in walk order: the maximum does not depend on the order, and
+    the vertex array is never derived for it.
     """
     if a.dim != b.dim:
         raise DimensionMismatch("deviation requires equal dimensions")
-    return float(point_distance(b, a.vertices).max())
+    V = a.vertices if "vertices" in vars(a) else _open(a._walk[0])[:, None].view(float)
+    return float(point_distance(b, V).max())
 
 
 def hausdorff(a: ConvexBody, b: ConvexBody) -> float:

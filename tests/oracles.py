@@ -23,6 +23,8 @@ reference for the 2-D ring merge behind ``minkowski_sum``.
 merge that re-derives both operands' rings and edge angles from their
 vertices and sorts the angles together, the reference for the walks the
 bodies carry.
+``reduced_box_of`` is the box by ``abs`` and two axis-0 reductions, the
+reference for the per-coordinate passes of ``box_of``.
 ``records_csv`` formats a records array one value and one row at a
 time, the reference for the bytes ``write_report`` writes.
 ``FAR_POLYGON`` and ``FAR_QUERY`` pin a small polygon far from the
@@ -198,6 +200,13 @@ def rederived_weighted_sum(bodies, coefs) -> ConvexBody:
     if not terms:
         return ConvexBody(np.zeros((1, 2)))
     return functools.reduce(rederived_minkowski_sum, terms)
+
+
+def reduced_box_of(P: np.ndarray) -> tuple[float, float]:
+    """``box_of`` of a finite point array whose squared diagonal does not
+    overflow, by ``abs`` and two reductions along axis 0."""
+    d = P.max(axis=0) - P.min(axis=0)
+    return math.sqrt(float(d.dot(d))), float(np.abs(P).max())
 
 
 def records_csv(records, sizes) -> str:

@@ -13,6 +13,7 @@ from oracles import (
     exact_nearest,
     qhull_minkowski_sum,
     rederived_weighted_sum,
+    reduced_box_of,
     same_body,
     translate,
 )
@@ -632,19 +633,34 @@ def test_weighted_sum_does_not_depend_on_cached_rings():
 
 def fold_law(kind, rng):
     """2-D atoms of one kind: generic hulls, lattice polygons and squares
-    (parallel and antiparallel edges, exactly equal angles), slivers of
-    aspect 1e7 at random angles, or generic hulls moved to 1e6."""
+    (parallel and antiparallel edges, exactly equal angles) then a point
+    and a level segment (a translate, and edges of a square's angles),
+    slivers of aspect 1e7 at random angles, or generic hulls moved to 1e6."""
     J = int(rng.integers(2, 9))
     if kind == "generic":
         return [hull(rng.normal(size=(8, 2)) + rng.normal(size=2)) for _ in range(J)]
     if kind == "lattice":
         return [hull(rng.integers(-3, 4, size=(int(rng.integers(1, 7)), 2)).astype(float))
-                if j % 2 else square(0.0, float(rng.integers(1, 4))) for j in range(J)]
+                if j % 2 else square(0.0, float(rng.integers(1, 4))) for j in range(J)] \
+            + [hull([(1.0, -2.0)]), hull([(-2.0, 1.0), (1.0, 1.0)])]
     if kind == "sliver":
         turns = [np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
                  for t in rng.uniform(0.0, 2.0 * np.pi, J)]
         return [hull((rng.normal(size=(6, 2)) * [1.0, 1e-7]) @ turn) for turn in turns]
     return [hull(rng.normal(size=(6, 2)) + 1e6) for _ in range(J)]
+
+
+def merged_angles(*angles):
+    """The angles of a certified merge of walks with these angles, taken
+    by one stable sort: the operands' angles, an earlier operand's first,
+    one per run of equal angles."""
+    phi = np.sort(np.concatenate(angles), kind="stable")
+    return phi[np.concatenate(([True], phi[1:] != phi[:-1]))]
+
+
+def bits(box):
+    """The bytes of a box's two floats: ``==`` would not tell 0.0 from -0.0."""
+    return np.array(box).tobytes()
 
 
 def carries_a_walk_of_its_ring(body):
@@ -663,6 +679,7 @@ def carries_a_walk_of_its_ring(body):
 @pytest.mark.parametrize("kind", ["generic", "lattice", "sliver", "far"])
 def test_weighted_sum_is_the_fold_that_derives_every_angle_afresh(kind):
     rng = np.random.default_rng(["generic", "lattice", "sliver", "far"].index(kind))
+    dropped = 0   # certified merges that dropped the vertex between two edges of equal angle
     for _ in range(8):
         atoms = fold_law(kind, rng)
         weights = rng.dirichlet(np.ones(len(atoms)))
@@ -671,10 +688,24 @@ def test_weighted_sum_is_the_fold_that_derives_every_angle_afresh(kind):
             got, want = weighted_sum(atoms, coefs), rederived_weighted_sum(atoms, coefs)
             assert got.vertices.tobytes() == want.vertices.tobytes()
             assert got._walk[0].tobytes() == want._walk[0].tobytes()
+            terms = [scale(atom, c) for atom, c in zip(atoms, coefs) if c]
+            total = terms[0]
+            for term in terms[1:]:   # a certified merge carries its operands' angles and box
+                merged = _merged_sum(total, term)
+                if merged is not None:
+                    want_angles = merged_angles(total._walk[1], term._walk[1])
+                    assert merged._walk[1].tobytes() == want_angles.tobytes()
+                    assert bits(vars(merged)["box"]) == bits(box_of(merged.vertices))
+                    dropped += len(want_angles) < len(total._walk[1]) + len(term._walk[1])
+                total = minkowski_sum(total, term)
+            assert got._walk[1].tobytes() == total._walk[1].tobytes()
+            assert bits(got.box) == bits(box_of(got.vertices))
             if kind in ("generic", "far"):   # no parallel edges: every merge is certified
-                terms = [scale(atom, c) for atom, c in zip(atoms, coefs) if c]
                 merged = functools.reduce(_merged_sum, terms)
                 assert merged is not None and merged.vertices.tobytes() == got.vertices.tobytes()
+                want_angles = merged_angles(*(term._walk[1] for term in terms))
+                assert got._walk[1].tobytes() == want_angles.tobytes()
+    assert (dropped > 0) == (kind == "lattice")
 
 
 def test_hulls_and_raw_bodies_derive_their_walk_once_from_their_ring():
@@ -778,6 +809,21 @@ def test_walk_built_bodies_derive_their_vertices_on_first_read(kind, monkeypatch
         got.vertices = V
 
 
+def test_box_of_takes_the_extremes_the_axis_reductions_take():
+    rng = np.random.default_rng(17)
+    for trial in range(400):
+        P = rng.normal(size=(int(rng.integers(1, 60)), 2 + trial % 2))
+        P *= 10.0 ** rng.integers(-300, 150, size=P.shape[1])
+        if trial % 3 == 0:   # a constant column
+            P[:, 0] = P[0, 0]
+        if trial % 4 == 0:   # signed zeros among the coordinates
+            P[rng.random(P.shape) < 0.5] = rng.choice([0.0, -0.0])
+        if trial % 5 == 0:   # a column of zeros of both signs
+            P[:, -1] = rng.choice([0.0, -0.0], size=len(P))
+        assert bits(box_of(P)) == bits(reduced_box_of(P))
+    assert bits(box_of(np.array([[-0.0, 0.0], [0.0, -0.0]]))) == bits((0.0, 0.0))
+
+
 def test_a_body_that_overflows_raises_where_it_is_made():
     big, low = scale(square(), 1e308), scale(square(-1.0, 0.0), 1e308)   # finite: at most 1e308
     near = hull([(1.5e308, -1.5e308)])
@@ -812,6 +858,25 @@ def test_a_box_whose_squared_diagonal_overflows_raises():
     inside = hull([(0.0, 0.0), (9e153, 0.0), (0.0, 9e153)])
     assert inside.vertices.tolist() == [[0.0, 0.0], [0.0, 9e153], [9e153, 0.0]]
     assert inside.box == (pytest.approx(math.sqrt(2.0) * 9e153), 9e153)
+
+
+@pytest.mark.parametrize("kind", ["generic", "lattice", "sliver", "far"])
+def test_the_distance_of_walk_built_bodies_queries_their_rings(kind):
+    rng = np.random.default_rng(["generic", "lattice", "sliver", "far"].index(kind) + 60)
+    for _ in range(6):
+        atoms = fold_law(kind, rng)
+        weights = rng.dirichlet(np.ones(len(atoms)))
+        for n in (1, 3, 64, 4096):
+            mean = weighted_sum(atoms, rng.multinomial(n, weights) / n)
+            expected = weighted_sum(atoms, weights)
+            both = [hausdorff(mean, expected), hausdorff(expected, mean),
+                    deviation(mean, expected), deviation(expected, mean)]
+            # neither body derived a vertex array to be queried at its vertices
+            assert sum(derived(body) for body in (mean, expected)) == 0
+            raw_mean, raw_expected = ConvexBody(mean.vertices), ConvexBody(expected.vertices)
+            raw = [hausdorff(raw_mean, raw_expected), hausdorff(raw_expected, raw_mean),
+                   deviation(raw_mean, raw_expected), deviation(raw_expected, raw_mean)]
+            assert np.array(both).tobytes() == np.array(raw).tobytes()
 
 
 # ---------------------------------------------------------------------------
