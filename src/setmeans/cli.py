@@ -1,8 +1,10 @@
 """Command-line interface: JSON scenes in, reports/CSV/manifests out.
 
 Exit codes: 0 on success, 1 on usage or input errors (including blocked
-experiment preconditions, a malformed replay manifest and a replayed
-scene that no longer matches its manifest), 2 when the experiment ran
+experiment preconditions, a malformed replay manifest, a replayed scene
+that no longer matches its manifest and an input too large to allocate,
+such as a grid, sample size, replication count or repeat count beyond
+the memory available), 2 when the experiment ran
 but an acceptance verdict inside the report failed, 3 when an internal
 invariant broke (a solver did not converge, a face failed the
 commutation check, a count kernel disagreed with its oracle, a sample
@@ -516,6 +518,10 @@ def run_command(argv) -> int:
         return 1
     except _USAGE_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:   # numpy's allocation failures are MemoryErrors too
+        print(f"error: MemoryError: {str(exc) or 'the input needs more memory than is available'}",
+              file=sys.stderr)
         return 1
     except _INTERNAL_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -864,23 +864,23 @@ def _fold(coefs: np.ndarray, points: np.ndarray) -> np.ndarray:
 class NormalFan:
     """Common refinement of the outer normal fans of a family of 2-D bodies.
 
-    Cell ``i`` is the counterclockwise arc from ``directions[i]`` to
-    ``directions[i + 1]`` (the last cell wraps around to the first
-    direction); ``vertices[i, j]`` is the vertex of body ``j`` attaining
-    its support on that arc.  Support functions are linear in the
-    coefficients, so on cell ``i`` the support function of
-    ``sum_j c[j] * K_j`` is ``u -> <u, c @ vertices[i]>``.  Build it with
-    :func:`normal_fan`.
+    Cell ``i`` is the counterclockwise arc from ``angles[i]`` to
+    ``angles[i + 1]`` (the last cell wraps around to the first angle),
+    starting at the unit vector ``directions[i]``; ``vertices[i, j]`` is
+    the vertex of body ``j`` attaining its support on that arc.  Support
+    functions are linear in the coefficients, so on cell ``i`` the
+    support function of ``sum_j c[j] * K_j`` is ``u -> <u, c @
+    vertices[i]>``.  Build it with :func:`normal_fan`.
     """
 
-    directions: np.ndarray   # (m, 2) unit vectors, sorted by angle
+    angles: np.ndarray       # (m,) ascending, within 2 pi of the first
     vertices: np.ndarray     # (m, J, 2)
 
     def __post_init__(self):
-        angles = np.arctan2(self.directions[:, 1], self.directions[:, 0])
-        object.__setattr__(self, "_angles", angles)
-        object.__setattr__(self, "_spans", np.diff(angles, append=angles[0] + 2.0 * np.pi))
-        object.__setattr__(self, "_ends", np.roll(self.directions, -1, axis=0))
+        directions = np.stack([np.cos(self.angles), np.sin(self.angles)], axis=1)
+        object.__setattr__(self, "directions", directions)
+        object.__setattr__(self, "_spans", np.diff(self.angles, append=self.angles[0] + 2.0 * np.pi))
+        object.__setattr__(self, "_ends", np.roll(directions, -1, axis=0))
         object.__setattr__(self, "_by_body", self.vertices.swapaxes(0, 1))   # (J, m, 2)
 
     def _coefficients(self, coefs) -> np.ndarray:
@@ -912,7 +912,7 @@ class NormalFan:
             starts, ends = np.abs(starts), np.abs(ends)
         # the angle of D from the arc's start, modulo 2 pi (pi to admit -D), within the span
         period = 2.0 * np.pi if signed else np.pi
-        inside = (np.arctan2(Y, X) - self._angles) % period <= self._spans
+        inside = (np.arctan2(Y, X) - self.angles) % period <= self._spans
         out = np.where(inside, np.hypot(X, Y), np.maximum(starts, ends))
         out = np.maximum(out.max(axis=-1), 0.0)
         return float(out) if out.ndim == 0 else out
@@ -959,8 +959,7 @@ def normal_fan(bodies: Sequence[ConvexBody]) -> NormalFan:
         angles = np.zeros(1)
     mids = angles + np.diff(angles, append=angles[0] + 2.0 * np.pi) / 2.0
     z = np.stack([ring[np.searchsorted(phi, mids)] for ring, phi in walks], axis=1)
-    directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return NormalFan(directions, z[..., None].view(float))
+    return NormalFan(angles, z[..., None].view(float))
 
 
 # ---------------------------------------------------------------------------

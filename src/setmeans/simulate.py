@@ -23,17 +23,20 @@ per-draw inverse CDF, bit for bit) and hands them to the experiment's
 count kernel, which maps the block to its statistic with array
 operations, at a cost per checkpoint independent of the sample size; it
 fills one ``(R, S, k)`` array, the report's records.
-The body path (fold the mean body with ``weighted_sum``, then measure
-it) stays as the oracle: in 2-D the fold merges the bodies' walks (the
-one boundary a 2-D body stores, its ring with its sorted edge angles,
-``geometry.ConvexBody._walk``, which ``hull`` builds with each atom), with
-the hull of the pairwise sums where a merge is not certified.  The normal
-fan reads the atoms' walks too: it takes each atom's vertex per cell from
-its walk, where the fold merges the scaled walks into the mean's, and a
-misordered merge fails its certificate and falls back to that hull.  It recomputes replications
-``0 .. ORACLE_REPS - 1`` at every size, and it decides the checkpoints a
-kernel cannot (clt-facet's near a threshold, and those of kernels that
-need the 2-D fan on other dimensions).
+The body path stays as the oracle: ``_statistic`` folds a checked
+checkpoint's mean with ``weighted_sum``, once, and hands it to the kind's
+``measure``, so each kind keeps only what it measures.  In 2-D the fold
+merges the bodies' walks (the one boundary a 2-D body stores, its ring
+with its sorted edge angles, ``geometry.ConvexBody._walk``, which
+``hull`` builds with each atom), with the hull of the pairwise sums
+where a merge is not certified.  The normal fan reads the atoms' walks
+too: it takes each atom's vertex per cell from its walk, where the fold
+merges the scaled walks into the mean's, and a misordered merge fails
+its certificate and falls back to that hull.  The body path
+recomputes replications ``0 .. ORACLE_REPS - 1`` at every size, and it
+decides the checkpoints a kernel cannot: clt-facet's near a threshold,
+and every checkpoint of lln, clt-hausdorff and clt-facet off 2-D, where
+those kinds, whose kernels need the 2-D fan, have none.
 
 Faces follow the face rule: each atom's support face ``F_j`` is decided
 once per law, and the face of a mean is ``sum_j (c_j / N) F_j`` by
@@ -280,7 +283,7 @@ def _count_blocks(y: DiscreteRandomSet,
         yield reps, np.diff(np.cumsum(below, axis=1), axis=2, prepend=0)
 
 
-def _statistic(y: DiscreteRandomSet, config: ExperimentConfig, kernel, body,
+def _statistic(y: DiscreteRandomSet, config: ExperimentConfig, kernel, measure,
                oracle_reps: int = ORACLE_REPS) -> np.ndarray:
     """The statistic of every checkpoint, as an ``(R, S, k)`` array whose
     entry ``[r, s]`` belongs to replication ``r`` at ``sizes[s]``.
@@ -288,10 +291,13 @@ def _statistic(y: DiscreteRandomSet, config: ExperimentConfig, kernel, body,
     ``kernel(counts, coefs)`` maps a block of draw counts and their
     coefficients ``counts / N``, both ``(B, S, J)``, to ``(values,
     band)``: the ``(B, S)`` or ``(B, S, k)`` statistics, and a ``(B, S)``
-    mask of the checkpoints it cannot decide (or None).  Those take the
-    body path, ``body(coefs[b, s])``.  Every checkpoint of the
-    replications below ``oracle_reps`` is recomputed along the body path
-    as well, and a difference beyond ``tolerance(REL_TOL, y.box)`` raises
+    mask of the checkpoints it cannot decide (or None).  A ``kernel`` of
+    None decides no checkpoint.  The undecided checkpoints, and every
+    checkpoint of the replications below ``oracle_reps``, take the body
+    path: their mean ``weighted_sum(y.bodies, coefs[b, s])`` is folded
+    here, once, and ``measure(mean, coefs[b, s])`` measures it.  A
+    decided checkpoint whose body-path value differs from the kernel's
+    by more than ``tolerance(REL_TOL, y.box)`` raises
     :class:`OracleMismatch`.
     """
     sizes = config.sample_sizes
@@ -299,19 +305,21 @@ def _statistic(y: DiscreteRandomSet, config: ExperimentConfig, kernel, body,
     out = None
     for reps, counts in _count_blocks(y, config):
         coefs = counts / np.array(sizes)[:, None]
-        values, band = kernel(counts, coefs)
-        values = values.reshape(counts.shape[:2] + (-1,))
+        values, band = (None, None) if kernel is None else kernel(counts, coefs)
         if band is None:
-            band = np.zeros(counts.shape[:2], dtype=bool)
+            band = np.full(counts.shape[:2], kernel is None)
         # band is (B, S), so the oracle replications are checked at every size
         for r, s in zip(*np.nonzero(band | (reps < oracle_reps)[:, None])):
-            slow = body(coefs[r, s])
+            slow = measure(weighted_sum(y.bodies, coefs[r, s]), coefs[r, s])
+            if values is None:
+                values = np.empty(counts.shape[:2] + np.shape(slow))
             if band[r, s]:
                 values[r, s] = slow
             elif not np.all(np.abs(values[r, s] - slow) <= tol):
                 raise OracleMismatch(f"count kernel gives {values[r, s].tolist()!r} where the body "
                                      f"path gives {np.asarray(slow).tolist()!r} "
                                      f"(replication {reps[r]}, N={sizes[s]})")
+        values = values.reshape(counts.shape[:2] + (-1,))
         if out is None:
             out = np.empty((config.replications, len(sizes), values.shape[-1]))
         out[reps] = values
@@ -328,23 +336,17 @@ def _distances(y: DiscreteRandomSet, config: ExperimentConfig) -> np.ndarray:
     convexity rules out, raises :class:`OracleMismatch`.
     """
     ey = expectation(y)
-    fan = normal_fan(y.bodies) if y.dim == 2 else None
     tol = tolerance(REL_TOL, y.box)
+    if y.dim == 2:
+        fan = normal_fan(y.bodies)
 
-    def body(coefs):
-        return hausdorff(weighted_sum(y.bodies, coefs), ey)
+        def kernel(counts, coefs):
+            return fan.hausdorff(coefs, y.weights), None
 
-    def kernel(counts, coefs):
-        if fan is None:
-            return np.zeros(counts.shape[:2]), np.ones(counts.shape[:2], dtype=bool)
-        return fan.hausdorff(coefs, y.weights), None
-
-    units = np.eye(y.atom_count)
-    if fan is None:
-        max_atom_dist = max(body(unit) for unit in units)
+        max_atom_dist = float(fan.hausdorff(np.eye(y.atom_count), y.weights).max())
     else:
-        max_atom_dist = float(fan.hausdorff(units, y.weights).max())
-    dist = _statistic(y, config, kernel, body, oracle_reps=1)
+        kernel, max_atom_dist = None, max(hausdorff(body, ey) for body in y.bodies)
+    dist = _statistic(y, config, kernel, lambda mean, coefs: hausdorff(mean, ey), oracle_reps=1)
     if (dist > max_atom_dist + tol).any():
         raise OracleMismatch("sample mean left the hull of the atoms")
     return dist
@@ -360,10 +362,10 @@ def _exposed_points(y: DiscreteRandomSet, f: np.ndarray, config: ExperimentConfi
     atom_faces = [support_face(body, f).face for body in y.bodies]
     tops = np.array([face.vertices[0] for face in atom_faces])
 
-    def body(coefs):
-        return check_face_commutation(weighted_sum(y.bodies, coefs), atom_faces, coefs, f).vertices[0]
+    def measure(mean, coefs):
+        return check_face_commutation(mean, atom_faces, coefs, f).vertices[0]
 
-    return _statistic(y, config, lambda counts, coefs: (_fold(coefs, tops), None), body)
+    return _statistic(y, config, lambda counts, coefs: (_fold(coefs, tops), None), measure)
 
 
 def _tangent_values(y: DiscreteRandomSet, u: np.ndarray,
@@ -372,7 +374,7 @@ def _tangent_values(y: DiscreteRandomSet, u: np.ndarray,
     ``counts @ atom_supports`` of the draws in direction ``u``, and the
     distance between the mean of the draw faces and the face of the
     expectation, ``H(sum_j (c_j / n) F_j, sum_j w_j F_j)``, from the normal
-    fan of the atom faces in 2-D and along the body path otherwise."""
+    fan of the atom faces in 2-D and by folding the faces otherwise."""
     atom_supports = np.array([support(body, u) for body in y.bodies])
     atom_faces = [support_face(body, u).face for body in y.bodies]
     ey_face = weighted_sum(atom_faces, y.weights)
@@ -383,9 +385,6 @@ def _tangent_values(y: DiscreteRandomSet, u: np.ndarray,
     def face_gap(coefs):
         return hausdorff(weighted_sum(atom_faces, coefs), ey_face)
 
-    def body(coefs):
-        return [support(weighted_sum(y.bodies, coefs), u), face_gap(coefs)]
-
     def kernel(counts, coefs):
         totals.append(_fold(counts, atom_supports[:, None])[..., 0])
         if fan is None:
@@ -394,7 +393,8 @@ def _tangent_values(y: DiscreteRandomSet, u: np.ndarray,
             gaps = fan.hausdorff(coefs, y.weights)
         return np.stack([totals[-1] / sizes, gaps], axis=-1), None
 
-    gaps = _statistic(y, config, kernel, body)[..., 1]
+    gaps = _statistic(y, config, kernel,
+                      lambda mean, coefs: [support(mean, u), face_gap(coefs)])[..., 1]
     return np.concatenate(totals), gaps
 
 
@@ -419,26 +419,25 @@ def _facet_values(y: DiscreteRandomSet, x: np.ndarray, f: np.ndarray,
     these thresholds, and every checkpoint of other dimensions.
     """
     atom_faces = [support_face(body, f).face for body in y.bodies]
-    fan = normal_fan(y.bodies) if y.dim == 2 else None
     tol = tolerance(REL_TOL, y.box)
     guard = tolerance(GUARD_REL, y.box)
-    if fan is not None:
-        along = np.array([-f[1], f[0]])
-        ends = np.array([[face.vertices[np.argmin(face.vertices @ along)],
-                          face.vertices[np.argmax(face.vertices @ along)]] for face in atom_faces])
-        corners = np.array([(b.vertices.min(axis=0), b.vertices.max(axis=0)) for b in y.bodies])
 
-    def body(coefs):
-        mean = weighted_sum(y.bodies, coefs)
+    def measure(mean, coefs):
         face = check_face_commutation(mean, atom_faces, coefs, f)
         dist = point_distance(mean, x)
         inside = dist > tol and _in_facet(face, nearest_point(mean, x), f,
                                           tolerance(FACET_REL_MARGIN, mean.box), tol)
         return [dist, float(not inside)]
 
+    if y.dim != 2:
+        return _statistic(y, config, None, measure)
+    fan = normal_fan(y.bodies)
+    along = np.array([-f[1], f[0]])
+    ends = np.array([[face.vertices[np.argmin(face.vertices @ along)],
+                      face.vertices[np.argmax(face.vertices @ along)]] for face in atom_faces])
+    corners = np.array([(b.vertices.min(axis=0), b.vertices.max(axis=0)) for b in y.bodies])
+
     def kernel(counts, coefs):
-        if fan is None:
-            return np.zeros(counts.shape[:2] + (2,)), np.ones(counts.shape[:2], dtype=bool)
         dist = fan.point_distance(coefs, x)
         a, b = np.moveaxis(_fold(coefs, ends), -2, 0)
         length = ((b - a) * along).sum(axis=-1)
@@ -454,7 +453,7 @@ def _facet_values(y: DiscreteRandomSet, x: np.ndarray, f: np.ndarray,
                    & ((height <= guard) | (np.abs(inner - margin) <= guard))))
         return np.stack([dist, (~facet).astype(float)], axis=-1), band
 
-    return _statistic(y, config, kernel, body)
+    return _statistic(y, config, kernel, measure)
 
 
 def _facet_flags(y: DiscreteRandomSet, f: np.ndarray, config: ExperimentConfig) -> np.ndarray:
@@ -466,12 +465,11 @@ def _facet_flags(y: DiscreteRandomSet, f: np.ndarray, config: ExperimentConfig) 
     atom_faces = [support_face(body, f).face for body in y.bodies]
     facet_atoms = np.array([face.vertex_count >= 2 for face in atom_faces])
 
-    def body(coefs):
-        face = check_face_commutation(weighted_sum(y.bodies, coefs), atom_faces, coefs, f)
-        return 1.0 if face.vertex_count >= 2 else 0.0
+    def measure(mean, coefs):
+        return float(check_face_commutation(mean, atom_faces, coefs, f).vertex_count >= 2)
 
     return _statistic(y, config, lambda counts, coefs: (_facet_kernel(counts, facet_atoms), None),
-                      body)
+                      measure)
 
 
 def _facet_kernel(counts: np.ndarray, facet_atoms: np.ndarray) -> np.ndarray:

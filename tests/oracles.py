@@ -28,7 +28,9 @@ reference for the per-coordinate passes of ``box_of``.
 ``records_csv`` formats a records array one value and one row at a
 time, the reference for the bytes ``write_report`` writes.
 ``FAR_POLYGON`` and ``FAR_QUERY`` pin a small polygon far from the
-origin on which Wolfe's solver ran out of iterations.
+origin on which Wolfe's solver ran out of iterations.  ``LAW_3D`` is the
+scene of a unit cube and a tetrahedron of weight 0.5 each, a law off 2-D
+for the experiments.
 ``translate``, ``serialize_scene``, ``sample``, ``uniform`` and
 ``normal_cdf`` are test-only helpers; ``uniform`` recomputes one
 splitmix64 draw with Python integers.
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -423,3 +426,13 @@ def wolfe_hausdorff(a: ConvexBody, b: ConvexBody) -> float:
     """Hausdorff distance from per-vertex Wolfe solves, in any dimension."""
     return max(max(wolfe_point_distance(b, v) for v in a.vertices),
                max(wolfe_point_distance(a, v) for v in b.vertices))
+
+
+LAW_3D = json.dumps({
+    "version": 1,
+    "dim": 3,
+    "atoms": [
+        {"weight": 0.5, "vertices": [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]},
+        {"weight": 0.5, "vertices": [[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2]]},
+    ],
+})

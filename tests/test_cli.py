@@ -195,6 +195,24 @@ def test_a_scene_whose_box_overflows_exits_one(tmp_path, capsys):
     assert captured.out == "" and "GeometryError" in captured.err
 
 
+# 10**15 values or list slots of 8 bytes lie beyond any address space, so
+# numpy and the list repeat refuse each allocation before touching a page
+@pytest.mark.parametrize("argv", [
+    ["hausdorff", "{scene}", "{scene}", "--grid", "1000000000000000"],
+    ["simulate", "lln", "--scene", "{scene}", "--seed", "1", "--reps", "10",
+     "--sizes", "1000000000000000", "--out", "{out}"],
+    ["simulate", "lln", "--scene", "{scene}", "--seed", "1", "--reps", "1000000000000000",
+     "--sizes", "10", "--out", "{out}"],
+    ["sfs-bound", "--scene", "{scene}", "--repeat", "1000000000000000"],
+])
+def test_an_input_too_large_to_allocate_exits_one(tmp_path, capsys, argv):
+    argv = [a.format(scene=write_scene(tmp_path, TWO_SEGMENTS), out=tmp_path / "out") for a in argv]
+    assert run_command(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: MemoryError: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_writes_artifacts_and_exits_zero(tmp_path, capsys):
     scene = write_scene(tmp_path, TWO_SEGMENTS)
     out = tmp_path / "run"

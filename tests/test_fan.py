@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import checkpoints, translate, wolfe_hausdorff
+from oracles import LAW_3D, checkpoints, translate, wolfe_hausdorff
 from setmeans.cli import parse_scene
 from setmeans.geometry import (
     ConvexBody,
@@ -217,16 +217,23 @@ MIXED_LAW = json.dumps({
 })
 
 
-@pytest.mark.parametrize("experiment, scaled", [(lln_experiment, False),
-                                                (clt_hausdorff_experiment, True)])
-def test_experiments_match_the_body_path_record_for_record(experiment, scaled):
-    y = parse_scene(MIXED_LAW)
-    config = ExperimentConfig(master_seed=3, sample_sizes=(4, 16, 64), replications=20)
+# off 2-D there is no fan: every checkpoint takes the body path
+@pytest.mark.parametrize("experiment, scaled, law, sizes", [
+    pytest.param(lln_experiment, False, MIXED_LAW, (4, 16, 64), id="lln_experiment-False"),
+    pytest.param(clt_hausdorff_experiment, True, MIXED_LAW, (4, 16, 64),
+                 id="clt_hausdorff_experiment-True"),
+    pytest.param(lln_experiment, False, LAW_3D, (4, 16), id="lln_experiment-False-3d"),
+    pytest.param(clt_hausdorff_experiment, True, LAW_3D, (4, 16),
+                 id="clt_hausdorff_experiment-True-3d"),
+])
+def test_experiments_match_the_body_path_record_for_record(experiment, scaled, law, sizes):
+    y = parse_scene(law)
+    config = ExperimentConfig(master_seed=3, sample_sizes=sizes, replications=20)
     records = experiment(y, config).records
     ey = weighted_sum(y.bodies, y.weights)
     expected = [(rep, n, wolfe_hausdorff(weighted_sum(y.bodies, counts / n), ey))
                 for rep, n, counts in checkpoints(y, config)]
-    assert records.shape == (20, 3, 1)
+    assert records.shape == (20, len(sizes), 1)
     for rep, n, dist in expected:
         stat = records[rep, config.sample_sizes.index(n), 0]
         value = stat / np.sqrt(n) if scaled else stat

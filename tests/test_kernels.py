@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import body_values, checkpoints, exact_support_face
+from oracles import LAW_3D, body_values, checkpoints, exact_support_face
 from setmeans import simulate
 from setmeans.cli import parse_scene, run_command
 from setmeans.geometry import (
@@ -141,49 +141,58 @@ def scene(name):
 
 
 EXPERIMENT_CONFIG = ExperimentConfig(master_seed=5, sample_sizes=(4, 16, 64), replications=60)
+# off 2-D: clt-facet has no kernel there, the other kinds keep theirs
+CONFIG_3D = ExperimentConfig(master_seed=5, sample_sizes=(4, 16), replications=20)
 
 
 def test_exposed_and_tangent_records_equal_the_body_path():
-    y = scene("two_segments")
-    u = norm_gradient([1.0, 1.0])
-    report = clt_exposed_experiment(y, u, EXPERIMENT_CONFIG)
-    body = body_values("exposed", y, u, EXPERIMENT_CONFIG)
-    target = support_face(expectation(y), u).face.vertices[0]
-    # no face is tied, and every replication is recorded
-    assert not any(np.isnan(v).any() for v in body.values())
-    assert report.records.shape == (60, 3, 2)
-    for (rep, n), want in body.items():
-        stat = at(report.records, (rep, n), EXPERIMENT_CONFIG)
-        assert np.all(np.abs(stat / np.sqrt(n) - (want - target)) <= 1e-12 * (1.0 + y.envelope))
+    for y, config, exposed, tangent in [
+            (scene("two_segments"), EXPERIMENT_CONFIG, [1.0, 1.0], [1.0, 0.0]),
+            (parse_scene(LAW_3D), CONFIG_3D, [1.0, 2.0, 3.0], [0.0, 0.0, 1.0])]:
+        shape = (config.replications, len(config.sample_sizes))
+        u = norm_gradient(exposed)
+        report = clt_exposed_experiment(y, u, config)
+        body = body_values("exposed", y, u, config)
+        target = support_face(expectation(y), u).face.vertices[0]
+        # no face is tied, and every replication is recorded
+        assert not any(np.isnan(v).any() for v in body.values())
+        assert report.records.shape == shape + (y.dim,)
+        for (rep, n), want in body.items():
+            stat = at(report.records, (rep, n), config)
+            assert np.all(np.abs(stat / np.sqrt(n) - (want - target)) <= 1e-12 * (1.0 + y.envelope))
 
-    u = norm_gradient([1.0, 0.0])
-    report = clt_tangent_experiment(y, u, EXPERIMENT_CONFIG)
-    body = tangent_body(y, u, EXPERIMENT_CONFIG)
-    s_expected = support_face(expectation(y), u).support_value
-    assert report.records.shape == (60, 3, 1)
-    for (rep, n), want in body.items():
-        (stat,) = at(report.records, (rep, n), EXPERIMENT_CONFIG)
-        assert abs(stat / np.sqrt(n) - (want[0] / n - s_expected)) <= 1e-12 * (1.0 + y.envelope)
+        u = norm_gradient(tangent)
+        report = clt_tangent_experiment(y, u, config)
+        body = tangent_body(y, u, config)
+        s_expected = support_face(expectation(y), u).support_value
+        assert report.records.shape == shape + (1,)
+        for (rep, n), want in body.items():
+            (stat,) = at(report.records, (rep, n), config)
+            assert abs(stat / np.sqrt(n) - (want[0] / n - s_expected)) <= 1e-12 * (1.0 + y.envelope)
 
 
 def test_facet_records_and_excursions_equal_the_body_path():
-    y = scene("stacked_squares")
-    x = np.array([0.5, -1.0])
-    report = clt_facet_experiment(y, x, EXPERIMENT_CONFIG)
-    body = body_values("facet", y, (x, np.array([0.0, -1.0])), EXPERIMENT_CONFIG)
-    base = report.moments["base_distance"]
-    assert report.moments["excursions"] == sum(int(v[1]) for v in body.values())
-    assert report.records.shape == (60, 3, 1)
-    for (rep, n), want in body.items():
-        (stat,) = at(report.records, (rep, n), EXPERIMENT_CONFIG)
-        assert abs(stat / np.sqrt(n) - (want[0] - base)) <= 1e-12 * (1.0 + y.envelope)
+    for y, config, x, f in [
+            (scene("stacked_squares"), EXPERIMENT_CONFIG, [0.5, -1.0], [0.0, -1.0]),
+            (parse_scene(LAW_3D), CONFIG_3D, [0.3, 0.3, -1.0], [0.0, 0.0, -1.0])]:
+        x, f = np.array(x), np.array(f)
+        report = clt_facet_experiment(y, x, config)
+        body = body_values("facet", y, (x, f), config)
+        base = report.moments["base_distance"]
+        assert report.moments["excursions"] == sum(int(v[1]) for v in body.values())
+        assert report.records.shape == (config.replications, len(config.sample_sizes), 1)
+        for (rep, n), want in body.items():
+            (stat,) = at(report.records, (rep, n), config)
+            assert abs(stat / np.sqrt(n) - (want[0] - base)) <= 1e-12 * (1.0 + y.envelope)
 
-    y = scene("two_segments")
-    f = norm_gradient([0.0, -1.0])
-    report = facet_frequency_experiment(y, f, EXPERIMENT_CONFIG)
-    body = body_values("flags", y, f, EXPERIMENT_CONFIG)
-    sizes = EXPERIMENT_CONFIG.sample_sizes
-    assert report.records[..., 0].tolist() == [[body[rep, n] for n in sizes] for rep in range(60)]
+    for y, config, f in [(scene("two_segments"), EXPERIMENT_CONFIG, [0.0, -1.0]),
+                         (parse_scene(LAW_3D), CONFIG_3D, [0.0, 0.0, -1.0])]:
+        f = norm_gradient(f)
+        report = facet_frequency_experiment(y, f, config)
+        body = body_values("flags", y, f, config)
+        sizes = config.sample_sizes
+        assert report.records[..., 0].tolist() == [[body[rep, n] for n in sizes]
+                                                   for rep in range(config.replications)]
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +303,16 @@ def count_body_paths(monkeypatch):
     return calls
 
 
+def lower_segments():
+    """Two horizontal segments; a mean of draws of the lower one passes
+    through (0.5, -1), so clt-facet's band holds checkpoints there."""
+    return DiscreteRandomSet(weights=[0.5, 0.5],
+                             bodies=(hull([[0.0, 0.0], [1.0, 0.0]]),
+                                     hull([[0.0, -1.0], [1.0, -1.0]])))
+
+
 def test_excursion_band_sends_boundary_points_to_the_body_path(monkeypatch):
-    # the mean of N draws of the lower segment passes through x: distance 0
-    y = DiscreteRandomSet(weights=[0.5, 0.5],
-                          bodies=(hull([[0.0, 0.0], [1.0, 0.0]]), hull([[0.0, -1.0], [1.0, -1.0]])))
+    y = lower_segments()
     x = np.array([0.5, -1.0])
     config = ExperimentConfig(master_seed=1, sample_sizes=(1, 2, 4), replications=30)
     body = body_values("facet", y, (x, DOWN), config)
@@ -307,6 +322,62 @@ def test_excursion_band_sends_boundary_points_to_the_body_path(monkeypatch):
     assert_same(kernel, body, y, config)
     assert on_boundary > 0
     assert len(calls) >= on_boundary   # every zero-distance checkpoint took the body path
+
+
+FOLD_CASES = {   # id -> (experiment, law, vector)
+    "lln": (simulate.lln_experiment, lambda: scene("two_segments"), None),
+    "clt-hausdorff": (simulate.clt_hausdorff_experiment, lambda: scene("two_segments"), None),
+    "clt-exposed": (clt_exposed_experiment, lambda: scene("two_segments"), [1.0, 1.0]),
+    "clt-tangent": (clt_tangent_experiment, lambda: scene("two_segments"), [1.0, 0.0]),
+    "clt-facet": (clt_facet_experiment, lambda: scene("stacked_squares"), [0.5, -1.0]),
+    "clt-facet-band": (clt_facet_experiment, lower_segments, [0.5, -1.0]),
+    "facet-freq": (facet_frequency_experiment, lambda: scene("two_segments"), [0.0, -1.0]),
+    "lln-3d": (simulate.lln_experiment, lambda: parse_scene(LAW_3D), None),
+    "clt-hausdorff-3d": (simulate.clt_hausdorff_experiment, lambda: parse_scene(LAW_3D), None),
+    "clt-exposed-3d": (clt_exposed_experiment, lambda: parse_scene(LAW_3D), [1.0, 2.0, 3.0]),
+    "clt-tangent-3d": (clt_tangent_experiment, lambda: parse_scene(LAW_3D), [0.0, 0.0, 1.0]),
+    "clt-facet-3d": (clt_facet_experiment, lambda: parse_scene(LAW_3D), [0.3, 0.3, -1.0]),
+    "facet-freq-3d": (facet_frequency_experiment, lambda: parse_scene(LAW_3D), [0.0, 0.0, -1.0]),
+}
+
+
+@pytest.mark.parametrize("case", FOLD_CASES)
+def test_each_checked_checkpoint_folds_its_mean_once(monkeypatch, case):
+    experiment, law, vector = FOLD_CASES[case]
+    y = law()
+    config = ExperimentConfig(master_seed=1, sample_sizes=(1, 2, 4), replications=30)
+    folds, checked, oracle = [], [], []
+    fold, statistic = simulate.weighted_sum, simulate._statistic
+    monkeypatch.setattr(simulate, "weighted_sum",
+                        lambda bodies, coefs: folds.append(bodies is y.bodies) or fold(bodies, coefs))
+
+    def counted(law_y, config, kernel, measure, oracle_reps=simulate.ORACLE_REPS):
+        """``_statistic``, counting the band and oracle checkpoints of each block."""
+        rows = np.arange(config.replications) < oracle_reps
+        oracle.append(int(rows.sum()) * len(config.sample_sizes))
+        if kernel is None:   # no kernel: every checkpoint is in the band
+            checked.append(config.replications * len(config.sample_sizes))
+            return statistic(law_y, config, kernel, measure, oracle_reps)
+        done = 0
+
+        def banded(counts, coefs):
+            nonlocal done
+            values, band = kernel(counts, coefs)
+            mask = rows[done:done + len(counts), None] | (False if band is None else band)
+            checked.append(int(np.broadcast_to(mask, counts.shape[:2]).sum()))
+            done += len(counts)
+            return values, band
+
+        return statistic(law_y, config, banded, measure, oracle_reps)
+
+    monkeypatch.setattr(simulate, "_statistic", counted)
+    if vector is None:
+        experiment(y, config)
+    else:
+        experiment(y, np.array(vector), config)
+    assert sum(folds) == sum(checked) > 0
+    if case.endswith(("band", "lln-3d", "hausdorff-3d", "facet-3d")):
+        assert sum(checked) > sum(oracle)   # the band holds checkpoints beyond the oracle's
 
 
 @pytest.mark.parametrize("x, shift", [
