@@ -56,6 +56,7 @@ from . import stats
 from .geometry import (
     FACET_REL_MARGIN,
     REL_TOL,
+    ConvexBody,
     _fold,
     _in_facet,
     hausdorff,
@@ -352,15 +353,15 @@ def _distances(y: DiscreteRandomSet, config: ExperimentConfig) -> np.ndarray:
     return dist
 
 
-def _exposed_points(y: DiscreteRandomSet, f: np.ndarray, config: ExperimentConfig) -> np.ndarray:
+def _exposed_points(y: DiscreteRandomSet, tops: np.ndarray, f: np.ndarray,
+                    config: ExperimentConfig) -> np.ndarray:
     """Exposed point of every checkpoint's mean in direction ``f``, ``(R, S, d)``.
 
-    The atoms' faces must be singletons ``{v_j}``; by the face rule the
-    mean's face is then the point ``sum_j (c_j / n) * v_j``, folded as
-    ``weighted_sum`` folds, and never tied.
+    ``tops`` are the atom faces ``{v_j}`` that :func:`exposed_selection`
+    decided; by the face rule the mean's face is then the point ``sum_j
+    (c_j / n) * v_j``, folded as ``weighted_sum`` folds, and never tied.
     """
-    atom_faces = [support_face(body, f).face for body in y.bodies]
-    tops = np.array([face.vertices[0] for face in atom_faces])
+    atom_faces = [ConvexBody(top[None]) for top in tops]
 
     def measure(mean, coefs):
         return check_face_commutation(mean, atom_faces, coefs, f).vertices[0]
@@ -630,18 +631,17 @@ def clt_exposed_experiment(y: DiscreteRandomSet, direction,
     normality per non-degenerate coordinate, and near-zero empirical
     mean: its norm within ``4 sqrt(trace / R)`` of the analytic
     covariance, or within the records' round-off when that is larger.
-    Every atom face is a point, so no mean's face is tied.
+    Each atom face is a point, decided once, by :func:`exposed_selection`.
     """
     t0 = time.perf_counter()
     selection = exposed_selection(y, direction)  # raises NotExposed if blocked
-    sigma = selection.covariance
     tol = tolerance(REL_TOL, y.box)
-    ks = _ks_applies(config, np.diag(sigma), tol)
+    ks = _ks_applies(config, np.diag(selection.covariance), tol)
 
-    points = _exposed_points(y, norm_gradient(direction), config)
+    points = _exposed_points(y, selection.points, norm_gradient(direction), config)
     records = np.sqrt(config.sample_sizes)[:, None] * (points - selection.mean)
     return _report("clt-exposed", config, t0, records,
-                   _judge_clt_exposed(direction, sigma, ks, tol, config, records))
+                   _judge_clt_exposed(direction, selection.covariance, ks, tol, config, records))
 
 
 def clt_tangent_experiment(y: DiscreteRandomSet, direction,

@@ -90,6 +90,29 @@ def test_parse_rejects_nan_literals():
         parse_scene(text)
 
 
+def edited_scene(edit) -> str:
+    doc = json.loads(TWO_SEGMENTS)
+    edit(doc)
+    return json.dumps(doc)
+
+
+BAD_SCENES = {   # id -> (scene text, the field its error names)
+    "invalid-json": ('{"version": 1, "dim": 2', "$"),
+    "top-level-list": ("[1, 2]", "$"),
+    "dim-zero": (edited_scene(lambda d: d.update(dim=0)), "dim"),
+    "dim-text": (edited_scene(lambda d: d.update(dim="2")), "dim"),
+    "atoms-empty": (edited_scene(lambda d: d.update(atoms=[])), "atoms"),
+    "atom-number": (edited_scene(lambda d: d["atoms"].__setitem__(0, 0.5)), "atoms[0]"),
+    "weight-negative": (edited_scene(lambda d: d["atoms"][1].update(weight=-0.5)),
+                        "atoms[1].weight"),
+    "weight-text": (edited_scene(lambda d: d["atoms"][0].update(weight="0.5")), "atoms[0].weight"),
+    "vertices-empty": (edited_scene(lambda d: d["atoms"][1].update(vertices=[])),
+                       "atoms[1].vertices"),
+    # json reads 1e999 as an infinite float, not as a constant
+    "coordinate-1e999": (TWO_SEGMENTS.replace("1.0", "1e999", 1), "atoms[0].vertices[1]"),
+}
+
+
 def test_parse_rejects_bad_version_and_paths_in_errors():
     doc = json.loads(TWO_SEGMENTS)
     doc["version"] = 7
@@ -102,6 +125,11 @@ def test_parse_rejects_bad_version_and_paths_in_errors():
     with pytest.raises(SceneError) as err:
         parse_scene(json.dumps(doc))
     assert "atoms[1].vertices[0]" in str(err.value)
+
+    for case, (text, path) in BAD_SCENES.items():
+        with pytest.raises(SceneError) as err:
+            parse_scene(text)
+        assert err.value.path == path and str(err.value).startswith(f"{path}: "), case
 
 
 def test_scene_round_trip():
@@ -210,6 +238,25 @@ def test_an_input_too_large_to_allocate_exits_one(tmp_path, capsys, argv):
     assert run_command(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: MemoryError: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, text, error", [
+    *[(["expectation", "--scene", "{scene}"], text, f"error: scene: {path}: ")
+      for text, path in BAD_SCENES.values()],
+    (["simulate", "clt-exposed", "--scene", "{scene}", "--dir", "1,1,1", "--seed", "1",
+      "--reps", "30", "--sizes", "100", "--out", "{out}"], TWO_SEGMENTS,
+     "error: --dir must have 2 components"),
+    (["sfs-bound", "--scene", "{scene}", "--repeat", "0"], TWO_SEGMENTS,
+     "error: --repeat must be positive"),
+], ids=[*BAD_SCENES, "dir-components", "repeat-zero"])
+def test_a_rejected_input_exits_one_with_one_error_line_naming_the_field(
+        tmp_path, capsys, argv, text, error):
+    argv = [a.format(scene=write_scene(tmp_path, text), out=tmp_path / "out") for a in argv]
+    assert run_command(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(error) and captured.err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
